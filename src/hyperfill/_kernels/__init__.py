@@ -18,6 +18,8 @@ else:
 
 BACKEND = _impl.BACKEND
 greedy_separated_subset = _impl.greedy_separated_subset
+# No library code calls pdhg_sweep; it stays exported because the
+# benchmark tracer in perfbench/spans.py binds it by name.
 pdhg_sweep = _impl.pdhg_sweep
 pair_max_lift = _impl.pair_max_lift
 

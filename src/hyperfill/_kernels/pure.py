@@ -40,7 +40,10 @@ def greedy_separated_subset(coords, candidates, sep, sup_metric):
 
 
 def pdhg_sweep(y, gap_ii, gap_jj, m, gbar, sigma, rowsum):
-    """One dual update of the pairwise-constraint solver.
+    """One dual update of a primal-dual loop over pair constraints.
+
+    No library code calls it; it is kept, with its compiled twin, because
+    ``perfbench/spans.py`` and ``benchmarks/bench_kernels.py`` time it.
 
     Updates ``y <- max(0, y + sigma * (m - gbar[i] - gbar[j]))`` over the
     pair list and accumulates per-point dual row sums into ``rowsum``

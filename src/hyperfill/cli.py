@@ -45,8 +45,34 @@ def _echo(payload: dict, out_path: str | None) -> None:
         sys.stdout.write(canonical_dumps(payload))
 
 
+def _read(path: str):
+    """JSON from a file named on the command line or inside a config."""
+    try:
+        return read_json(path)
+    except OSError as exc:
+        raise ConfigError("cannot read %s: %s"
+                          % (path, exc.strerror or exc)) from exc
+
+
+def _int(value, what: str) -> int:
+    """A config value as an int; malformed values are config errors."""
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise ConfigError("%s must be an integer, got %r"
+                          % (what, value)) from None
+
+
+def _parse_space(desc):
+    """(space, mask) from a descriptor; malformed fields are config errors."""
+    try:
+        return space_from_descriptor(desc)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError("malformed space descriptor: %s" % exc) from exc
+
+
 def _load_cfg(path: str) -> dict:
-    cfg = read_json(path)
+    cfg = _read(path)
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg
@@ -68,12 +94,9 @@ def _seed_of(cfg: dict, args) -> int:
     """Effective seed: env var beats config beats flag default."""
     env = os.environ.get("HYPERFILL_SEED")
     if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise ConfigError("HYPERFILL_SEED=%r is not an integer" % env)
+        return _int(env, "HYPERFILL_SEED")
     if "seed" in cfg:
-        return int(cfg["seed"])
+        return _int(cfg["seed"], "seed")
     return int(getattr(args, "seed", 0) or 0)
 
 
@@ -81,10 +104,10 @@ def _space_of(cfg: dict, key: str = "space"):
     """(space, inline mask) from an inline descriptor or a file path."""
     desc = cfg.get(key)
     if isinstance(desc, str):
-        desc = read_json(desc)
+        desc = _read(desc)
     if desc is None:
         raise ConfigError("config needs a %r descriptor" % key)
-    return space_from_descriptor(desc)
+    return _parse_space(desc)
 
 
 def _mask_of(cfg: dict, space, inline_mask):
@@ -92,7 +115,7 @@ def _mask_of(cfg: dict, space, inline_mask):
         return inline_mask
     sub = cfg.get("subset")
     if isinstance(sub, str):
-        sub = read_json(sub)
+        sub = _read(sub)
     if sub is None:
         return None
     return mask_from_descriptor(space, sub)
@@ -152,14 +175,14 @@ def _window_of(cfg: dict) -> tuple[int, int]:
     lo = cfg.get("level_lo", 0)
     if "level_hi" not in cfg:
         raise ConfigError("config needs 'level_hi'")
-    return int(lo), int(cfg["level_hi"])
+    return _int(lo, "level_lo"), _int(cfg["level_hi"], "level_hi")
 
 
 # ---------------------------------------------------------------- space
 
 def _cmd_space_build(args) -> None:
-    desc = read_json(args.descriptor)
-    space, mask = space_from_descriptor(desc)
+    desc = _read(args.descriptor)
+    space, mask = _parse_space(desc)
     payload = {
         "descriptor": space_to_descriptor(space),
         "n_points": space.n_points,
@@ -175,8 +198,8 @@ def _cmd_space_build(args) -> None:
 
 
 def _cmd_space_audit(args) -> None:
-    desc = read_json(args.descriptor)
-    space, mask = space_from_descriptor(desc)
+    desc = _read(args.descriptor)
+    space, mask = _parse_space(desc)
     seed = _seed_of(desc if isinstance(desc, dict) else {}, args)
     fit = ahlfors_fit(space, _dyadic_radii(space), seed=seed)
     payload = {
@@ -225,7 +248,7 @@ def _cmd_filling_build(args) -> None:
 def _load_filling(args, cfg_keys=(), nested_ok=True):
     """Filling from --filling file or built from --config."""
     if getattr(args, "filling", None):
-        payload = read_json(args.filling)
+        payload = _read(args.filling)
         if "ambient" in payload:
             if not nested_ok:
                 raise ConfigError("expected a plain filling file")
@@ -459,10 +482,10 @@ def _cmd_verify(args) -> None:
     if name == "audit_theorem_suite":
         sub = cfg.get("subset")
         if isinstance(sub, str):
-            sub = read_json(sub)
+            sub = _read(sub)
         space_desc = cfg["space"]
         if isinstance(space_desc, str):
-            space_desc = read_json(space_desc)
+            space_desc = _read(space_desc)
         report = AUDITS[name](
             space_desc, sub, cfg["theorem"],
             cfg.get("grid", {"s": [0.5], "p": [2.0], "q": [2.0]}),

@@ -2,11 +2,20 @@
 
 The fractional gradient problem is a convex program: minimise the
 ``L^p`` norm of ``g >= 0`` subject to ``g_i + g_j >= |f_i - f_j| /
-d(i,j)^s`` over all point pairs.  A primal-dual first-order loop solves
-it with a certified duality gap; a one-pass feasibility lift turns any
-iterate into a feasible point, so the reported norm is always an upper
-bound and the gap bounds its distance to optimal.  ``p = inf`` has a
-closed form and skips the loop.
+d(i,j)^s`` over all point pairs.  Each exponent has one exact route:
+
+* ``p = 1`` is a linear program, solved by HiGHS
+  (``scipy.optimize.linprog``) on the sparse pair matrix;
+* ``p > 1`` has a smooth Lagrange dual over multipliers ``y >= 0``,
+  maximised by L-BFGS-B and then polished by Newton steps on the KKT
+  system of the active pairs;
+* ``p = inf`` has a closed form.
+
+The solver's own convergence claims are not trusted.  A one-pass
+feasibility lift turns its ``g`` into an exactly feasible point, so the
+reported norm is an upper bound; the dual function evaluated at its
+multipliers is a lower bound, and their relative gap certifies the
+result.
 """
 
 from __future__ import annotations
@@ -15,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import pair_max_lift, pdhg_sweep
+from ._kernels import pair_max_lift
 from .errors import ConfigError, GateError, NumericalError
 from .norms import SmoothnessParams
 from .space import FiniteMetricMeasureSpace
@@ -28,6 +37,20 @@ POINT_CAP = 4096
 
 _TINY = 1e-300
 
+# Newton polish: multipliers below _ACTIVE_REL times the largest one
+# count as zero when the active pairs are chosen; _KKT_REG, relative to
+# the scale of the Newton matrix's diagonal, keeps dependent active pairs
+# solvable.
+_ACTIVE_REL = 1e-10
+_KKT_REG = 1e-10
+_NEWTON_STEPS = 30
+_ACTIVE_ROUNDS = 5
+# Violation, in units of the largest level, that brings a pair into the
+# active set.
+_VIOLATED = 1e-14
+# Dual ascent and polish rounds at p > 1.
+_ROUNDS = 3
+
 
 @dataclass(eq=False)
 class HajlaszGradient:
@@ -38,6 +61,8 @@ class HajlaszGradient:
     solver's convex objective (the ``p``-th power for finite ``p``), and
     ``gap`` is their relative difference, a certificate that ``norm``
     exceeds the true infimum by at most roughly ``gap / p``.
+    ``iterations`` counts the inner solver's iterations (HiGHS at
+    ``p = 1``; L-BFGS-B plus Newton polish steps at ``p > 1``).
     """
 
     norm: float
@@ -62,60 +87,207 @@ def _pair_constraints(space, f, s):
         raise GateError(
             "coincident points carry different values; no finite "
             "gradient exists")
-    keep = ~coincident
+    # Pairs with equal values only ask g_i + g_j >= 0, which g >= 0 gives.
+    keep = ~coincident & (df > 0.0)
     return ii[keep], jj[keep], df[keep] / d[keep] ** s
 
 
-def _prox_power(v, c, p):
-    """Solve ``z + c p z^(p-1) = v`` over ``z >= 0``, elementwise.
-
-    Monotone in ``z``, so bisection on ``[0, v]`` is safe for every
-    ``p > 1``; ``p = 2`` short-circuits to the linear solution.
-    """
-    if p == 2.0:
-        return np.maximum(v, 0.0) / (1.0 + 2.0 * c)
-    hi = np.maximum(v, 0.0)
-    lo = np.zeros_like(hi)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        h = mid + c * p * np.power(mid, p - 1.0) - v
-        lower = h < 0.0
-        lo = np.where(lower, mid, lo)
-        hi = np.where(lower, hi, mid)
-    return 0.5 * (lo + hi)
+def _row_sums(y, ii, jj, n):
+    """``A^T y``: per-point sums of the multipliers of its pairs."""
+    return np.bincount(ii, y, n) + np.bincount(jj, y, n)
 
 
-def _dual_value(y, a, m, w, p):
+def _dual_value(y, ii, jj, m, w, p):
     """Lagrange dual value at ``y >= 0``; a certified lower bound.
 
     For ``p = 1`` the multipliers are first shrunk edge by edge until
     every dual row sum fits under its weight, keeping feasibility exact.
     """
-    ii, jj = y.ii, y.jj
+    a = _row_sums(y, ii, jj, w.size)
     if p == 1.0:
         rho = np.minimum(1.0, w / np.maximum(a, _TINY))
         scale = np.minimum(rho[ii], rho[jj])
-        return float((y.vals * scale) @ m)
-    conj = np.zeros_like(a)
-    pos = a > 0.0
-    expo = p / (p - 1.0)
-    conj[pos] = (p - 1.0) * w[pos] * (a[pos] / (p * w[pos])) ** expo
-    return float(y.vals @ m - conj.sum())
+        return float((y * scale) @ m)
+    conj = (p - 1.0) * w * (a / (p * w)) ** (p / (p - 1.0))
+    return float(y @ m - conj.sum())
 
 
-class _Dual:
-    """Thin bundle of the dual vector with its pair indexing."""
+def _primal_of_dual(y, ii, jj, w, p):
+    """The minimiser ``g = (A^T y / (p w))^(1/(p-1))`` of the Lagrangian."""
+    return (_row_sums(y, ii, jj, w.size) / (p * w)) ** (1.0 / (p - 1.0))
 
-    def __init__(self, vals, ii, jj):
-        self.vals = vals
-        self.ii = ii
-        self.jj = jj
+
+def _pair_matrix(ii, jj, n):
+    """Sparse ``A`` with one row per pair: ones in columns ``i`` and ``j``."""
+    from scipy import sparse
+
+    k = ii.size
+    return sparse.csr_matrix(
+        (np.ones(2 * k), (np.repeat(np.arange(k), 2),
+                          np.column_stack((ii, jj)).ravel())), shape=(k, n))
+
+
+def _solve_lp(ii, jj, m, w, max_iter):
+    """``p = 1`` by HiGHS: (g, multipliers, iterations)."""
+    from scipy import optimize
+
+    a_ub = -_pair_matrix(ii, jj, w.size)
+    res = optimize.linprog(w, A_ub=a_ub, b_ub=-m, bounds=(0, None),
+                           method="highs", options={"maxiter": max_iter})
+    if res.status != 0:
+        raise NumericalError("HiGHS stopped without an optimum after %d "
+                             "iterations: %s" % (res.nit, res.message))
+    y = np.maximum(-res.ineqlin.marginals, 0.0)
+    return np.maximum(res.x, 0.0), y, int(res.nit)
+
+
+def _solve_dual(y0, ii, jj, m, w, p, max_iter):
+    """L-BFGS-B ascent on the ``p > 1`` dual from ``y0``: (y, iterations)."""
+    from scipy import optimize
+
+    def neg_dual(y):
+        g = _primal_of_dual(y, ii, jj, w, p)
+        return -_dual_value(y, ii, jj, m, w, p), g[ii] + g[jj] - m
+
+    res = optimize.minimize(
+        neg_dual, y0, jac=True, method="L-BFGS-B",
+        bounds=optimize.Bounds(0.0, np.inf),
+        options={"maxiter": max_iter, "maxfun": max_iter,
+                 "ftol": 0.0, "gtol": 1e-12})
+    return np.maximum(res.x, 0.0), int(res.nit)
+
+
+def _kkt_newton(g, y, ii, jj, m, w, p):
+    """Damped Newton steps on the KKT system of pairs held at equality.
+
+    Solves ``p w g^(p-1) = A^T y`` and ``A g = m`` over the points the
+    pairs touch, starting from ``(g, y)`` with ``g > 0`` there; every
+    other point gets ``g = 0``.  The unknown is ``v = g`` for ``p >= 2``
+    and ``v = g^(p-1)`` for ``p < 2``, so that no equation has an
+    infinite derivative at ``g = 0``.  The ``y`` block carries a tiny
+    regularisation, so the system stays nonsingular when the pairs are
+    linearly dependent; the fixed point is still the exact KKT point.
+    Steps are halved until the residual falls.  At ``p = 2`` one full
+    step lands on the solution.  Returns ``(g, y, steps)``, or ``None``
+    when the factorisation breaks down.
+    """
+    from scipy import sparse
+    from scipy.sparse.linalg import splu
+
+    n = w.size
+    pts = np.unique(np.concatenate((ii, jj)))
+    local = np.full(n, -1)
+    local[pts] = np.arange(pts.size)
+    nt, ns = pts.size, m.size
+    a_s = _pair_matrix(local[ii], local[jj], nt)
+    ws = w[pts]
+    r = 1.0 if p >= 2.0 else 1.0 / (p - 1.0)     # g = v^r
+
+    def residual(v, y):
+        stat = p * ws * (v ** (p - 1.0) if r == 1.0 else v) - a_s.T @ y
+        return np.concatenate((stat, a_s @ v ** r - m))
+
+    v = g[pts] ** (1.0 / r)
+    res = residual(v, y)
+    size = np.linalg.norm(res)
+    steps = 0
+    while steps < _NEWTON_STEPS and size > 0.0:
+        steps += 1
+        if r == 1.0:
+            d_stat, d_g = p * (p - 1.0) * ws * v ** (p - 2.0), np.ones(nt)
+        else:
+            d_stat, d_g = p * ws, r * v ** (r - 1.0)
+        reg = sparse.identity(ns) * (_KKT_REG * d_g.max() / d_stat.max())
+        kkt = sparse.bmat([[sparse.diags(d_stat), -a_s.T],
+                           [a_s @ sparse.diags(d_g), reg]], format="csc")
+        try:
+            step = splu(kkt).solve(-res)
+        except RuntimeError:
+            return None
+        if not np.all(np.isfinite(step)):
+            return None
+        dv, dy = step[:nt], step[nt:]
+        down = dv < 0.0
+        t = 1.0
+        if np.any(down):
+            # Keep v > 0: its powers are undefined below zero.
+            t = min(1.0, 0.99 * float(np.min(-v[down] / dv[down])))
+        while t > 1e-12:
+            res_t = residual(v + t * dv, y + t * dy)
+            size_t = np.linalg.norm(res_t)
+            if size_t < size:
+                break
+            t *= 0.5
+        else:
+            break           # no step length lowers the residual
+        v, y = v + t * dv, y + t * dy
+        res, size = res_t, size_t
+    out = np.zeros(n)
+    out[pts] = v ** r
+    return out, y, steps
+
+
+def _newton_polish(y, ii, jj, m, w, p):
+    """Exact KKT point on the active pairs read off dual multipliers ``y``.
+
+    The active set starts as the pairs with a clearly positive
+    multiplier.  After each solve, pairs whose multiplier turned negative
+    leave it and pairs the new ``g`` violates join it, for at most
+    ``_ACTIVE_ROUNDS`` rounds.  Returns ``(g, y, steps)`` with
+    ``y >= 0``, or ``None`` on a breakdown.
+    """
+    act = np.flatnonzero(y > _ACTIVE_REL * y.max())
+    g = _primal_of_dual(y, ii, jj, w, p)
+    ys = y[act]
+    total = 0
+    for _ in range(_ACTIVE_ROUNDS):
+        if act.size == 0:
+            return None
+        out = _kkt_newton(g, ys, ii[act], jj[act], m[act], w, p)
+        if out is None:
+            return None
+        g, ys, steps = out
+        total += steps
+        short = m - g[ii] - g[jj]
+        short[act] = 0.0
+        join = np.flatnonzero(short > _VIOLATED)
+        keep = ys >= 0.0
+        if keep.all() and join.size == 0:
+            break
+        # Start the joining pairs from a feasible g, positive at their
+        # points: at p > 2 the Newton matrix is singular where g = 0.
+        g = g + pair_max_lift(g, ii[join], jj[join], m[join])
+        act = np.concatenate((act[keep], join))
+        ys = np.concatenate((ys[keep], np.zeros(join.size)))
+    full_y = np.zeros(m.size)
+    full_y[act] = np.maximum(ys, 0.0)
+    return g, full_y, total
+
+
+def _certify(candidates, scale, ii, jj, m, w, p):
+    """Best certified bounds over candidate ``(g, y)`` pairs.
+
+    Candidates are in units where the largest level is 1; ``scale`` is
+    that level.  Each ``g`` is lifted to exact feasibility, so its
+    objective is an upper bound; the dual value at each ``y`` is a lower
+    bound.  Returns ``(g, objective, dual, relative gap)``.
+    """
+    best_obj, best_g, best_dual = np.inf, None, 0.0
+    for g, y in candidates:
+        g = scale * g
+        g = g + pair_max_lift(g, ii, jj, m)
+        obj = float(w @ g) if p == 1.0 else float(w @ g ** p)
+        if obj < best_obj:
+            best_obj, best_g = obj, g
+        best_dual = max(best_dual,
+                        _dual_value(scale ** (p - 1.0) * y, ii, jj, m, w, p))
+    return best_g, best_obj, best_dual, (best_obj - best_dual) / best_obj
 
 
 def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
                  params: SmoothnessParams, *,
-                 tol: float = 1e-7, max_iter: int = 500_000,
-                 check_every: int = 250) -> HajlaszGradient:
+                 tol: float = 1e-7,
+                 max_iter: int = 100_000) -> HajlaszGradient:
     """Minimal ``L^p`` norm of a fractional pointwise gradient.
 
     Parameters
@@ -127,11 +299,10 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     params : SmoothnessParams
         Must have kind ``hajlasz``; uses ``s`` and ``p`` (``p >= 1``).
     tol : float
-        Relative duality-gap target for finite ``p > 0``.
+        Relative duality-gap target for finite ``p``.
     max_iter : int
-        Iteration budget for the primal-dual loop.
-    check_every : int
-        Iterations between feasibility lifts and gap checks.
+        Iteration budget of the inner solvers: HiGHS at ``p = 1``;
+        L-BFGS-B and the Newton polish together at ``p > 1``.
 
     Returns
     -------
@@ -140,7 +311,8 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     Raises
     ------
     NumericalError
-        If the loop exhausts its budget before certifying the gap.
+        If the inner solver fails, or its answer does not certify the
+        gap target.
     """
     if params.kind != "hajlasz":
         raise ConfigError("params kind %r is not hajlasz" % params.kind)
@@ -157,63 +329,48 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     ii, jj, m = _pair_constraints(space, f, s)
     w = space.weights
 
-    def pack(g, obj, dual, gap, iters, ok):
+    def pack(g, obj, dual, gap, iters):
         norm = obj if p == 1.0 or np.isinf(p) else obj ** (1.0 / p)
         return HajlaszGradient(norm=float(norm), g=g, s=s, p=p,
                                objective=float(obj), dual_value=float(dual),
                                gap=float(gap), iterations=iters,
-                               converged=ok)
+                               converged=True)
 
-    if m.size == 0 or m.max() == 0.0:
-        return pack(np.zeros(n), 0.0, 0.0, 0.0, 0, True)
+    if m.size == 0:
+        return pack(np.zeros(n), 0.0, 0.0, 0.0, 0)
     if np.isinf(p):
         half = 0.5 * m.max()
-        return pack(np.full(n, half), half, half, 0.0, 0, True)
+        return pack(np.full(n, half), half, half, 0.0, 0)
 
-    # Feasible warm start: half the worst constraint at each point.
-    g = np.zeros(n)
-    np.maximum.at(g, ii, m)
-    np.maximum.at(g, jj, m)
-    g *= 0.5
-
-    lift = pair_max_lift(g, ii, jj, m)
-    best_g = g + lift
-    best_obj = float(w @ best_g) if p == 1.0 else float(w @ best_g ** p)
-    best_dual = 0.0
-
-    # Operator norm bound for the pair map: each point meets at most
-    # n - 1 pairs, so ||A||^2 <= 2 (n - 1).
-    L = np.sqrt(2.0 * max(n - 1, 1))
-    beta = max(float(g.max()), _TINY) / max(float(w.max()), _TINY)
-    tau = 0.95 * beta / L
-    sigma = 0.95 / (beta * L)
-
-    y = np.zeros(m.size)
-    rowsum = np.zeros(n)
-    g_prev = g.copy()
-    iters = 0
-    while iters < max_iter:
-        stop = min(iters + check_every, max_iter)
-        while iters < stop:
-            gbar = 2.0 * g - g_prev
-            pdhg_sweep(y, ii, jj, m, gbar, sigma, rowsum)
-            g_prev = g
-            v = g + tau * rowsum
-            if p == 1.0:
-                g = np.maximum(v - tau * w, 0.0)
-            else:
-                g = _prox_power(v, tau * w, p)
-            iters += 1
-        cand = g + pair_max_lift(g, ii, jj, m)
-        obj = float(w @ cand) if p == 1.0 else float(w @ cand ** p)
-        if obj < best_obj:
-            best_obj, best_g = obj, cand
-        best_dual = max(best_dual,
-                        _dual_value(_Dual(y, ii, jj), rowsum, m, w, p))
-        gap = (best_obj - best_dual) / max(best_obj, _TINY)
-        if gap <= tol:
-            return pack(best_g, best_obj, best_dual, gap, iters, True)
-    gap = (best_obj - best_dual) / max(best_obj, _TINY)
+    # The solvers work on levels scaled to a largest value of 1, so their
+    # absolute tolerances mean the same thing for every input.
+    top = float(m.max())
+    unit = m / top
+    if p == 1.0:
+        g, y, iters = _solve_lp(ii, jj, unit, w, max_iter)
+        g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
+    else:
+        # Each round: dual ascent, then a Newton polish whose multipliers
+        # warm-start the next round.
+        y, iters, candidates = np.zeros(m.size), 0, []
+        for _ in range(_ROUNDS):
+            y, nit = _solve_dual(y, ii, jj, unit, w, p, max_iter - iters)
+            iters += nit
+            candidates.append((_primal_of_dual(y, ii, jj, w, p), y))
+            polished = _newton_polish(y, ii, jj, unit, w, p)
+            if polished is not None:
+                g, y_pol, steps = polished
+                iters += steps
+                candidates += [(g, y_pol),
+                               (_primal_of_dual(y_pol, ii, jj, w, p), y_pol)]
+                if (_dual_value(y_pol, ii, jj, unit, w, p)
+                        > _dual_value(y, ii, jj, unit, w, p)):
+                    y = y_pol
+            g, obj, dual, gap = _certify(candidates, top, ii, jj, m, w, p)
+            if gap <= tol or iters >= max_iter:
+                break
+    if gap <= tol:
+        return pack(g, obj, dual, gap, iters)
     raise NumericalError(
         "pairwise solver stalled at relative gap %.3g after %d iterations "
         "(target %.3g)" % (gap, iters, tol))

@@ -50,10 +50,12 @@ def lp_hajlasz_norm(dist, weights, values):
     return float(res.fun), res.x
 
 
-def qp_hajlasz_norm(dist, weights, values):
-    """p=2 Hajlasz functional by constrained minimization (SLSQP).
+def slsqp_hajlasz_norm(dist, weights, values, p):
+    """Hajlasz functional for p > 1 by constrained minimization (SLSQP).
 
-    Returns the L^2(w) norm of the optimal g, i.e. (sum w g^2)^(1/2).
+    Minimizes sum_i w_i g_i^p subject to g_i + g_j >= |f_i - f_j| / d_ij
+    over all pairs with d_ij > 0, g >= 0.  Returns the L^p(w) norm of the
+    optimal g, i.e. (sum w g^p)^(1/p), and g.
     """
     dist = np.asarray(dist, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -71,12 +73,17 @@ def qp_hajlasz_norm(dist, weights, values):
     if not cons:
         return 0.0, np.zeros(n)
     x0 = np.full(n, max(abs(values).max(), 1.0))
-    res = optimize.minimize(lambda g: weights @ g**2, x0, method="SLSQP",
-                            jac=lambda g: 2.0 * weights * g,
+    res = optimize.minimize(lambda g: weights @ g**p, x0, method="SLSQP",
+                            jac=lambda g: p * weights * g**(p - 1.0),
                             bounds=[(0, None)] * n, constraints=cons,
                             options={"maxiter": 500, "ftol": 1e-12})
     assert res.success, res.message
-    return float(np.sqrt(weights @ res.x**2)), res.x
+    return float((weights @ res.x**p) ** (1.0 / p)), res.x
+
+
+def qp_hajlasz_norm(dist, weights, values):
+    """p=2 Hajlasz functional: `slsqp_hajlasz_norm` at p = 2."""
+    return slsqp_hajlasz_norm(dist, weights, values, 2.0)
 
 
 def greedy_net(points, separation, metric="sup"):

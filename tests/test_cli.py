@@ -170,6 +170,32 @@ def test_malformed_config_exits_2_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_missing_config_file_exits_2(tmp_path):
+    out = tmp_path / "never.json"
+    proc = run_cli("norm", "eval", "--config", str(tmp_path / "gone.json"),
+                   "--out", str(out))
+    assert proc.returncode == 2
+    assert "gone.json" in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_malformed_space_field_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path / "n.json",
+                    dict(NORM_CFG, space=dict(CUBE8, dim="x")))
+    proc = run_cli("norm", "eval", "--config", cfg)
+    assert proc.returncode == 2
+    assert "space descriptor" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("key", ["seed", "level_hi"])
+def test_non_integer_config_value_exits_2(tmp_path, key):
+    cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, **{key: "abc"}))
+    proc = run_cli("norm", "eval", "--config", cfg)
+    assert proc.returncode == 2
+    assert key in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, typo=1))
     proc = run_cli("norm", "eval", "--config", cfg)

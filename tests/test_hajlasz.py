@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -5,7 +10,8 @@ import hyperfill as hf
 from hyperfill.hajlasz import hajlasz_norm
 from hyperfill.norms import SmoothnessParams
 
-from oracles import lp_hajlasz_norm, pair_distances, qp_hajlasz_norm
+from oracles import (lp_hajlasz_norm, pair_distances, qp_hajlasz_norm,
+                     slsqp_hajlasz_norm)
 
 P1 = SmoothnessParams(1.0, 1.0, kind="hajlasz")
 P2 = SmoothnessParams(1.0, 2.0, kind="hajlasz")
@@ -52,6 +58,67 @@ def test_p2_matches_qp_oracle():
     opt, _ = qp_hajlasz_norm(D, space.weights, f)
     got = hajlasz_norm(space, f, P2)
     assert got.norm == pytest.approx(opt, rel=2e-6)
+
+
+def test_p15_matches_slsqp_oracle():
+    rng = np.random.default_rng(11)
+    space = hf.unit_cube_space(1, 4)
+    D = pair_distances(space.points)
+    for _ in range(2):
+        f = rng.standard_normal(space.n_points)
+        opt, _ = slsqp_hajlasz_norm(D, space.weights, f, 1.5)
+        got = hajlasz_norm(space, f, SmoothnessParams(1.0, 1.5,
+                                                      kind="hajlasz"))
+        assert got.converged
+        assert got.norm == pytest.approx(opt, rel=2e-6)
+
+
+def _tent_sum(points, rng, n_tents=6):
+    """Sum of random sup-metric tents (widths 0.1 to 0.4, normal heights)."""
+    out = np.zeros(points.shape[0])
+    for _ in range(n_tents):
+        center = points[rng.integers(points.shape[0])]
+        width = rng.uniform(0.1, 0.4)
+        dist = np.abs(points - center).max(axis=1)
+        out += rng.normal() * np.clip(1.0 - dist / width, 0.0, 1.0)
+    return out
+
+
+def test_p2_tent_sum_at_64_points_certifies():
+    # A primal-dual first-order loop ran out of its 500,000 iterations on
+    # this program at relative gap 7.3e-07.
+    space = hf.unit_cube_space(1, 6)
+    f = _tent_sum(space.points, np.random.default_rng(0))
+    got = hajlasz_norm(space, f, SmoothnessParams(0.5, 2.0, kind="hajlasz"))
+    assert got.converged and got.gap <= 1e-7
+    i, j = np.triu_indices(space.n_points, 1)
+    m = np.abs(f[i] - f[j]) / pair_distances(space.points)[i, j] ** 0.5
+    assert np.all(got.g[i] + got.g[j] >= m)
+    assert got.g.min() >= 0.0
+    assert got.objective == pytest.approx(got.norm**2, rel=1e-15)
+
+
+_HAJLASZ_CFG = {"space": {"kind": "cube", "dim": 1, "depth": 5},
+                "level_hi": 2, "seed": 4,
+                "function": {"kind": "random_tents"}}
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_norm_eval_payload_is_byte_identical_across_processes(tmp_path, p):
+    cfg = tmp_path / "h.json"
+    cfg.write_text(json.dumps(dict(
+        _HAJLASZ_CFG, params={"s": 0.5, "p": p, "kind": "hajlasz"})))
+    env = {k: v for k, v in os.environ.items() if k != "HYPERFILL_SEED"}
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, "-m", "hyperfill", "norm", "eval",
+             "--config", str(cfg)],
+            capture_output=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["converged"] is True
 
 
 def test_fractional_smoothness_rescales_distances():
