@@ -58,9 +58,25 @@ def _int(value, what: str) -> int:
     """A config value as an int; malformed values are config errors."""
     try:
         return int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s must be an integer, got %r"
                           % (what, value)) from None
+
+
+def _float(value, what: str) -> float:
+    """A config value as a float; malformed values are config errors."""
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError("%s must be a number, got %r"
+                          % (what, value)) from None
+
+
+def _list(value, what: str) -> list:
+    """A config value that must be a JSON list."""
+    if not isinstance(value, list):
+        raise ConfigError("%s must be a list, got %r" % (what, value))
+    return value
 
 
 def _parse_space(desc):
@@ -94,10 +110,14 @@ def _seed_of(cfg: dict, args) -> int:
     """Effective seed: env var beats config beats flag default."""
     env = os.environ.get("HYPERFILL_SEED")
     if env is not None:
-        return _int(env, "HYPERFILL_SEED")
-    if "seed" in cfg:
-        return _int(cfg["seed"], "seed")
-    return int(getattr(args, "seed", 0) or 0)
+        seed, what = _int(env, "HYPERFILL_SEED"), "HYPERFILL_SEED"
+    elif "seed" in cfg:
+        seed, what = _int(cfg["seed"], "seed"), "seed"
+    else:
+        seed, what = int(getattr(args, "seed", 0) or 0), "--seed"
+    if seed < 0:
+        raise ConfigError("%s must be non-negative, got %d" % (what, seed))
+    return seed
 
 
 def _space_of(cfg: dict, key: str = "space"):
@@ -128,16 +148,17 @@ def _params_of(cfg: dict) -> SmoothnessParams:
     _check_keys(raw, {"s", "p"}, {"q", "kind"}, "params")
     q = raw.get("q", "inf")
     return SmoothnessParams(
-        s=float(raw["s"]), p=_num(raw["p"]), q=_num(q),
-        kind=raw.get("kind", "besov"))
+        s=_float(raw["s"], "params.s"), p=_num(raw["p"], "params.p"),
+        q=_num(q, "params.q"), kind=raw.get("kind", "besov"))
 
 
-def _num(x) -> float:
+def _num(x, what: str) -> float:
+    """A number or the string 'inf'."""
     if isinstance(x, str):
         if x == "inf":
             return np.inf
-        raise ConfigError("expected a number or 'inf', got %r" % x)
-    return float(x)
+        raise ConfigError("%s must be a number or 'inf', got %r" % (what, x))
+    return _float(x, what)
 
 
 def _variant_of(cfg: dict, filling) -> NormVariant | None:
@@ -157,17 +178,20 @@ def _function_of(cfg: dict, space, seed: int) -> np.ndarray:
         raise ConfigError("config needs a 'function' object")
     kind = raw.get("kind")
     if kind == "values":
-        vals = np.asarray(raw.get("values"), dtype=np.float64)
-        if vals.shape != (space.n_points,):
+        vals = [_float(v, "function.values")
+                for v in _list(raw.get("values"), "function.values")]
+        if len(vals) != space.n_points:
             raise ConfigError("function values must list one number per "
                               "point (%d)" % space.n_points)
-        return vals
+        return np.array(vals)
     if kind == "constant":
-        return np.full(space.n_points, float(raw.get("value", 1.0)))
+        return np.full(space.n_points,
+                       _float(raw.get("value", 1.0), "function.value"))
     if kind == "random_tents":
         rng = np.random.default_rng(seed)
         return random_tent_functions(
-            space, 1, rng, n_tents=int(raw.get("n_tents", 6)))[0]
+            space, 1, rng,
+            n_tents=_int(raw.get("n_tents", 6), "function.n_tents"))[0]
     raise ConfigError("unknown function kind %r" % kind)
 
 
@@ -249,6 +273,8 @@ def _load_filling(args, cfg_keys=(), nested_ok=True):
     """Filling from --filling file or built from --config."""
     if getattr(args, "filling", None):
         payload = _read(args.filling)
+        if not isinstance(payload, dict):
+            raise ConfigError("filling file must hold a JSON object")
         if "ambient" in payload:
             if not nested_ok:
                 raise ConfigError("expected a plain filling file")
@@ -330,9 +356,15 @@ def _cmd_norm_eval(args) -> None:
         _echo(payload, args.out)
         return
     lo, hi = _window_of(cfg)
+    window = None
+    if "window" in cfg:
+        window = tuple(_int(k, "window")
+                       for k in _list(cfg["window"], "window"))
+        if len(window) != 2:
+            raise ConfigError("window must list two levels, got %r"
+                              % (cfg["window"],))
     filling = build_filling(space, lo, hi)
     variant = _variant_of(cfg, filling)
-    window = tuple(cfg["window"]) if "window" in cfg else None
     if params.kind == "besov":
         value = besov_fn_norm(filling, f, params, variant, window)
     elif params.kind == "triebel":
@@ -489,9 +521,10 @@ def _cmd_verify(args) -> None:
         report = AUDITS[name](
             space_desc, sub, cfg["theorem"],
             cfg.get("grid", {"s": [0.5], "p": [2.0], "q": [2.0]}),
-            cfg["resolutions"], trials=int(cfg.get("trials", 5)),
+            cfg["resolutions"], trials=_int(cfg.get("trials", 5), "trials"),
             seed=seed, threads=args.threads,
-            widen_threshold=float(cfg.get("widen_threshold", 2.0)))
+            widen_threshold=_float(cfg.get("widen_threshold", 2.0),
+                                   "widen_threshold"))
     else:
         space, inline_mask = _space_of(cfg)
         lo, hi = _window_of(cfg)
@@ -503,25 +536,28 @@ def _cmd_verify(args) -> None:
             target = build_nested_filling(space, mask, lo, hi)
             for k in ("s", "p"):
                 if k in cfg:
-                    kwargs[k] = float(cfg[k])
+                    kwargs[k] = _float(cfg[k], k)
             if "q_list" in cfg:
-                kwargs["q_list"] = [_num(q) for q in cfg["q_list"]]
+                kwargs["q_list"] = [_num(q, "q_list")
+                                    for q in _list(cfg["q_list"], "q_list")]
         else:
             target = build_filling(space, lo, hi)
             if "params" in cfg:
                 kwargs["params"] = _params_of(cfg)
         if "trials" in cfg:
-            kwargs["trials"] = int(cfg["trials"])
+            kwargs["trials"] = _int(cfg["trials"], "trials")
         for k in ("band_threshold", "final_fraction", "slack",
                   "const_threshold", "p"):
             if k in cfg and name != "audit_porosity_qindependence":
-                kwargs[k] = float(cfg[k])
+                kwargs[k] = _float(cfg[k], k)
         if name == "audit_small_p_embedding":
             kwargs.pop("params", None)
             if "sigma_grid" in cfg:
-                kwargs["sigma_grid"] = [float(x) for x in cfg["sigma_grid"]]
+                kwargs["sigma_grid"] = [
+                    _float(x, "sigma_grid")
+                    for x in _list(cfg["sigma_grid"], "sigma_grid")]
             if "level" in cfg:
-                kwargs["level"] = int(cfg["level"])
+                kwargs["level"] = _int(cfg["level"], "level")
         report = AUDITS[name](target, **kwargs)
 
     payload = report.to_dict()

@@ -121,16 +121,20 @@ class Filling:
         return self._vertex_membership
 
     def edge_membership(self) -> sparse.csr_matrix:
-        """Sparse (n_edges, n_points) indicator of the edge balls B(e)."""
+        """Sparse (n_edges, n_points) indicator of the edge balls B(e).
+
+        Row e is the logical OR of the vertex-membership rows of its tail
+        and head, so it lists the sorted cloud indices of
+        `edge_ball_members(e)` with data 1.0.
+        """
         if self._edge_membership is None:
-            rows = [self.edge_ball_members(e) for e in range(self.n_edges)]
-            indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
-            indptr[1:] = np.cumsum([len(r) for r in rows])
-            indices = (np.concatenate(rows) if rows
-                       else np.empty(0, dtype=np.int64))
-            data = np.ones(indices.shape[0])
+            balls = self.vertex_membership().astype(bool)
+            union = balls[self.tails] + balls[self.heads]
+            union.sort_indices()
+            # float data over the boolean union's own index arrays
             self._edge_membership = sparse.csr_matrix(
-                (data, indices, indptr), shape=(self.n_edges, self.space.n_points))
+                (np.ones(union.nnz), union.indices, union.indptr),
+                shape=union.shape)
         return self._edge_membership
 
     def edge_ball_mass(self) -> np.ndarray:
@@ -159,10 +163,15 @@ class NestedFilling:
 def _validate_window(space, level_lo, level_hi):
     if level_lo > level_hi:
         raise ConfigError("empty level window")
-    if 2.0 ** (-level_lo) < space.declared_diam * (1 - _REL_EPS):
+    try:
+        root, finest = 2.0 ** (-level_lo), 2.0 ** (-level_hi)
+    except OverflowError:
+        raise ConfigError(f"level window [{level_lo}, {level_hi}] leaves "
+                          f"the float range") from None
+    if root < space.declared_diam * (1 - _REL_EPS):
         raise ConfigError(
             f"2^-{level_lo} is below the diameter; raise the root level")
-    if 2.0 ** (-level_hi) < RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS):
+    if finest < RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS):
         raise ConfigError(
             f"2^-{level_hi} is under four times the resolution; lower level_hi")
 
@@ -329,12 +338,44 @@ def overlap_audit(filling: Filling) -> dict:
     return out
 
 
+def _edge_rule_ok(filling: Filling) -> bool:
+    """Whether the undirected edge set is exactly the pairs of vertices with
+    levels within one whose balls share a cloud point.
+
+    The intersecting pairs are recounted from one global sparse product
+    M M^T of the vertex-membership matrix, independent of the per-level
+    products the build uses.
+    """
+    memb = filling.vertex_membership()
+    shared = sparse.triu(memb @ memb.T, k=1).tocoo()
+    levels = filling.vertex_levels
+    near = np.abs(levels[shared.row] - levels[shared.col]) <= 1
+    n = filling.n_vertices
+    expected = np.unique(shared.row[near].astype(np.int64) * n
+                         + shared.col[near])
+    lo = np.minimum(filling.tails, filling.heads)
+    hi = np.maximum(filling.tails, filling.heads)
+    actual = np.unique(lo * n + hi)
+    return bool(np.array_equal(expected, actual))
+
+
+def _orientation_ok(filling: Filling) -> bool:
+    """Same-level edges point to the larger id, cross edges one level down."""
+    lt = filling.vertex_levels[filling.tails]
+    lh = filling.vertex_levels[filling.heads]
+    return bool(np.all(np.where(lt == lh, filling.tails < filling.heads,
+                                lh == lt + 1)))
+
+
 def audit_filling(filling: Filling) -> dict:
     """Recheck the construction invariants; returns measured facts.
 
-    Verifies per level: center separation, covering by half-balls, the
-    radius law for the filling's flavor, the edge rule (edge iff levels
-    within one and balls sharing a point), and edge orientation.
+    Verifies per level: center separation, covering by half-balls, and the
+    radius law for the filling's flavor.  Over the whole graph it verifies
+    the edge rule (edge iff levels within one and balls sharing a point)
+    and edge orientation.  The edge rule is recounted from one global
+    sparse product of the vertex-membership matrix with its transpose,
+    independent of the per-level products the build takes edges from.
     """
     space = filling.space
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
@@ -373,37 +414,29 @@ def audit_filling(filling: Filling) -> dict:
             "radius_law_ok": radius_ok,
         }
 
-    # Edge rule: recount intersecting pairs from the ball members.
-    point_sets = [set(m.tolist()) for m in filling.ball_member_list]
-    expected = set()
-    for a in range(filling.n_vertices):
-        for b in range(a + 1, filling.n_vertices):
-            if abs(int(filling.vertex_levels[a] - filling.vertex_levels[b])) > 1:
-                continue
-            if point_sets[a] & point_sets[b]:
-                expected.add((a, b))
-    actual = set()
-    for t, h in zip(filling.tails, filling.heads):
-        a, b = sorted((int(t), int(h)))
-        actual.add((a, b))
-    report["edge_rule_ok"] = expected == actual
+    report["edge_rule_ok"] = _edge_rule_ok(filling)
     report["n_edges"] = filling.n_edges
-
-    for t, h in zip(filling.tails, filling.heads):
-        lt, lh = filling.vertex_levels[t], filling.vertex_levels[h]
-        if lt == lh:
-            ok = t < h
-        else:
-            ok = lh == lt + 1
-        if not ok:
-            report["orientation_ok"] = False
-            break
+    report["orientation_ok"] = _orientation_ok(filling)
     report["overlap"] = overlap_audit(filling)
     report["ok"] = bool(report["edge_rule_ok"] and report["orientation_ok"]
                         and report["radius_law_ok"]
                         and all(lv["separation_ok"] and lv["covering_ok"]
                                 for lv in report["levels"].values()))
     return report
+
+
+def _embedding_checks(nested: NestedFilling) -> tuple[bool, bool]:
+    """(vertex embedding keeps level, radius and center; edge embedding
+    keeps both endpoints, hence the orientation)."""
+    amb, tr = nested.ambient, nested.trace
+    ve, ee = nested.vertex_embedding, nested.edge_embedding
+    vertex_ok = bool(
+        np.all(amb.vertex_levels[ve] == tr.vertex_levels)
+        and np.all(amb.radii[ve] == tr.radii)
+        and np.all(amb.centers[ve] == nested.point_embedding[tr.centers]))
+    edge_ok = bool(np.all(amb.tails[ee] == ve[tr.tails])
+                   and np.all(amb.heads[ee] == ve[tr.heads]))
+    return vertex_ok, edge_ok
 
 
 def audit_nested(nested: NestedFilling) -> dict:
@@ -416,17 +449,9 @@ def audit_nested(nested: NestedFilling) -> dict:
     embedded[nested.vertex_embedding] = True
     meets = np.array([member_flags[m].any() for m in amb.ball_member_list])
     report["meets_f_iff_embedded"] = bool(np.all(meets == embedded))
-    # Vertex embedding preserves level, center and radius.
+    report["vertex_embedding_ok"], report["edge_embedding_ok"] = \
+        _embedding_checks(nested)
     ve = nested.vertex_embedding
-    report["vertex_embedding_ok"] = bool(
-        np.all(amb.vertex_levels[ve] == tr.vertex_levels)
-        and np.all(amb.radii[ve] == tr.radii)
-        and np.all(amb.centers[ve] == nested.point_embedding[tr.centers]))
-    # Edge embedding preserves endpoints and orientation.
-    ee = nested.edge_embedding
-    report["edge_embedding_ok"] = bool(
-        np.all(amb.tails[ee] == ve[tr.tails])
-        and np.all(amb.heads[ee] == ve[tr.heads]))
     report["trace_ball_is_restriction"] = all(
         np.array_equal(
             nested.point_embedding[tr.ball_member_list[v]],
@@ -460,27 +485,49 @@ def filling_to_dict(filling: Filling) -> dict:
 
 
 def filling_from_dict(doc: dict) -> Filling:
+    """Filling from its document; the balls are recomputed from the space,
+    and edges that break the edge rule or the orientation are rejected."""
+    if not isinstance(doc, dict):
+        raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
         if key not in doc:
             raise ConfigError(f"filling document missing {key!r}")
-    space, _ = space_from_descriptor(doc["space"])
-    centers = np.array([v["center"] for v in doc["vertices"]], dtype=np.int64)
-    radii = np.array([v["radius"] for v in doc["vertices"]], dtype=np.float64)
-    levels = np.array([v["level"] for v in doc["vertices"]], dtype=np.int64)
-    tails = np.array([e["tail"] for e in doc["edges"]], dtype=np.int64)
-    heads = np.array([e["head"] for e in doc["edges"]], dtype=np.int64)
+    try:
+        space, _ = space_from_descriptor(doc["space"])
+        level_lo, level_hi = int(doc["level_lo"]), int(doc["level_hi"])
+        centers = np.array([v["center"] for v in doc["vertices"]],
+                           dtype=np.int64)
+        radii = np.array([v["radius"] for v in doc["vertices"]],
+                         dtype=np.float64)
+        levels = np.array([v["level"] for v in doc["vertices"]],
+                          dtype=np.int64)
+        tails = np.array([e["tail"] for e in doc["edges"]], dtype=np.int64)
+        heads = np.array([e["head"] for e in doc["edges"]], dtype=np.int64)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"malformed filling document: {exc!r}") from None
     if centers.size and (centers.min() < 0 or centers.max() >= space.n_points):
         raise ConfigError("vertex centers out of range")
-    if tails.size and max(tails.max(), heads.max()) >= centers.size:
+    if levels.size and (levels.min() < level_lo or levels.max() > level_hi
+                        or np.any(np.diff(levels) < 0)):
+        raise ConfigError("vertex levels must ascend inside the window")
+    if tails.size and (min(tails.min(), heads.min()) < 0
+                       or max(tails.max(), heads.max()) >= centers.size):
         raise ConfigError("edge endpoints out of range")
     edge_levels = (np.minimum(levels[tails], levels[heads]) if tails.size
                    else np.empty(0, dtype=np.int64))
     members = _ball_rows(space, centers, radii)
-    return Filling(space=space, flavor=doc["flavor"],
-                   level_lo=int(doc["level_lo"]), level_hi=int(doc["level_hi"]),
-                   centers=centers, radii=radii, vertex_levels=levels,
-                   tails=tails, heads=heads, edge_levels=edge_levels,
-                   ball_member_list=members)
+    filling = Filling(space=space, flavor=doc["flavor"],
+                      level_lo=level_lo, level_hi=level_hi,
+                      centers=centers, radii=radii, vertex_levels=levels,
+                      tails=tails, heads=heads, edge_levels=edge_levels,
+                      ball_member_list=members)
+    if not _edge_rule_ok(filling):
+        raise ConfigError("filling edges are not the intersecting ball pairs "
+                          "with levels within one")
+    if not _orientation_ok(filling):
+        raise ConfigError("filling edges are not oriented toward the deeper "
+                          "or larger-id endpoint")
+    return filling
 
 
 def nested_to_dict(nested: NestedFilling) -> dict:
@@ -495,12 +542,36 @@ def nested_to_dict(nested: NestedFilling) -> dict:
 
 
 def nested_from_dict(doc: dict) -> NestedFilling:
+    """Nested filling from its document; both fillings are checked as in
+    `filling_from_dict`, and the embeddings must keep endpoints, levels,
+    radii and centers."""
+    for key in ("ambient", "trace", "subset", "point_embedding",
+                "vertex_embedding", "edge_embedding"):
+        if key not in doc:
+            raise ConfigError(f"nested filling document missing {key!r}")
     ambient = filling_from_dict(doc["ambient"])
     trace = filling_from_dict(doc["trace"])
     mask = mask_from_descriptor(ambient.space, doc["subset"])
-    return NestedFilling(
-        ambient=ambient, trace=trace, mask=mask,
-        point_embedding=np.asarray(doc["point_embedding"], dtype=np.int64),
-        vertex_embedding=np.asarray(doc["vertex_embedding"], dtype=np.int64),
-        edge_embedding=np.asarray(doc["edge_embedding"], dtype=np.int64),
-    )
+    embeddings = []
+    for key, size, bound in (
+            ("point_embedding", trace.space.n_points, ambient.space.n_points),
+            ("vertex_embedding", trace.n_vertices, ambient.n_vertices),
+            ("edge_embedding", trace.n_edges, ambient.n_edges)):
+        try:
+            emb = np.asarray(doc[key], dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"malformed {key}: {exc!r}") from None
+        if emb.shape != (size,) or (size and (emb.min() < 0
+                                              or emb.max() >= bound)):
+            raise ConfigError(f"{key} must map {size} ids into [0, {bound})")
+        embeddings.append(emb)
+    nested = NestedFilling(ambient=ambient, trace=trace, mask=mask,
+                           point_embedding=embeddings[0],
+                           vertex_embedding=embeddings[1],
+                           edge_embedding=embeddings[2])
+    if not np.array_equal(nested.point_embedding, mask.member_indices):
+        raise ConfigError("point_embedding is not the subset's point list")
+    if not all(_embedding_checks(nested)):
+        raise ConfigError("vertex or edge embedding does not keep endpoints, "
+                          "levels, radii and centers")
+    return nested

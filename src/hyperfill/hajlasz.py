@@ -327,6 +327,10 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
             % (n, POINT_CAP))
     s, p = params.s, params.p
     ii, jj, m = _pair_constraints(space, f, s)
+    if not np.all(np.isfinite(m)):
+        raise ConfigError("pair quotients |f(x) - f(y)| / d(x, y)^s are not "
+                          "finite; the samples must be finite and well "
+                          "inside the float range")
     w = space.weights
 
     def pack(g, obj, dual, gap, iters):
@@ -345,6 +349,11 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     # The solvers work on levels scaled to a largest value of 1, so their
     # absolute tolerances mean the same thing for every input.
     top = float(m.max())
+    with np.errstate(over="ignore"):
+        if not np.isfinite(w.sum() * np.float64(top) ** p):
+            raise NumericalError(
+                "the objective sum w g^p leaves the float range: largest "
+                "pair quotient %.3g at p=%g" % (top, p))
     unit = m / top
     if p == 1.0:
         g, y, iters = _solve_lp(ii, jj, unit, w, max_iter)

@@ -11,6 +11,7 @@ inhomogeneous norm adds the coarsest level blend in ``L^p``.
 from __future__ import annotations
 
 import dataclasses
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,7 +102,7 @@ class NormVariant:
             raise ConfigError("substitute variant needs per-edge sets")
         if self.kind != "substitute" and self.sets is not None:
             raise ConfigError("per-edge sets only apply to substitute")
-        self._membership = {}
+        self._membership = None
 
     def validate_for(self, filling: Filling) -> None:
         """Check substitute sets sit inside dilated endpoint balls."""
@@ -132,28 +133,33 @@ class NormVariant:
             return filling.edge_membership()
         if self.kind == "mass":
             raise ConfigError("mass variant has no pointwise membership")
-        key = id(filling)
-        mat = self._membership.get(key)
-        if mat is None:
-            if len(self.sets) != filling.n_edges:
-                raise ConfigError(
-                    "substitute has %d sets, filling has %d edges"
-                    % (len(self.sets), filling.n_edges))
-            rows = [np.asarray(s, dtype=np.int64) for s in self.sets]
-            mat = _membership_matrix(rows, filling.space.n_points)
-            self._membership[key] = mat
+        # One cached matrix, held with a weak reference to its filling so
+        # the cache neither keeps it alive nor serves a later filling.
+        cached = self._membership
+        if cached is not None and cached[0]() is filling:
+            return cached[1]
+        if len(self.sets) != filling.n_edges:
+            raise ConfigError(
+                "substitute has %d sets, filling has %d edges"
+                % (len(self.sets), filling.n_edges))
+        rows = [np.asarray(s, dtype=np.int64) for s in self.sets]
+        mat = _membership_matrix(rows, filling.space.n_points)
+        self._membership = (weakref.ref(filling), mat)
         return mat
 
 
 def half_ball_substitute(filling: Filling) -> NormVariant:
-    """Substitute variant using the half ball around each tail vertex."""
+    """Substitute variant using the half ball around each tail vertex.
+
+    Each vertex's open half ball is scanned once; ``sets[e]`` is the tail
+    vertex's row, so edges sharing a tail share one array.
+    """
     space = filling.space
-    sets = []
-    for eid in range(filling.n_edges):
-        vid = filling.tails[eid]
-        d = space.dist_from(space.points[filling.centers[vid]])
-        sets.append(np.flatnonzero(d < 0.5 * filling.radii[vid]))
-    return NormVariant(kind="substitute", sets=sets)
+    half_balls = [
+        np.flatnonzero(space.dist_from(space.points[c]) < 0.5 * r)
+        for c, r in zip(filling.centers, filling.radii)]
+    return NormVariant(kind="substitute",
+                       sets=[half_balls[t] for t in filling.tails])
 
 
 def lp_norm(space: FiniteMetricMeasureSpace, values, p: float) -> float:
@@ -290,12 +296,16 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     eids = np.concatenate([filling.edges_at_level(k) for k in window])
     if eids.size == 0:
         return 0.0
-    weights = 2.0 ** (filling.edge_levels[eids] * s) * u[eids]
-    memb = variant.membership(filling)[eids]
+    # Weights over every edge, zero outside the window: the whole matrix is
+    # multiplied instead of copying the window's rows, and the zero terms
+    # leave every sum and maximum unchanged.
+    weights = np.zeros(filling.n_edges)
+    weights[eids] = 2.0 ** (filling.edge_levels[eids] * s) * u[eids]
+    memb = variant.membership(filling)
     if np.isinf(q):
-        coo = memb.tocoo()
         stack = np.zeros(filling.space.n_points)
-        np.maximum.at(stack, coo.col, weights[coo.row])
+        np.maximum.at(stack, memb.indices,
+                      np.repeat(weights, np.diff(memb.indptr)))
     else:
         stack = (memb.T @ weights ** q) ** (1.0 / q)
     return lp_norm(filling.space, stack, p)

@@ -67,3 +67,12 @@ def tent_batch(space, count, seed):
     from hyperfill.verify import random_tent_functions
     rng = np.random.default_rng(seed)
     return random_tent_functions(space, count, rng)
+
+
+@pytest.fixture(params=["tiny_filling", "plain6", "pair8.ambient",
+                        "pair8.trace"])
+def any_filling(request):
+    """Each plain fixture filling and both sides of the nested pair."""
+    name, _, side = request.param.partition(".")
+    value = request.getfixturevalue(name)
+    return getattr(value, side) if side else value

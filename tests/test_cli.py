@@ -1,11 +1,16 @@
+import copy
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import hyperfill as hf
+import hyperfill.cli
 
 CUBE8 = {"kind": "cube", "dim": 1, "depth": 8}
 
@@ -287,3 +292,105 @@ def test_unknown_audit_exits_2(tmp_path):
     proc = run_cli("verify", "audit_nope", "--config", cfg)
     assert proc.returncode == 2
     assert "audit_nope" in proc.stderr
+
+
+@pytest.mark.parametrize("patch, field", [
+    ({"params": {"s": "x", "p": 2.0, "q": 2.0, "kind": "besov"}}, "params.s"),
+    ({"function": {"kind": "values", "values": ["a"]}}, "function.values"),
+])
+def test_non_numeric_config_value_exits_2(tmp_path, patch, field):
+    cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, **patch))
+    proc = run_cli("norm", "eval", "--config", cfg)
+    assert proc.returncode == 2
+    assert field in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _edit_filling_file(tmp_path, edit):
+    cfg = write_cfg(tmp_path / "f.json", {"space": CUBE8, "level_hi": 4})
+    out = tmp_path / "filling.json"
+    assert hf.cli.main(["filling", "build", "--config", cfg,
+                        "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    return str(out)
+
+
+def test_loaded_filling_with_dropped_edge_exits_2(tmp_path, capsys):
+    path = _edit_filling_file(tmp_path, lambda doc: doc["edges"].pop(7))
+    assert hf.cli.main(["filling", "audit", "--filling", path]) == 2
+    assert "edge" in capsys.readouterr().err
+
+
+def test_loaded_filling_with_reversed_edge_exits_2(tmp_path, capsys):
+    def reverse_same_level(doc):
+        levels = [v["level"] for v in doc["vertices"]]
+        e = next(e for e in doc["edges"]
+                 if levels[e["tail"]] == levels[e["head"]])
+        e["tail"], e["head"] = e["head"], e["tail"]
+    path = _edit_filling_file(tmp_path, reverse_same_level)
+    assert hf.cli.main(["calculus", "check-telescoping", "--filling", path,
+                        "--trials", "1"]) == 2
+    assert "oriented" in capsys.readouterr().err
+
+
+# Valid norm configs on a 16-point cube, then up to two fields replaced by
+# JSON junk or dropped, so runs reach the solvers as well as the parser.
+_JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),
+                  st.text(max_size=3), st.just("inf"))
+_ANY = st.one_of(_JUNK, st.lists(_JUNK, max_size=3), st.just({}))
+_FUNCTIONS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("values"),
+                           "values": st.lists(st.floats(), min_size=16,
+                                              max_size=16)}),
+    st.fixed_dictionaries({"kind": st.just("constant"),
+                           "value": st.floats()}),
+    st.fixed_dictionaries({"kind": st.just("random_tents"),
+                           "n_tents": st.integers(-1, 8)}))
+_NORM_CONFIGS = st.fixed_dictionaries(
+    {"space": st.just({"kind": "cube", "dim": 1, "depth": 4}),
+     "level_lo": st.integers(-2, 0),
+     "level_hi": st.integers(0, 2),
+     "params": st.fixed_dictionaries({
+         "s": st.floats(0.05, 1.0),
+         "p": st.sampled_from([0.5, 1, 1.5, 2.0, 4, "inf"]),
+         "q": st.sampled_from([0.5, 1, 2.0, "inf"]),
+         "kind": st.sampled_from(["besov", "triebel", "hajlasz",
+                                  "nonhom_besov", "nonhom_triebel"])}),
+     "function": _FUNCTIONS},
+    optional={
+        "variant": st.sampled_from(["indicator", "mass", "half_ball"]),
+        "window": st.lists(st.integers(-1, 3), min_size=2, max_size=2),
+        "seed": st.integers(0, 2**70)})
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_norm_config_exits_with_a_documented_code(data):
+    cfg = copy.deepcopy(data.draw(_NORM_CONFIGS))
+    for _ in range(data.draw(st.integers(0, 2))):
+        # the space stays a 16-point cube, so no run can ask for a huge cloud
+        where = cfg
+        key = data.draw(st.sampled_from(sorted(set(where) - {"space"})))
+        if (isinstance(where[key], dict) and where[key]
+                and data.draw(st.booleans())):
+            where = where[key]
+            key = data.draw(st.sampled_from(sorted(where)))
+        if data.draw(st.booleans()):
+            where[key] = data.draw(_ANY)
+        else:
+            del where[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "n.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        code = hf.cli.main(["norm", "eval", "--config", path,
+                            "--out", os.path.join(tmp, "out.json")])
+    assert code in (0, 2, 3, 4)
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, seed=-1))
+    assert hf.cli.main(["norm", "eval", "--config", cfg]) == 2
+    assert "seed" in capsys.readouterr().err

@@ -1,7 +1,10 @@
+import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
@@ -92,6 +95,10 @@ def test_window_validation(interval8):
         hf.build_filling(interval8, 0, 7)   # under four times resolution
     with pytest.raises(hf.ConfigError):
         hf.build_filling(interval8, 3, 2)   # empty window
+    with pytest.raises(hf.ConfigError):
+        hf.build_filling(interval8, -5000, 2)   # 2^5000 overflows
+    with pytest.raises(hf.ConfigError):
+        hf.build_filling(interval8, 0, 10**400)   # 2^-(10^400) overflows
 
 
 def test_nested_single_root(pair8):
@@ -191,3 +198,132 @@ def test_vertex_and_edge_accessors_validate(plain6):
         plain6.vertices_at_level(99)
     with pytest.raises(hf.ConfigError):
         plain6.edge_ball_members(-1)
+
+
+def test_edge_membership_matches_per_edge_unions(any_filling):
+    fil = any_filling
+    rows = [fil.edge_ball_members(e) for e in range(fil.n_edges)]
+    indptr = np.zeros(fil.n_edges + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([r.size for r in rows])
+    indices = np.concatenate(rows)
+    want = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(fil.n_edges, fil.space.n_points))
+    got = fil.edge_membership()
+    assert got.has_sorted_indices
+    for name in ("indptr", "indices", "data"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def _with_edges(fil, tails, heads):
+    """A copy of the filling carrying another edge list."""
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    levels = np.minimum(fil.vertex_levels[tails], fil.vertex_levels[heads])
+    return dataclasses.replace(fil, tails=tails, heads=heads,
+                               edge_levels=levels)
+
+
+def test_audit_recount_flags_dropped_edge(any_filling):
+    fil = any_filling
+    keep = np.arange(fil.n_edges) != fil.n_edges // 2
+    report = hf.audit_filling(
+        _with_edges(fil, fil.tails[keep], fil.heads[keep]))
+    assert report["edge_rule_ok"] is False
+    assert report["orientation_ok"] is True
+    assert report["ok"] is False
+
+
+def test_audit_recount_flags_pair_two_levels_apart(any_filling):
+    fil = any_filling
+    # a root vertex and a level-2 vertex inside its ball share points
+    lv = fil.vertex_levels
+    a = int(np.flatnonzero(lv == fil.level_lo)[0])
+    b = next(int(v) for v in np.flatnonzero(lv == fil.level_lo + 2)
+             if np.intersect1d(fil.ball_member_list[a],
+                               fil.ball_member_list[v]).size)
+    report = hf.audit_filling(_with_edges(
+        fil, np.append(fil.tails, a), np.append(fil.heads, b)))
+    assert report["edge_rule_ok"] is False
+    assert report["ok"] is False
+
+
+def _disjoint_same_level_pair(fil):
+    lv = fil.vertex_levels
+    for a in np.flatnonzero(lv == fil.level_hi):
+        for b in np.flatnonzero(lv == fil.level_hi):
+            if a < b and not np.intersect1d(fil.ball_member_list[a],
+                                            fil.ball_member_list[b]).size:
+                return int(a), int(b)
+    raise AssertionError("no disjoint pair at the finest level")
+
+
+def test_loaded_filling_rejects_dropped_edge(tiny_filling):
+    doc = filling_to_dict(tiny_filling)
+    del doc["edges"][3]
+    with pytest.raises(hf.ConfigError, match="intersecting"):
+        filling_from_dict(doc)
+
+
+def test_loaded_filling_rejects_extra_disjoint_pair(tiny_filling):
+    doc = filling_to_dict(tiny_filling)
+    a, b = _disjoint_same_level_pair(tiny_filling)
+    doc["edges"].append({"tail": a, "head": b})
+    with pytest.raises(hf.ConfigError, match="intersecting"):
+        filling_from_dict(doc)
+
+
+def test_loaded_filling_rejects_reversed_same_level_edge(tiny_filling):
+    doc = filling_to_dict(tiny_filling)
+    lv = tiny_filling.vertex_levels
+    edge = next(e for e in doc["edges"] if lv[e["tail"]] == lv[e["head"]])
+    edge["tail"], edge["head"] = edge["head"], edge["tail"]
+    with pytest.raises(hf.ConfigError, match="oriented"):
+        filling_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    "not a dict",
+    {"space": {"kind": "cube", "dim": 1, "depth": 4}, "flavor": "plain",
+     "level_lo": 0, "level_hi": 2, "vertices": [{"center": 0}],
+     "edges": []},
+    {"space": {"kind": "cube", "dim": 1, "depth": 4}, "flavor": "plain",
+     "level_lo": 0, "level_hi": 2,
+     "vertices": [{"center": 0, "radius": 1.0, "level": 0}],
+     "edges": [{"tail": -1, "head": 0}]},
+    {"space": {"kind": "cube", "dim": 1, "depth": 4}, "flavor": "plain",
+     "level_lo": 0, "level_hi": 2,
+     "vertices": [{"center": 0, "radius": 1.0, "level": 1},
+                  {"center": 8, "radius": 1.0, "level": 0}],
+     "edges": []},
+])
+def test_loaded_filling_rejects_malformed_documents(doc):
+    with pytest.raises(hf.ConfigError):
+        filling_from_dict(doc)
+
+
+def test_golden_filling_document_loads_unchanged():
+    with open(os.path.join(DATA, "interval4_filling.json")) as fh:
+        frozen = fh.read()
+    loaded = filling_from_dict(json.loads(frozen))
+    assert canonical_dumps(filling_to_dict(loaded)) == frozen
+
+
+@pytest.mark.parametrize("key", ["vertex_embedding", "edge_embedding"])
+def test_loaded_nested_rejects_permuted_embedding(pair6, key):
+    doc = nested_to_dict(pair6)
+    doc[key][0], doc[key][1] = doc[key][1], doc[key][0]
+    with pytest.raises(hf.ConfigError, match="embedding"):
+        nested_from_dict(doc)
+
+
+@pytest.mark.parametrize("key", ["point_embedding", "vertex_embedding",
+                                 "edge_embedding"])
+def test_loaded_nested_rejects_short_or_out_of_range_embedding(pair6, key):
+    doc = nested_to_dict(pair6)
+    short = dict(doc, **{key: doc[key][:-1]})
+    with pytest.raises(hf.ConfigError, match=key):
+        nested_from_dict(short)
+    wild = dict(doc, **{key: [10**6] * len(doc[key])})
+    with pytest.raises(hf.ConfigError, match=key):
+        nested_from_dict(wild)

@@ -198,3 +198,14 @@ def test_pairwise_budget_gate():
     big = hf.unit_cube_space(2, 7)
     with pytest.raises(hf.ConfigError):
         hajlasz_norm(big, np.zeros(big.n_points), P1)
+
+
+def test_samples_beyond_float_range_are_rejected():
+    space = hf.unit_cube_space(1, 4)
+    f = np.zeros(space.n_points)
+    f[-1] = 1e308   # quotients over distances 1/16 overflow to inf
+    with pytest.raises(hf.ConfigError):
+        hajlasz_norm(space, f, P1)
+    f[-1] = 3.6e101   # finite quotients, but sum w g^4 overflows
+    with pytest.raises(hf.NumericalError):
+        hajlasz_norm(space, f, SmoothnessParams(1.0, 4.0, kind="hajlasz"))

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -211,3 +214,60 @@ def test_triebel_fn_norm_gates_small_p(plain6):
     with pytest.raises(hf.GateError):
         triebel_fn_norm(plain6, np.zeros(plain6.space.n_points),
                         SmoothnessParams(0.5, 0.5, 2.0, "triebel"))
+
+
+def test_half_ball_sets_match_per_edge_scan(any_filling):
+    fil = any_filling
+    space = fil.space
+    hb = half_ball_substitute(fil)
+    assert isinstance(hb, NormVariant) and isinstance(hb.sets, list)
+    assert len(hb.sets) == fil.n_edges
+    for eid in range(fil.n_edges):
+        vid = fil.tails[eid]
+        d = space.dist_from(space.points[fil.centers[vid]])
+        assert np.array_equal(hb.sets[eid],
+                              np.flatnonzero(d < 0.5 * fil.radii[vid]))
+    # edges with one tail share the tail's array
+    same = np.flatnonzero(fil.tails == fil.tails[0])
+    assert all(hb.sets[e] is hb.sets[same[0]] for e in same)
+
+
+def _row_gathered_triebel(fil, u, params, variant, window):
+    """The Triebel norm from the window's rows only: the reference sum."""
+    eids = np.concatenate([fil.edges_at_level(k)
+                           for k in range(window[0], window[1] + 1)])
+    weights = 2.0 ** (fil.edge_levels[eids] * params.s) * np.abs(u[eids])
+    memb = variant.membership(fil)[eids]
+    if np.isinf(params.q):
+        coo = memb.tocoo()
+        stack = np.zeros(fil.space.n_points)
+        np.maximum.at(stack, coo.col, weights[coo.row])
+    else:
+        stack = (memb.T @ weights ** params.q) ** (1.0 / params.q)
+    return lp_norm(fil.space, stack, params.p)
+
+
+@pytest.mark.parametrize("q", [0.7, 2.0, np.inf])
+def test_triebel_partial_window_matches_row_gather(any_filling, q):
+    fil = any_filling
+    u = _edge_noise(fil)
+    params = SmoothnessParams(0.5, 1.5, q, "triebel")
+    window = (fil.level_lo + 1, fil.level_hi - 1)
+    for variant in (NormVariant(), half_ball_substitute(fil)):
+        assert triebel_seq_norm(fil, u, params, variant, window) \
+            == _row_gathered_triebel(fil, u, params, variant, window)
+
+
+def test_substitute_cache_is_tied_to_one_live_filling():
+    space = hf.unit_cube_space(1, 6)
+    fil = hf.build_filling(space, 0, 3)
+    variant = half_ball_substitute(fil)
+    first = variant.membership(fil)
+    assert variant.membership(fil) is first
+    alive = weakref.ref(fil)
+    del fil
+    gc.collect()
+    assert alive() is None
+    # a new filling, even one reusing the freed id, gets its own matrix
+    other = hf.build_filling(space, 0, 3)
+    assert variant.membership(other) is not first
