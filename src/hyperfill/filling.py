@@ -34,6 +34,15 @@ from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
 
 @dataclass
 class Filling:
+    """A filling's vertices, edges and balls, with per-level index ranges.
+
+    Vertex ids ascend by level, and so do edge ids by edge level: each
+    level's edges form one contiguous range, `edge_range(k)`, so a
+    per-level quantity can read a slice of any per-edge array.  A
+    filling whose `edge_levels` descend anywhere is rejected with
+    `ConfigError`.
+    """
+
     space: FiniteMetricMeasureSpace
     flavor: str                  # "plain", "nested-ambient" or "trace"
     level_lo: int
@@ -47,17 +56,14 @@ class Filling:
     ball_member_list: list       # per vertex, sorted cloud indices in the ball
 
     def __post_init__(self):
-        self._level_start = {}
-        for n in range(self.level_lo, self.level_hi + 1):
-            ids = np.flatnonzero(self.vertex_levels == n)
-            self._level_start[n] = (int(ids[0]), int(ids[-1]) + 1) if ids.size else (0, 0)
-        self._edges_at = {}
+        if np.any(np.diff(self.edge_levels) < 0):
+            raise ConfigError("filling edges must ascend by level")
+        self._level_start = _level_ranges(self.vertex_levels, self.levels)
+        self._edge_range = _level_ranges(self.edge_levels, self.levels)
         self._cross_at = {}
-        for n in range(self.level_lo, self.level_hi + 1):
-            at = np.flatnonzero(self.edge_levels == n)
-            self._edges_at[n] = at
-            cross = at[self.vertex_levels[self.heads[at]] != n]
-            self._cross_at[n] = cross
+        for n, (lo, hi) in self._edge_range.items():
+            at = np.arange(lo, hi)
+            self._cross_at[n] = at[self.vertex_levels[self.heads[at]] != n]
         self.ball_weight_sums = np.array(
             [self.space.weights[m].sum() for m in self.ball_member_list])
         self._partition_cache = {}
@@ -83,10 +89,18 @@ class Filling:
         lo, hi = self._require_level(n)
         return np.arange(lo, hi)
 
-    def edges_at_level(self, k: int) -> np.ndarray:
-        """Edge ids at scale k (same-level k edges plus k to k+1 edges)."""
+    def edge_range(self, k: int) -> tuple[int, int]:
+        """Half-open range ``(start, stop)`` of the edge ids at scale k."""
         self._require_level(k)
-        return self._edges_at[k]
+        return self._edge_range[k]
+
+    def edges_at_level(self, k: int) -> np.ndarray:
+        """Edge ids at scale k (same-level k edges plus k to k+1 edges).
+
+        Edges are stored in ascending level, so these ids are the
+        contiguous range `edge_range(k)`.
+        """
+        return np.arange(*self.edge_range(k))
 
     def cross_edges_at_level(self, n: int) -> np.ndarray:
         """Edge ids joining level n to level n+1, in edge order."""
@@ -183,6 +197,14 @@ def _ball_rows(space, center_indices, radii):
         d = space.dist_from(space.points[c])
         rows.append(np.flatnonzero(d < r))
     return rows
+
+
+def _level_ranges(sorted_levels, levels) -> dict:
+    """Half-open index range of each level in an ascending level array."""
+    levels = np.asarray(levels)
+    starts = np.searchsorted(sorted_levels, levels, side="left")
+    stops = np.searchsorted(sorted_levels, levels, side="right")
+    return {int(n): (int(a), int(b)) for n, a, b in zip(levels, starts, stops)}
 
 
 def _membership_matrix(rows, n_points):
@@ -486,7 +508,8 @@ def filling_to_dict(filling: Filling) -> dict:
 
 def filling_from_dict(doc: dict) -> Filling:
     """Filling from its document; the balls are recomputed from the space,
-    and edges that break the edge rule or the orientation are rejected."""
+    and edges out of level order or breaking the edge rule or the
+    orientation are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):

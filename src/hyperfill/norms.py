@@ -173,7 +173,34 @@ def lp_norm(space: FiniteMetricMeasureSpace, values, p: float) -> float:
             % (v.shape, space.n_points))
     if np.isinf(p):
         return float(v.max())
-    return float((space.weights @ v ** p) ** (1.0 / p))
+    with np.errstate(over="ignore"):
+        total = space.weights @ v ** p
+    if total == 0.0 or not np.isfinite(total):
+        # v ** p may have left the float range; the norm is homogeneous,
+        # so measure v / max|v| and scale back.
+        m = v.max()
+        if 0.0 < m < np.inf:
+            return float(m * (space.weights @ (v / m) ** p) ** (1.0 / p))
+    return float(total ** (1.0 / p))
+
+
+def _rows_transpose_matvec(mat: sparse.csr_matrix, start: int, stop: int,
+                           x: np.ndarray) -> np.ndarray:
+    """``mat[start:stop].T @ x`` without copying the rows.
+
+    The transpose of a CSR row block is a CSC matrix over slices of the
+    same ``indices`` and ``data``; only its column pointers are shifted to
+    start at 0.  The product adds each output entry's terms in ascending
+    row order, as ``mat[start:stop].T @ x`` does, so the sums are equal
+    bit for bit.  The arrays are assigned after an empty construction
+    because the constructor copies a slice much shorter than its base.
+    """
+    lo, hi = mat.indptr[start], mat.indptr[stop]
+    block = sparse.csc_matrix((mat.shape[1], stop - start), dtype=mat.dtype)
+    block.indptr = mat.indptr[start:stop + 1] - lo
+    block.indices = mat.indices[lo:hi]
+    block.data = mat.data[lo:hi]
+    return block @ x
 
 
 def _edge_window(filling: Filling,
@@ -236,18 +263,18 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     level_norms = []
     scales = []
     for k in _edge_window(filling, level_window):
-        eids = filling.edges_at_level(k)
-        if eids.size == 0:
+        lo, hi = filling.edge_range(k)
+        if lo == hi:
             continue
         if variant.kind == "mass":
-            masses = filling.edge_ball_mass()[eids]
+            masses = filling.edge_ball_mass()[lo:hi]
             if np.isinf(p):
-                a = float(u[eids].max())
+                a = float(u[lo:hi].max())
             else:
-                a = float((masses @ u[eids] ** p) ** (1.0 / p))
+                a = float((masses @ u[lo:hi] ** p) ** (1.0 / p))
         else:
             memb = variant.membership(filling)
-            g = memb[eids].T @ u[eids]
+            g = _rows_transpose_matvec(memb, lo, hi, u[lo:hi])
             a = lp_norm(space, g, p)
         level_norms.append(a)
         scales.append(2.0 ** (k * s))

@@ -22,9 +22,9 @@ from ._version import __version__
 from .calculus import level_blend, poisson_extension
 from .errors import ConfigError, GateError
 from .filling import Filling, NestedFilling, build_nested_filling
-from .norms import (NormVariant, SmoothnessParams, admissibility,
-                    besov_seq_norm, half_ball_substitute, lp_norm,
-                    nonhom_norm, triebel_seq_norm)
+from .norms import (NormVariant, SmoothnessParams, _rows_transpose_matvec,
+                    admissibility, besov_seq_norm, half_ball_substitute,
+                    lp_norm, nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
 from .trace import (_extension_samples, _restrict_derivative, _trace_samples,
                     extend_besov, extend_sobolev, trace_besov, trace_triebel)
@@ -297,8 +297,8 @@ def audit_small_p_embedding(filling: Filling, *, p: float = 0.8,
         coarse = level_blend(filling, v, 0)
         stacks = {}
         for k in levels:
-            eids = filling.edges_at_level(k)
-            stacks[k] = memb[eids].T @ du[eids]
+            lo, hi = filling.edge_range(k)
+            stacks[k] = _rows_transpose_matvec(memb, lo, hi, du[lo:hi])
         for vid in vids:
             ball = filling.ball_members(vid)
             lhs = float(space.weights[ball] @ np.abs(f[ball])) ** p

@@ -334,6 +334,13 @@ def test_loaded_filling_with_reversed_edge_exits_2(tmp_path, capsys):
     assert "oriented" in capsys.readouterr().err
 
 
+def test_loaded_filling_with_unsorted_edge_levels_exits_2(tmp_path, capsys):
+    path = _edit_filling_file(
+        tmp_path, lambda doc: doc["edges"].insert(0, doc["edges"].pop()))
+    assert hf.cli.main(["filling", "audit", "--filling", path]) == 2
+    assert "ascend by level" in capsys.readouterr().err
+
+
 # Valid norm configs on a 16-point cube, then up to two fields replaced by
 # JSON junk or dropped, so runs reach the solvers as well as the parser.
 _JUNK = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(),

@@ -216,12 +216,28 @@ def test_edge_membership_matches_per_edge_unions(any_filling):
 
 
 def _with_edges(fil, tails, heads):
-    """A copy of the filling carrying another edge list."""
+    """A copy of the filling carrying another edge list, in level order."""
     tails = np.asarray(tails, dtype=np.int64)
     heads = np.asarray(heads, dtype=np.int64)
     levels = np.minimum(fil.vertex_levels[tails], fil.vertex_levels[heads])
-    return dataclasses.replace(fil, tails=tails, heads=heads,
-                               edge_levels=levels)
+    order = np.argsort(levels, kind="stable")
+    return dataclasses.replace(fil, tails=tails[order], heads=heads[order],
+                               edge_levels=levels[order])
+
+
+def test_edge_ranges_are_contiguous_levels(any_filling):
+    fil = any_filling
+    stop = 0
+    for k in fil.levels:
+        lo, hi = fil.edge_range(k)
+        assert lo == stop
+        assert np.array_equal(np.arange(lo, hi),
+                              np.flatnonzero(fil.edge_levels == k))
+        assert np.array_equal(fil.edges_at_level(k), np.arange(lo, hi))
+        stop = hi
+    assert stop == fil.n_edges
+    with pytest.raises(hf.ConfigError):
+        fil.edge_range(fil.level_hi + 1)
 
 
 def test_audit_recount_flags_dropped_edge(any_filling):
@@ -270,6 +286,14 @@ def test_loaded_filling_rejects_extra_disjoint_pair(tiny_filling):
     a, b = _disjoint_same_level_pair(tiny_filling)
     doc["edges"].append({"tail": a, "head": b})
     with pytest.raises(hf.ConfigError, match="intersecting"):
+        filling_from_dict(doc)
+
+
+def test_loaded_filling_rejects_unsorted_edge_levels(tiny_filling):
+    doc = filling_to_dict(tiny_filling)
+    # the same edge set, with the last (finest) edge moved to the front
+    doc["edges"].insert(0, doc["edges"].pop())
+    with pytest.raises(hf.ConfigError, match="ascend by level"):
         filling_from_dict(doc)
 
 

@@ -1,4 +1,6 @@
 import gc
+import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -28,6 +30,17 @@ def test_lp_norm_closed_forms(interval8):
     # p < 1 quasinorm: same formula, no convexity required
     assert lp_norm(interval8, f, 0.5) == pytest.approx(
         (w @ np.sqrt(np.abs(f))) ** 2.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_lp_norm_outside_the_range_of_v_to_the_p(interval8, scale):
+    # f**2 would overflow at 1e200 and underflow to 0 at 1e-200
+    f = 1.0 + np.sin(5.0 * interval8.points[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lp_norm(interval8, scale * f, 2.0)
+    assert got == pytest.approx(scale * lp_norm(interval8, f, 2.0),
+                                rel=1e-14, abs=0.0)
 
 
 def test_lp_norm_validation(interval8):
@@ -271,3 +284,56 @@ def test_substitute_cache_is_tied_to_one_live_filling():
     # a new filling, even one reusing the freed id, gets its own matrix
     other = hf.build_filling(space, 0, 3)
     assert variant.membership(other) is not first
+
+
+def _row_gathered_besov(fil, u, params, variant, window):
+    """The Besov norm with each level's rows copied out: the reference."""
+    u = np.abs(u)
+    terms = []
+    for k in range(window[0], window[1] + 1):
+        eids = np.flatnonzero(fil.edge_levels == k)
+        if eids.size == 0:
+            continue
+        if variant.kind == "mass":
+            masses = fil.edge_ball_mass()[eids]
+            if np.isinf(params.p):
+                a = float(u[eids].max())
+            else:
+                a = float((masses @ u[eids] ** params.p) ** (1.0 / params.p))
+        else:
+            g = variant.membership(fil)[eids].T @ u[eids]
+            a = lp_norm(fil.space, g, params.p)
+        terms.append(2.0 ** (k * params.s) * a)
+    terms = np.asarray(terms)
+    if np.isinf(params.q):
+        return float(terms.max())
+    return float((terms ** params.q).sum() ** (1.0 / params.q))
+
+
+@pytest.mark.parametrize("q", [1.0, 2.0, np.inf])
+def test_besov_levels_match_row_gather(any_filling, q):
+    fil = any_filling
+    u = _edge_noise(fil)
+    windows = [(fil.level_lo, fil.level_hi),
+               (fil.level_lo + 1, fil.level_hi - 1)]
+    for p in (1.5, np.inf):
+        params = SmoothnessParams(0.5, p, q, "besov")
+        for variant in (NormVariant(), half_ball_substitute(fil),
+                        NormVariant("mass")):
+            for window in windows:
+                assert besov_seq_norm(fil, u, params, variant, window) \
+                    == _row_gathered_besov(fil, u, params, variant, window)
+
+
+def test_besov_seq_norm_does_not_copy_membership():
+    fil = hf.build_filling(hf.unit_cube_space(2, 5), 0, 3)
+    u = _edge_noise(fil)
+    memb = fil.edge_membership()
+    besov_seq_norm(fil, u, BESOV)      # builds and caches the matrix
+    tracemalloc.start()
+    try:
+        besov_seq_norm(fil, u, BESOV)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.05 * (memb.data.nbytes + memb.indices.nbytes)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
+from hyperfill import verify
 from hyperfill._jsonio import canonical_dumps
 from hyperfill.verify import (ExperimentReport, audit_approx_density, audit_nonhom_split,
                               audit_norm_variants,
@@ -88,6 +89,20 @@ def test_small_p_embedding_audit(plain6):
     assert r.rows[0]["cell"] == "sigma_1"
     assert r.rows[0]["max_constant"] == pytest.approx(
         0.024750788300429035, rel=1e-9)
+
+
+@pytest.mark.parametrize("name", ["plain6", "pair8.ambient"])
+def test_small_p_embedding_matches_row_gather(request, monkeypatch, name):
+    fixture, _, side = name.partition(".")
+    filling = request.getfixturevalue(fixture)
+    filling = getattr(filling, side) if side else filling
+    kw = dict(p=0.5, sigma_grid=(0.5, 1.0, 2.0), trials=3, seed=3, level=2)
+    got = audit_small_p_embedding(filling, **kw).to_dict()
+    # the same audit with each level's rows copied out, as it used to be
+    monkeypatch.setattr(
+        verify, "_rows_transpose_matvec",
+        lambda mat, lo, hi, x: mat[np.arange(lo, hi)].T @ x)
+    assert got == audit_small_p_embedding(filling, **kw).to_dict()
 
 
 def test_approx_density_audit(interval10):
