@@ -8,16 +8,21 @@ is active.
 
 import os
 
+from . import pure
+
 if os.environ.get("HYPERFILL_PURE", "") == "1":
-    from . import pure as _impl
+    _impl = pure
 else:
     try:
         from . import _speedups as _impl
     except ImportError:
-        from . import pure as _impl
+        _impl = pure
 
 BACKEND = _impl.BACKEND
-greedy_separated_subset = _impl.greedy_separated_subset
+# The builders drive the greedy scan with the space's kd-tree ball query
+# (``ball=``), which only the NumPy lane takes; the compiled pairwise scan
+# is kept for the lane-parity test.
+greedy_separated_subset = pure.greedy_separated_subset
 # No library code calls pdhg_sweep; it stays exported because the
 # benchmark tracer in perfbench/spans.py binds it by name.
 pdhg_sweep = _impl.pdhg_sweep

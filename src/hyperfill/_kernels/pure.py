@@ -1,7 +1,8 @@
 """NumPy reference implementations of the hot kernels.
 
-The compiled extension in ``_speedups.pyx`` mirrors these signatures exactly;
-either lane must produce bit-identical outputs.  Keep the two in sync.
+The compiled extension in ``_speedups.pyx`` mirrors these signatures, except
+for the ``ball`` route of `greedy_separated_subset`, which only this module
+has; either lane must produce bit-identical outputs.  Keep the two in sync.
 """
 
 from __future__ import annotations
@@ -11,15 +12,30 @@ import numpy as np
 BACKEND = "pure"
 
 
-def greedy_separated_subset(coords, candidates, sep, sup_metric):
+def greedy_separated_subset(coords, candidates, sep, sup_metric, ball=None):
     """Greedy maximal `sep`-separated subset of the candidate points.
 
     Candidates are scanned in the order given (ascending index by
     convention); a candidate is kept when it lies at distance >= sep from
     every point kept so far.  Returns the kept indices in scan order.
+
+    Without ``ball`` each candidate is compared with every kept point.
+    With ``ball``, a callable ``ball(i, r)`` returning the indices of the
+    points at distance < r from point i (such as
+    `FiniteMetricMeasureSpace.ball_indices`), the scan is driven by kept
+    points instead: each kept point blocks its ``sep``-ball, and the scan
+    skips blocked candidates.  Both give the same subset.
     """
-    coords = np.ascontiguousarray(coords, dtype=np.float64)
     candidates = np.asarray(candidates, dtype=np.int64)
+    if ball is not None:
+        blocked = np.zeros(len(coords), dtype=bool)
+        chosen = []
+        for idx in candidates.tolist():
+            if not blocked[idx]:
+                chosen.append(idx)
+                blocked[ball(idx, sep)] = True
+        return np.asarray(chosen, dtype=np.int64)
+    coords = np.ascontiguousarray(coords, dtype=np.float64)
     chosen = []
     kept = np.empty((len(candidates), coords.shape[1]), dtype=np.float64)
     count = 0

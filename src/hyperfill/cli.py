@@ -79,14 +79,6 @@ def _list(value, what: str) -> list:
     return value
 
 
-def _parse_space(desc):
-    """(space, mask) from a descriptor; malformed fields are config errors."""
-    try:
-        return space_from_descriptor(desc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("malformed space descriptor: %s" % exc) from exc
-
-
 def _load_cfg(path: str) -> dict:
     cfg = _read(path)
     if not isinstance(cfg, dict):
@@ -127,7 +119,7 @@ def _space_of(cfg: dict, key: str = "space"):
         desc = _read(desc)
     if desc is None:
         raise ConfigError("config needs a %r descriptor" % key)
-    return _parse_space(desc)
+    return space_from_descriptor(desc)
 
 
 def _mask_of(cfg: dict, space, inline_mask):
@@ -206,7 +198,7 @@ def _window_of(cfg: dict) -> tuple[int, int]:
 
 def _cmd_space_build(args) -> None:
     desc = _read(args.descriptor)
-    space, mask = _parse_space(desc)
+    space, mask = space_from_descriptor(desc)
     payload = {
         "descriptor": space_to_descriptor(space),
         "n_points": space.n_points,
@@ -223,7 +215,7 @@ def _cmd_space_build(args) -> None:
 
 def _cmd_space_audit(args) -> None:
     desc = _read(args.descriptor)
-    space, mask = _parse_space(desc)
+    space, mask = space_from_descriptor(desc)
     seed = _seed_of(desc if isinstance(desc, dict) else {}, args)
     fit = ahlfors_fit(space, _dyadic_radii(space), seed=seed)
     payload = {
@@ -402,6 +394,12 @@ def _cmd_trace_run(args) -> None:
     _check_keys(cfg, {"space", "subset", "level_hi", "params", "theorem",
                       "direction", "function"},
                 {"level_lo", "seed", "variant"}, "trace run")
+    theorem = cfg["theorem"]
+    direction = cfg["direction"]
+    if theorem not in ("besov", "triebel", "sobolev", "nonhom") \
+            or direction not in ("trace", "extend", "roundtrip"):
+        raise ConfigError("unknown theorem %r or direction %r"
+                          % (theorem, direction))
     space, inline_mask = _space_of(cfg)
     mask = _mask_of(cfg, space, inline_mask)
     if mask is None:
@@ -410,8 +408,6 @@ def _cmd_trace_run(args) -> None:
     nested = build_nested_filling(space, mask, lo, hi)
     seed = _seed_of(cfg, args)
     params = _params_of(cfg)
-    theorem = cfg["theorem"]
-    direction = cfg["direction"]
     variant = _variant_of(cfg, nested.ambient)
     payload = {"theorem": theorem, "direction": direction, "seed": seed,
                "params": _params_json(params), "backend": BACKEND}
@@ -522,7 +518,7 @@ def _cmd_verify(args) -> None:
             space_desc, sub, cfg["theorem"],
             cfg.get("grid", {"s": [0.5], "p": [2.0], "q": [2.0]}),
             cfg["resolutions"], trials=_int(cfg.get("trials", 5), "trials"),
-            seed=seed, threads=args.threads,
+            seed=seed,
             widen_threshold=_float(cfg.get("widen_threshold", 2.0),
                                    "widen_threshold"))
     else:
@@ -636,7 +632,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ve.add_argument("--out")
     ve.add_argument("--csv")
     ve.add_argument("--seed", type=int, default=0)
-    ve.add_argument("--threads", type=int, default=os.cpu_count())
+    # accepted for old command lines; audits run in one thread
+    ve.add_argument("--threads", type=int, default=None,
+                    help="ignored; kept for compatibility")
     ve.set_defaults(func=_cmd_verify)
     return top
 

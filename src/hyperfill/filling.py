@@ -190,15 +190,6 @@ def _validate_window(space, level_lo, level_hi):
             f"2^-{level_hi} is under four times the resolution; lower level_hi")
 
 
-def _ball_rows(space, center_indices, radii):
-    """Sorted member indices of the open ball around each listed center."""
-    rows = []
-    for c, r in zip(center_indices, radii):
-        d = space.dist_from(space.points[c])
-        rows.append(np.flatnonzero(d < r))
-    return rows
-
-
 def _level_ranges(sorted_levels, levels) -> dict:
     """Half-open index range of each level in an ascending level array."""
     levels = np.asarray(levels)
@@ -229,28 +220,33 @@ def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
     radii = np.asarray(radii, dtype=np.float64)
     levels = np.asarray(levels, dtype=np.int64)
 
-    members = _ball_rows(space, centers, radii)
+    # one batched query per level bounds the tree's candidate lists
+    members = [row for n in range(level_lo, level_hi + 1)
+               for row in space.ball_rows(level_vertex_centers[n],
+                                          level_vertex_radii[n])]
     mats = {n: _membership_matrix(
         [members[level_offset[n] + i] for i in range(len(level_vertex_centers[n]))],
         space.n_points) for n in range(level_lo, level_hi + 1)}
 
-    tails, heads = [], []
+    def overlapping_pairs(a, b, upper):
+        """Ids of the intersecting ball pairs of levels a and b, sorted by
+        (tail, head); with ``upper`` only pairs with tail < head."""
+        overlap = (mats[a] @ mats[b].T).tocoo()
+        rows, cols = overlap.row, overlap.col
+        if upper:
+            keep = rows < cols
+            rows, cols = rows[keep], cols[keep]
+        order = np.lexsort((cols, rows))
+        return (level_offset[a] + rows[order].astype(np.int64),
+                level_offset[b] + cols[order].astype(np.int64))
+
+    pairs = []
     for n in range(level_lo, level_hi + 1):
-        base = level_offset[n]
-        overlap = (mats[n] @ mats[n].T).tocoo()
-        same = sorted((base + i, base + j)
-                      for i, j in zip(overlap.row, overlap.col) if i < j)
-        tails.extend(t for t, _ in same)
-        heads.extend(h for _, h in same)
+        pairs.append(overlapping_pairs(n, n, True))
         if n < level_hi:
-            nxt = level_offset[n + 1]
-            overlap = (mats[n] @ mats[n + 1].T).tocoo()
-            cross = sorted((base + i, nxt + j)
-                           for i, j in zip(overlap.row, overlap.col))
-            tails.extend(t for t, _ in cross)
-            heads.extend(h for _, h in cross)
-    tails = np.asarray(tails, dtype=np.int64)
-    heads = np.asarray(heads, dtype=np.int64)
+            pairs.append(overlapping_pairs(n, n + 1, False))
+    tails = np.concatenate([t for t, _ in pairs])
+    heads = np.concatenate([h for _, h in pairs])
     edge_levels = np.minimum(levels[tails], levels[heads]) if tails.size else \
         np.empty(0, dtype=np.int64)
 
@@ -270,7 +266,8 @@ def build_filling(space: FiniteMetricMeasureSpace, level_lo: int,
     sup = space.metric_kind == "sup"
     level_centers, level_radii = {}, {}
     for n in range(level_lo, level_hi + 1):
-        sel = greedy_separated_subset(space.points, all_idx, 2.0 ** (-n - 1), sup)
+        sel = greedy_separated_subset(space.points, all_idx, 2.0 ** (-n - 1),
+                                      sup, ball=space.ball_indices)
         level_centers[n] = sel
         level_radii[n] = np.full(sel.shape[0], 2.0 ** (-n))
     return _assemble(space, "plain", level_lo, level_hi, level_centers,
@@ -300,9 +297,11 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
     level_centers, level_radii, on_counts = {}, {}, {}
     for n in range(level_lo, level_hi + 1):
         scale = 2.0 ** (-n)
-        on_f = greedy_separated_subset(space.points, members, scale, sup)
+        on_f = greedy_separated_subset(space.points, members, scale, sup,
+                                       ball=space.ball_indices)
         far = np.flatnonzero(dist_f >= scale)
-        off_f = greedy_separated_subset(space.points, far, scale / 2, sup)
+        off_f = greedy_separated_subset(space.points, far, scale / 2, sup,
+                                        ball=space.ball_indices)
         level_centers[n] = np.concatenate([on_f, off_f])
         level_radii[n] = np.concatenate([
             np.full(on_f.shape[0], 4 * scale),
@@ -328,15 +327,19 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
                       trace_radii)
     vertex_embedding = np.asarray(vertex_embedding, dtype=np.int64)
 
-    ambient_edge_ids = {(int(t), int(h)): e for e, (t, h) in
-                        enumerate(zip(ambient.tails, ambient.heads))}
-    edge_embedding = np.empty(trace.n_edges, dtype=np.int64)
-    for e in range(trace.n_edges):
-        key = (int(vertex_embedding[trace.tails[e]]),
-               int(vertex_embedding[trace.heads[e]]))
-        if key not in ambient_edge_ids:
-            raise NumericalError("subset edge missing from the ambient filling")
-        edge_embedding[e] = ambient_edge_ids[key]
+    # Each trace edge's ambient id, looked up among the sorted (tail, head)
+    # keys of the ambient edges.
+    n_amb = ambient.n_vertices
+    amb_keys = ambient.tails * n_amb + ambient.heads
+    order = np.argsort(amb_keys, kind="stable")
+    sorted_keys = amb_keys[order]
+    want = (vertex_embedding[trace.tails] * n_amb
+            + vertex_embedding[trace.heads])
+    pos = np.searchsorted(sorted_keys, want)
+    if np.any(pos >= sorted_keys.size) or np.any(
+            sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != want):
+        raise NumericalError("subset edge missing from the ambient filling")
+    edge_embedding = order[pos]
 
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
@@ -381,6 +384,20 @@ def _edge_rule_ok(filling: Filling) -> bool:
     return bool(np.array_equal(expected, actual))
 
 
+def _balls_ok(memb: sparse.csr_matrix, lo: int, hi: int,
+              inside: np.ndarray) -> bool:
+    """Whether rows lo..hi-1 of the vertex-membership matrix list, in
+    ascending order, exactly the points marked in the columns of the
+    (n_points, hi - lo) boolean matrix ``inside``."""
+    indptr = memb.indptr[lo:hi + 1]
+    cols = memb.indices[indptr[0]:indptr[-1]].astype(np.int64)
+    owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
+    # ascending within each row; a new row may start lower
+    ascending = (np.diff(cols) > 0) | (owner[1:] != owner[:-1])
+    return bool(np.array_equal(np.diff(indptr), inside.sum(axis=0))
+                and np.all(inside[cols, owner]) and np.all(ascending))
+
+
 def _orientation_ok(filling: Filling) -> bool:
     """Same-level edges point to the larger id, cross edges one level down."""
     lt = filling.vertex_levels[filling.tails]
@@ -393,15 +410,20 @@ def audit_filling(filling: Filling) -> dict:
     """Recheck the construction invariants; returns measured facts.
 
     Verifies per level: center separation, covering by half-balls, and the
-    radius law for the filling's flavor.  Over the whole graph it verifies
-    the edge rule (edge iff levels within one and balls sharing a point)
-    and edge orientation.  The edge rule is recounted from one global
-    sparse product of the vertex-membership matrix with its transpose,
+    radius law for the filling's flavor: each vertex has its flavor's
+    radius, and its ball lists exactly the cloud points closer than that
+    radius to its center.  Over the whole graph it verifies the edge rule
+    (edge iff levels within one and balls sharing a point) and edge
+    orientation.  The edge rule is recounted from one global sparse
+    product of the vertex-membership matrix with its transpose,
     independent of the per-level products the build takes edges from.
+    Separation, covering and balls are judged on brute-force distance
+    matrices, not through the kd-tree query the build uses.
     """
     space = filling.space
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
               "orientation_ok": True, "radius_law_ok": True}
+    memb = filling.vertex_membership()
 
     for n in filling.levels:
         lo, hi = filling._level_start[n]
@@ -418,7 +440,6 @@ def audit_filling(filling: Filling) -> dict:
             on_f = radii == 4 * scale
             seps = np.where(on_f, scale, scale / 2)
             radius_ok = bool(np.all(on_f | (radii == scale)))
-        report["radius_law_ok"] &= radius_ok
 
         coords = space.points[centers]
         dmat = space.cross_dist(coords, coords)
@@ -429,6 +450,9 @@ def audit_filling(filling: Filling) -> dict:
 
         dist_all = space.cross_dist(space.points, coords)
         covering_ok = bool(np.all((dist_all < radii[None, :] / 2).any(axis=1)))
+        radius_ok = radius_ok and _balls_ok(memb, lo, hi,
+                                            dist_all < radii[None, :])
+        report["radius_law_ok"] &= radius_ok
         report["levels"][n] = {
             "n_vertices": int(centers.shape[0]),
             "separation_ok": separation_ok,
@@ -538,7 +562,7 @@ def filling_from_dict(doc: dict) -> Filling:
         raise ConfigError("edge endpoints out of range")
     edge_levels = (np.minimum(levels[tails], levels[heads]) if tails.size
                    else np.empty(0, dtype=np.int64))
-    members = _ball_rows(space, centers, radii)
+    members = space.ball_rows(centers, radii)
     filling = Filling(space=space, flavor=doc["flavor"],
                       level_lo=level_lo, level_hi=level_hi,
                       centers=centers, radii=radii, vertex_levels=levels,

@@ -151,13 +151,11 @@ class NormVariant:
 def half_ball_substitute(filling: Filling) -> NormVariant:
     """Substitute variant using the half ball around each tail vertex.
 
-    Each vertex's open half ball is scanned once; ``sets[e]`` is the tail
+    Every vertex's open half ball comes from one batched
+    `FiniteMetricMeasureSpace.ball_rows` query; ``sets[e]`` is the tail
     vertex's row, so edges sharing a tail share one array.
     """
-    space = filling.space
-    half_balls = [
-        np.flatnonzero(space.dist_from(space.points[c]) < 0.5 * r)
-        for c, r in zip(filling.centers, filling.radii)]
+    half_balls = filling.space.ball_rows(filling.centers, 0.5 * filling.radii)
     return NormVariant(kind="substitute",
                        sets=[half_balls[t] for t in filling.tails])
 
@@ -173,14 +171,28 @@ def lp_norm(space: FiniteMetricMeasureSpace, values, p: float) -> float:
             % (v.shape, space.n_points))
     if np.isinf(p):
         return float(v.max())
+    return _power_sum_root(v, p, space.weights)
+
+
+def _power_sum_root(v: np.ndarray, p: float, weights=None) -> float:
+    """``(sum_i w_i v_i^p)^(1/p)`` of nonnegative ``v`` (unit weights when
+    ``weights`` is None), kept inside the float range.
+
+    When the plain sum overflows or underflows to 0, ``v / max v`` is
+    summed instead and the root scaled back by ``max v``; every other
+    result is the plain expression, bit for bit.
+    """
+    def power_sum(x):
+        return (x ** p).sum() if weights is None else weights @ x ** p
+
     with np.errstate(over="ignore"):
-        total = space.weights @ v ** p
+        total = power_sum(v)
     if total == 0.0 or not np.isfinite(total):
-        # v ** p may have left the float range; the norm is homogeneous,
-        # so measure v / max|v| and scale back.
+        # v ** p may have left the float range; the sum is homogeneous,
+        # so measure v / max v and scale back.
         m = v.max()
         if 0.0 < m < np.inf:
-            return float(m * (space.weights @ (v / m) ** p) ** (1.0 / p))
+            return float(m * power_sum(v / m) ** (1.0 / p))
     return float(total ** (1.0 / p))
 
 
@@ -271,7 +283,7 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
             if np.isinf(p):
                 a = float(u[lo:hi].max())
             else:
-                a = float((masses @ u[lo:hi] ** p) ** (1.0 / p))
+                a = _power_sum_root(u[lo:hi], p, masses)
         else:
             memb = variant.membership(filling)
             g = _rows_transpose_matvec(memb, lo, hi, u[lo:hi])
@@ -284,7 +296,7 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     w = np.asarray(scales)
     if np.isinf(q):
         return float((w * a).max())
-    return float(((w * a) ** q).sum() ** (1.0 / q))
+    return _power_sum_root(w * a, q)
 
 
 def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
@@ -334,7 +346,14 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
         np.maximum.at(stack, memb.indices,
                       np.repeat(weights, np.diff(memb.indptr)))
     else:
-        stack = (memb.T @ weights ** q) ** (1.0 / q)
+        with np.errstate(over="ignore"):
+            stack = (memb.T @ weights ** q) ** (1.0 / q)
+        m = weights.max()
+        if (not np.isfinite(stack).all() or not stack.any()) \
+                and 0.0 < m < np.inf:
+            # weights ** q left the float range; as in _power_sum_root,
+            # aggregate weights / max and scale back
+            stack = m * (memb.T @ (weights / m) ** q) ** (1.0 / q)
     return lp_norm(filling.space, stack, p)
 
 

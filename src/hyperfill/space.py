@@ -7,6 +7,12 @@ regularity exponent its constructor declares.  Integrals against the measure
 are exact weighted sums over the cloud; metric balls are open (strict
 inequality) throughout.
 
+Balls are found with one lazily built kd-tree per space (`ball_rows`).
+The tree only proposes candidates, asked at a radius enlarged by a
+relative 1e-12; the space's own distance arithmetic and the strict test
+decide membership, so every ball equals a full scan bit for bit, exact
+ties included.
+
 Audit routines (`ahlfors_fit`, `doubling_audit`, `porosity_scan`,
 `codim_regularity_check`) measure the declared exponents empirically.  They
 only probe balls with radius at least four times the resolution, below which
@@ -15,10 +21,12 @@ a finite cloud stops resembling the space it samples.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, GateError
@@ -26,6 +34,7 @@ from .errors import ConfigError, GateError
 DEFAULT_POINT_BUDGET = 1 << 18
 RADIUS_FLOOR_FACTOR = 4.0
 _METRICS = {"euclidean": "euclidean", "sup": "chebyshev"}
+_MINKOWSKI_P = {"euclidean": 2.0, "sup": np.inf}
 
 # Slack for comparisons involving dyadic radii that are exactly at a
 # validation boundary (e.g. 2**-n == 4 * resolution).
@@ -57,12 +66,16 @@ class FiniteMetricMeasureSpace:
     resolution: float
     declared_Q: float
     declared_diam: float
+    _kdtree: cKDTree | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
         self.weights = np.ascontiguousarray(self.weights, dtype=np.float64)
         if self.points.ndim != 2 or self.points.shape[0] == 0:
             raise ConfigError("points must be a nonempty (n, d) array")
+        if not np.all(np.isfinite(self.points)):
+            raise ConfigError("point coordinates must be finite")
         if self.weights.shape != (self.points.shape[0],):
             raise ConfigError("weights must be one per point")
         if not np.all(self.weights > 0):
@@ -86,10 +99,8 @@ class FiniteMetricMeasureSpace:
 
     def dist_from(self, coord) -> np.ndarray:
         """Distances from every cloud point to a single coordinate."""
-        diff = np.abs(self.points - np.asarray(coord, dtype=np.float64))
-        if self.metric_kind == "sup":
-            return diff.max(axis=1)
-        return np.sqrt((diff * diff).sum(axis=1))
+        return _rowwise_dist(self.points, np.asarray(coord, dtype=np.float64),
+                             self.metric_kind)
 
     def cross_dist(self, coords_a, coords_b) -> np.ndarray:
         """Pairwise distance matrix between two coordinate arrays."""
@@ -99,14 +110,56 @@ class FiniteMetricMeasureSpace:
             metric=_METRICS[self.metric_kind],
         )
 
+    def _tree_candidates(self, coords, radii):
+        """Tree proposals for the open balls B(coords, radii): every point
+        within ``radii (1 + 1e-12)``, a superset of each open ball."""
+        if self._kdtree is None:
+            self._kdtree = cKDTree(self.points)
+        return self._kdtree.query_ball_point(
+            coords, radii * (1.0 + _REL_EPS), p=_MINKOWSKI_P[self.metric_kind],
+            return_sorted=True)
+
+    def ball_rows(self, center_indices, radii) -> list:
+        """Members of the open balls B(x_c, r) around cloud points.
+
+        Returns one ascending index array per center and radius.  The
+        kd-tree proposes the points within ``r (1 + 1e-12)``; their
+        distances are recomputed with the arithmetic of `dist_from` and
+        tested with strict ``<``, so each row is exactly
+        ``np.flatnonzero(dist_from(x_c) < r)``.
+        """
+        centers = np.asarray(center_indices, dtype=np.int64).reshape(-1)
+        radii = np.broadcast_to(np.asarray(radii, dtype=np.float64),
+                                centers.shape)
+        coords = self.points[centers]
+        rows = self._tree_candidates(coords, radii)
+        counts = np.fromiter(map(len, rows), dtype=np.int64,
+                             count=centers.size)
+        cand = np.fromiter(itertools.chain.from_iterable(rows),
+                           dtype=np.int64, count=int(counts.sum()))
+        owner = np.repeat(np.arange(centers.size), counts)
+        inside = _rowwise_dist(self.points[cand], coords[owner],
+                               self.metric_kind) < radii[owner]
+        indptr = np.zeros(centers.size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(owner[inside], minlength=centers.size),
+                  out=indptr[1:])
+        members = cand[inside]
+        return [members[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+
     def ball_indices(self, center_index: int, radius: float) -> np.ndarray:
-        """Indices of cloud points in the open ball around a cloud point."""
-        d = self.dist_from(self.points[center_index])
-        return np.flatnonzero(d < radius)
+        """Indices of cloud points in the open ball around a cloud point.
+
+        The one-center form of `ball_rows`: the same tree candidates and
+        exact test, without the batch bookkeeping.
+        """
+        center = self.points[center_index]
+        near = np.asarray(self._tree_candidates(center, radius),
+                          dtype=np.int64)
+        return near[_rowwise_dist(self.points[near], center,
+                                  self.metric_kind) < radius]
 
     def ball_mass(self, center_index: int, radius: float) -> float:
-        d = self.dist_from(self.points[center_index])
-        return float(self.weights[d < radius].sum())
+        return float(self.weights[self.ball_indices(center_index, radius)].sum())
 
     def total_mass(self) -> float:
         return float(self.weights.sum())
@@ -355,6 +408,8 @@ def cantor_mask(space: FiniteMetricMeasureSpace, depth: int) -> SubsetMask:
     """
     if space.dim != 1:
         raise ConfigError("cantor_mask needs a one-dimensional space")
+    if depth < 0:
+        raise ConfigError("Cantor depth must be non-negative")
     if 3.0 ** (-depth) < space.resolution:
         raise ConfigError("Cantor depth finer than the grid resolution")
     x = space.points[:, 0]
@@ -617,7 +672,18 @@ def osc_overlap_fraction(space: FiniteMetricMeasureSpace, system: IfsSystem) -> 
 # ---------------------------------------------------------------------------
 
 def space_from_descriptor(desc: dict, point_budget: int = DEFAULT_POINT_BUDGET):
-    """Build (space, mask or None) from a descriptor dictionary."""
+    """Build (space, mask or None) from a descriptor dictionary.
+
+    A field of the wrong type or out of the float range raises
+    `ConfigError`, like every other malformed descriptor.
+    """
+    try:
+        return _space_from_descriptor(desc, point_budget)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("malformed space descriptor: %s" % exc) from exc
+
+
+def _space_from_descriptor(desc, point_budget):
     if not isinstance(desc, dict) or "kind" not in desc:
         raise ConfigError("space descriptor must be a dict with a 'kind'")
     desc = dict(desc)
@@ -674,7 +740,17 @@ def mask_from_descriptor(space: FiniteMetricMeasureSpace, desc: dict) -> SubsetM
     Two forms: {"cantor_depth": k} selects the middle-thirds mask on a
     one-dimensional cube space, {"indices": [...], "lambda": ...}
     (optionally with aligned "weights") lists the members explicitly.
+    Malformed fields raise `ConfigError`.
     """
+    try:
+        return _mask_from_descriptor(space, desc)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("malformed subset descriptor: %s" % exc) from exc
+
+
+def _mask_from_descriptor(space, desc):
+    if not isinstance(desc, dict):
+        raise ConfigError("subset descriptor must be a dict")
     if "cantor_depth" in desc:
         _require_keys(dict(desc), {"cantor_depth"}, set())
         return cantor_mask(space, int(desc["cantor_depth"]))

@@ -11,7 +11,6 @@ means.
 from __future__ import annotations
 
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,7 +205,9 @@ def audit_porosity_qindependence(nested: NestedFilling, *, s: float = 0.5,
             norms = [triebel_seq_norm(
                 amb, u, SmoothnessParams(s=s, p=p, q=q, kind="triebel"))
                 for q in q_list]
-            spread = max(norms) / min(norms)
+            # a sequence that is zero everywhere (no embedded edges) has
+            # equal norms at every q
+            spread = max(norms) / min(norms) if max(norms) > 0 else 1.0
             bucket.append(spread)
             for q, n in zip(q_list, norms):
                 row["%s_q%s" % (label, _qtag(q))] = n
@@ -400,15 +401,21 @@ def _params_dict(params: SmoothnessParams) -> dict:
 
 
 def _normalize_grid(param_grid) -> list[dict]:
-    if isinstance(param_grid, dict):
-        cells = []
-        for s in param_grid.get("s", [0.5]):
-            for p in param_grid.get("p", [2.0]):
-                for q in param_grid.get("q", [2.0]):
-                    cells.append({"s": float(s), "p": float(p),
-                                  "q": float(q)})
+    """Parameter cells from a dict of value lists or from a list of cells
+    with numeric s, p and q; anything else raises ConfigError."""
+    try:
+        if isinstance(param_grid, dict):
+            return [{"s": float(s), "p": float(p), "q": float(q)}
+                    for s in param_grid.get("s", [0.5])
+                    for p in param_grid.get("p", [2.0])
+                    for q in param_grid.get("q", [2.0])]
+        cells = [dict(c) for c in param_grid]
+        for c in cells:
+            if not all(isinstance(c[k], (int, float)) for k in "spq"):
+                raise TypeError("cell values must be numbers: %r" % (c,))
         return cells
-    return [dict(c) for c in param_grid]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("malformed parameter grid: %s" % exc) from None
 
 
 def _suite_cell(nested, theorem, cell, trials, seed, cell_index):
@@ -468,10 +475,17 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
     judges two claims: round-trip sup error does not grow under
     refinement, and operator ratios stay inside a band that widens by
     less than ``widen_threshold`` across resolutions.  Inadmissible
-    cells are recorded as skipped with the gate's reasons.
+    cells are recorded as skipped with the gate's reasons.  Cells run one
+    after another; ``threads`` is accepted and ignored, so the report does
+    not depend on it.
     """
     cells = _normalize_grid(param_grid)
-    resolutions = [int(r) for r in resolutions]
+    try:
+        resolutions = [int(r) for r in resolutions]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError("resolutions must list levels: %s" % exc) from None
+    if not resolutions:
+        raise ConfigError("theorem suite needs at least one resolution")
     if theorem not in ("besov", "triebel", "sobolev"):
         raise ConfigError("unknown theorem %r" % (theorem,))
     space, mask = space_from_descriptor(space_desc)
@@ -481,14 +495,9 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
         mask = mask_from_descriptor(space, subset_desc)
     nesteds = {r: build_nested_filling(space, mask, 0, r)
                for r in resolutions}
-    jobs = [(nesteds[r], theorem, cell, trials, seed, idx)
+    rows = [_suite_cell(nesteds[r], theorem, cell, trials, seed, idx)
             for idx, (cell, r) in enumerate(
                 (c, r) for c in cells for r in resolutions)]
-    if threads is not None and threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(lambda a: _suite_cell(*a), jobs))
-    else:
-        rows = [_suite_cell(*a) for a in jobs]
 
     # Judge refinement stability per parameter cell across resolutions.
     ok_rows = [r for r in rows if r.get("status") == "ok"]

@@ -6,7 +6,7 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hyperfill as hf
@@ -401,3 +401,235 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, seed=-1))
     assert hf.cli.main(["norm", "eval", "--config", cfg]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, variant", [("besov", "indicator"),
+                                           ("triebel", "indicator"),
+                                           ("besov", "mass")])
+def test_norm_eval_with_a_sample_near_the_float_limit(tmp_path, kind,
+                                                      variant):
+    # one sample of 1e300 at p = q = 2: the norm is representable, and the
+    # run must write it rather than overflow
+    values = [0.0] * 16
+    values[5] = 1.0
+    values_1e300 = [1e300 * v for v in values]
+    out = {}
+    for name, vals in (("unit", values), ("big", values_1e300)):
+        cfg = write_cfg(tmp_path / ("%s.json" % name), {
+            "space": {"kind": "cube", "dim": 1, "depth": 4}, "level_hi": 2,
+            "params": {"s": 0.5, "p": 2.0, "q": 2.0, "kind": kind},
+            "function": {"kind": "values", "values": vals},
+            "variant": variant})
+        path = tmp_path / ("%s_out.json" % name)
+        assert hf.cli.main(["norm", "eval", "--config", cfg,
+                            "--out", str(path)]) == 0
+        out[name] = json.loads(path.read_text())["value"]
+    assert out["big"] == pytest.approx(1e300 * out["unit"], rel=1e-14,
+                                       abs=0.0)
+
+
+def test_verify_threads_flag_is_accepted_and_ignored(tmp_path):
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 8},
+        "subset": {"cantor_depth": 4}, "theorem": "besov",
+        "resolutions": [5], "trials": 1,
+        "grid": {"s": [0.5], "p": [2.0], "q": [2.0]}})
+    reports = []
+    for threads in ("1", "2"):
+        out = tmp_path / ("r%s.json" % threads)
+        assert hf.cli.main(["verify", "audit_theorem_suite", "--config", cfg,
+                            "--threads", threads, "--out", str(out)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+
+
+def _run_fuzzed(argv_of, cfg, data):
+    """Replace or drop up to two config fields (never the space, and never
+    the trial count, which only sets run length), then run the command."""
+    for _ in range(data.draw(st.integers(0, 2))):
+        where = cfg
+        keys = sorted(set(where) - {"space", "trials"})
+        if not keys:
+            break
+        key = data.draw(st.sampled_from(keys))
+        if (isinstance(where[key], dict) and where[key]
+                and data.draw(st.booleans())):
+            where = where[key]
+            key = data.draw(st.sampled_from(sorted(where)))
+        if data.draw(st.booleans()):
+            where[key] = data.draw(_ANY)
+        else:
+            del where[key]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        return hf.cli.main(argv_of(path, os.path.join(tmp, "out.json")))
+
+
+# Valid trace configs on a 64-point interval with a Cantor subset: each
+# pipeline with a params kind it accepts.
+_PARAMS = st.fixed_dictionaries({
+    "s": st.floats(0.3, 0.95),
+    "p": st.sampled_from([0.8, 1.5, 2.0, 4, 8, "inf"]),
+    "q": st.sampled_from([1, 2.0, "inf"]),
+    "kind": st.sampled_from(["besov", "triebel", "nonhom_besov"])})
+_PIPELINES = [("besov", "trace", "besov"), ("besov", "extend", "besov"),
+              ("besov", "roundtrip", "besov"),
+              ("triebel", "trace", "triebel"),
+              ("nonhom", "trace", "nonhom_besov"),
+              ("nonhom", "roundtrip", "nonhom_besov"),
+              ("sobolev", "extend", "besov")]
+
+
+def _trace_config(pipeline):
+    theorem, direction, kind = pipeline
+    return st.fixed_dictionaries(
+        {"space": st.just({"kind": "cube", "dim": 1, "depth": 6}),
+         "subset": st.fixed_dictionaries({"cantor_depth": st.integers(1, 3)}),
+         "level_hi": st.integers(1, 4),
+         "params": _PARAMS.map(lambda p: dict(p, kind=kind)),
+         "theorem": st.just(theorem),
+         "direction": st.just(direction),
+         "function": st.one_of(
+             st.fixed_dictionaries({"kind": st.just("constant"),
+                                    "value": st.floats()}),
+             st.fixed_dictionaries({"kind": st.just("random_tents"),
+                                    "n_tents": st.integers(-1, 4)}))},
+        optional={"level_lo": st.integers(-2, 0),
+                  "variant": st.sampled_from(["indicator", "mass",
+                                              "half_ball"]),
+                  "seed": st.integers(0, 2**70)})
+
+
+_TRACE_CONFIGS = st.sampled_from(_PIPELINES).flatmap(_trace_config)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_trace_config_exits_with_a_documented_code(data):
+    cfg = copy.deepcopy(data.draw(_TRACE_CONFIGS))
+    code = _run_fuzzed(lambda c, o: ["trace", "run", "--config", c,
+                                     "--out", o], cfg, data)
+    assert code in (0, 2, 3, 4)
+
+
+# Valid configs for every audit on a 64-point interval, one trial each.
+_CUBE6 = {"kind": "cube", "dim": 1, "depth": 6}
+_VERIFY_CONFIGS = st.one_of(
+    st.tuples(st.sampled_from(["audit_norm_variants", "audit_nonhom_split",
+                               "audit_approx_density"]),
+              st.fixed_dictionaries(
+                  {"space": st.just(_CUBE6), "level_hi": st.integers(1, 3),
+                   "trials": st.just(1)},
+                  optional={"params": _PARAMS,
+                            "level_lo": st.integers(-1, 0)})),
+    st.tuples(st.just("audit_porosity_qindependence"),
+              st.fixed_dictionaries(
+                  {"space": st.just(_CUBE6),
+                   "subset": st.just({"cantor_depth": 2}),
+                   "level_hi": st.integers(1, 3), "trials": st.just(1)},
+                  optional={"s": st.floats(0.05, 1.0),
+                            "p": st.sampled_from([1.0, 2.0, 4.0]),
+                            "q_list": st.lists(st.sampled_from([1, 2, 4]),
+                                               min_size=1, max_size=3)})),
+    st.tuples(st.just("audit_small_p_embedding"),
+              st.fixed_dictionaries(
+                  {"space": st.just(_CUBE6), "level_hi": st.integers(1, 3),
+                   "p": st.sampled_from([0.5, 0.8, 1.0]),
+                   "trials": st.just(1)},
+                  optional={"level": st.integers(0, 3),
+                            "sigma_grid": st.lists(st.floats(0.05, 1.0),
+                                                   min_size=1,
+                                                   max_size=3)})),
+    st.tuples(st.just("audit_theorem_suite"),
+              st.fixed_dictionaries(
+                  {"space": st.just(_CUBE6),
+                   "subset": st.just({"cantor_depth": 2}),
+                   "theorem": st.sampled_from(["besov", "triebel",
+                                               "sobolev"]),
+                   "resolutions": st.lists(st.integers(1, 3), min_size=1,
+                                           max_size=2),
+                   "trials": st.just(1)},
+                  optional={"grid": st.just({"s": [0.5], "p": [2.0],
+                                             "q": [2.0]})})))
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_verify_config_exits_with_a_documented_code(data):
+    audit, cfg = data.draw(_VERIFY_CONFIGS)
+    cfg = copy.deepcopy(cfg)
+    code = _run_fuzzed(lambda c, o: ["verify", audit, "--config", c,
+                                     "--out", o], cfg, data)
+    assert code in (0, 2, 3, 4)
+
+
+# Valid descriptors of each kind, at most 64 points.
+_SUBSETS = st.one_of(
+    st.fixed_dictionaries({"cantor_depth": st.integers(1, 3)}),
+    st.fixed_dictionaries({"indices": st.lists(st.integers(0, 7),
+                                               min_size=1, max_size=4),
+                           "lambda": st.floats(0.1, 1.0)}))
+_SPACE_DESCRIPTORS = st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.just("cube"), "dim": st.integers(1, 2),
+         "depth": st.integers(1, 3)},
+        optional={"metric": st.sampled_from(["sup", "euclidean"]),
+                  "subset": _SUBSETS}),
+    st.fixed_dictionaries(
+        {"kind": st.just("ifs"),
+         "maps": st.just([{"ratio": 1 / 3, "offset": [0.0]},
+                          {"ratio": 1 / 3, "offset": [2 / 3]}]),
+         "depth": st.integers(1, 6)},
+        optional={"metric": st.sampled_from(["sup", "euclidean"]),
+                  "subset": st.just({"submaps": [0]})}),
+    st.integers(1, 8).flatmap(lambda n: st.fixed_dictionaries(
+        {"kind": st.just("pointset"),
+         "points": st.lists(st.lists(st.floats(0.0, 1.0), min_size=1,
+                                     max_size=1), min_size=n, max_size=n),
+         "weights": st.lists(st.floats(0.01, 1.0), min_size=n, max_size=n),
+         "metric": st.sampled_from(["sup", "euclidean"]),
+         "resolution": st.floats(0.01, 0.5),
+         "declared_Q": st.floats(0.5, 2.0),
+         "declared_diam": st.floats(0.5, 2.0)})))
+
+
+def _within_cap(desc, cap=64):
+    """Whether the descriptor asks for at most `cap` points (malformed ones
+    count as small: they never build a cloud)."""
+    try:
+        hf.space_from_descriptor(desc, point_budget=cap)
+    except hf.ConfigError as exc:
+        return "budget" not in str(exc)
+    except Exception:
+        return True
+    return True
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_space_descriptor_exits_with_a_documented_code(data):
+    desc = copy.deepcopy(data.draw(_SPACE_DESCRIPTORS))
+    for _ in range(data.draw(st.integers(0, 2))):
+        where = desc
+        if isinstance(where.get("maps"), list) and data.draw(st.booleans()):
+            where = data.draw(st.sampled_from(where["maps"]))
+        key = data.draw(st.sampled_from(sorted(where)))
+        if data.draw(st.booleans()):
+            where[key] = data.draw(_ANY)
+        else:
+            del where[key]
+    assume(_within_cap(desc))
+    action = data.draw(st.sampled_from(["build", "audit"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        with open(path, "w") as fh:
+            json.dump(desc, fh)
+        code = hf.cli.main(["space", action, path,
+                            "--out" if action == "build" else "--report",
+                            os.path.join(tmp, "out.json")])
+    assert code in (0, 2, 3, 4)

@@ -351,3 +351,49 @@ def test_loaded_nested_rejects_short_or_out_of_range_embedding(pair6, key):
     wild = dict(doc, **{key: [10**6] * len(doc[key])})
     with pytest.raises(hf.ConfigError, match=key):
         nested_from_dict(wild)
+
+
+def _scan_rows_agree(fil):
+    space = fil.space
+    for v in range(fil.n_vertices):
+        d = space.dist_from(space.points[fil.centers[v]])
+        assert np.array_equal(fil.ball_member_list[v],
+                              np.flatnonzero(d < fil.radii[v]))
+
+
+def test_ball_rows_match_full_scan(any_filling):
+    _scan_rows_agree(any_filling)
+
+
+def test_euclidean_ball_rows_match_full_scan():
+    fil = hf.build_filling(hf.unit_cube_space(2, 4, metric="euclidean"),
+                           -1, 2)
+    _scan_rows_agree(fil)
+    assert hf.audit_filling(fil)["ok"]
+
+
+def test_audit_flags_ball_rows_missing_a_member(monkeypatch):
+    # the audit judges balls on its own distance matrix, so a ball query
+    # that loses one member cannot pass it
+    orig = hf.FiniteMetricMeasureSpace.ball_rows
+
+    def lossy(self, centers, radii):
+        rows = orig(self, centers, radii)
+        at = next(i for i, row in enumerate(rows) if row.size >= 2)
+        rows[at] = rows[at][:-1]
+        return rows
+
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_rows", lossy)
+    report = hf.audit_filling(hf.build_filling(hf.unit_cube_space(1, 6),
+                                               0, 4))
+    assert report["radius_law_ok"] is False and report["ok"] is False
+
+
+def test_audit_flags_net_blocking_missing_a_member(monkeypatch):
+    orig = hf.FiniteMetricMeasureSpace.ball_indices
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_indices",
+                        lambda self, c, r: orig(self, c, r)[:-1])
+    report = hf.audit_filling(hf.build_filling(hf.unit_cube_space(1, 6),
+                                               0, 4))
+    assert report["ok"] is False
+    assert not all(lv["separation_ok"] for lv in report["levels"].values())

@@ -43,6 +43,25 @@ def test_lp_norm_outside_the_range_of_v_to_the_p(interval8, scale):
                                 rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("kind, variant", [("besov", None),
+                                           ("triebel", None),
+                                           ("besov", "mass")])
+def test_level_aggregation_outside_the_range_of_v_to_the_p(tiny_filling,
+                                                          kind, variant):
+    # one sample of 1e300: the level sum, the pointwise Triebel sum and the
+    # mass sum would each overflow at p = q = 2
+    f = np.zeros(tiny_filling.space.n_points)
+    f[5] = 1.0
+    params = SmoothnessParams(0.5, 2.0, 2.0, kind)
+    fn = besov_fn_norm if kind == "besov" else triebel_fn_norm
+    variant = NormVariant(kind=variant) if variant else None
+    unit = fn(tiny_filling, f, params, variant)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = fn(tiny_filling, 1e300 * f, params, variant)
+    assert got == pytest.approx(1e300 * unit, rel=1e-14, abs=0.0)
+
+
 def test_lp_norm_validation(interval8):
     with pytest.raises(hf.ConfigError):
         lp_norm(interval8, np.zeros(3), 2.0)

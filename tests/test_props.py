@@ -50,6 +50,43 @@ def test_greedy_subset_matches_reference(pts, sep):
     assert np.array_equal(got, greedy_net(pts, sep, "sup"))
 
 
+def _cloud_space(pts, sup):
+    return hf.FiniteMetricMeasureSpace(
+        points=pts, weights=np.ones(pts.shape[0]),
+        metric_kind="sup" if sup else "euclidean", resolution=1.0,
+        declared_Q=1.0, declared_diam=1.0)
+
+
+@given(point_clouds, st.floats(0.01, 1.5), st.booleans(), st.randoms())
+@settings(max_examples=60)
+def test_tree_net_matches_pairwise_scan(pts, sep, sup, rnd):
+    space = _cloud_space(pts, sup)
+    cands = np.arange(pts.shape[0], dtype=np.int64)
+    rnd.shuffle(cands)
+    cands = cands[:rnd.randint(1, cands.size)]
+    got = greedy_separated_subset(pts, cands, sep, sup,
+                                  ball=space.ball_indices)
+    assert np.array_equal(got, greedy_separated_subset(pts, cands, sep, sup))
+
+
+@given(point_clouds, st.booleans(), st.data())
+@settings(max_examples=60)
+def test_ball_rows_match_full_scan_at_ties(pts, sup, data):
+    space = _cloud_space(pts, sup)
+    n = pts.shape[0]
+    centers = data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                 max_size=5))
+    # each radius is an actual distance from its center: an exact tie
+    others = data.draw(st.lists(st.integers(0, n - 1), min_size=len(centers),
+                                max_size=len(centers)))
+    radii = [space.dist_from(pts[c])[o] for c, o in zip(centers, others)]
+    rows = space.ball_rows(centers, radii)
+    for c, r, row in zip(centers, radii, rows):
+        want = np.flatnonzero(space.dist_from(pts[c]) < r)
+        assert np.array_equal(row, want)
+        assert np.array_equal(space.ball_indices(c, r), want)
+
+
 @given(st.data())
 @settings(max_examples=60)
 def test_pair_max_lift_repairs_every_instance(data):

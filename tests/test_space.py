@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
-from hyperfill.space import _dyadic_radii, mask_from_descriptor, space_to_descriptor
+from hyperfill._kernels import greedy_separated_subset
+from hyperfill.space import (_dyadic_radii, dist_to_subset, mask_from_descriptor,
+                            space_to_descriptor)
 
 from oracles import ball_mass, box_count_slope, greedy_net, pair_distances
 
@@ -235,3 +237,89 @@ def test_descriptor_rejects_unknown_kind():
         hf.space_from_descriptor({"kind": "torus"})
     with pytest.raises(hf.ConfigError):
         hf.space_from_descriptor({"dim": 1})
+
+
+# -- kd-tree ball query and tree-driven nets --------------------------------
+
+def _tie_radii(space, centers, rng):
+    """Radii equal to an actual distance from each center (exact ties),
+    dyadic radii (ties on the grid), generic radii and radius 0."""
+    ties = [space.dist_from(space.points[c])[rng.integers(space.n_points)]
+            for c in centers[:10]]
+    dyadic = 2.0 ** -rng.integers(0, 6, 10).astype(float)
+    return np.concatenate([ties, dyadic, rng.uniform(0.0, 1.0, 9), [0.0]])
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("dim, depth", [(1, 7), (2, 4), (3, 3)])
+def test_ball_rows_match_full_scan(metric, dim, depth):
+    space = hf.unit_cube_space(dim, depth, metric=metric)
+    rng = np.random.default_rng(10 * dim + depth)
+    centers = rng.integers(0, space.n_points, 30)
+    radii = _tie_radii(space, centers, rng)
+    rows = space.ball_rows(centers, radii)
+    assert len(rows) == centers.size
+    for row, c, r in zip(rows, centers, radii):
+        d = space.dist_from(space.points[c])
+        want = np.flatnonzero(d < r)
+        assert row.dtype == np.int64 and np.array_equal(row, want)
+        assert np.array_equal(space.ball_indices(c, r), want)
+        assert space.ball_mass(c, r) == float(space.weights[d < r].sum())
+
+
+def test_ball_rows_of_no_centers(interval8):
+    assert interval8.ball_rows([], []) == []
+
+
+def test_nonfinite_points_are_rejected():
+    with pytest.raises(hf.ConfigError, match="finite"):
+        hf.FiniteMetricMeasureSpace(
+            points=np.array([[0.0], [np.nan]]), weights=np.ones(2),
+            metric_kind="sup", resolution=0.5, declared_Q=1.0,
+            declared_diam=1.0)
+
+
+def _nets_agree(space, candidates, seps):
+    sup = space.metric_kind == "sup"
+    for sep in seps:
+        want = greedy_separated_subset(space.points, candidates, sep, sup)
+        got = greedy_separated_subset(space.points, candidates, sep, sup,
+                                      ball=space.ball_indices)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want), sep
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+@pytest.mark.parametrize("dim, depth", [(1, 8), (2, 5), (3, 3)])
+def test_tree_net_matches_pairwise_scan(metric, dim, depth):
+    # dyadic separations put many candidates at exactly sep, which the
+    # scan must not block
+    space = hf.unit_cube_space(dim, depth, metric=metric)
+    seps = [2.0 ** -k for k in range(depth + 1)] + [0.3, 0.13]
+    _nets_agree(space, np.arange(space.n_points), seps)
+
+
+def test_tree_net_matches_pairwise_scan_on_subset_candidates(interval10,
+                                                             cantor6):
+    # the nested builder's two candidate lists: points on F, and points
+    # at distance >= 2^-n from F; a shuffled list checks the scan order
+    dist_f = dist_to_subset(interval10, cantor6)
+    rng = np.random.default_rng(4)
+    for n in range(8):
+        scale = 2.0 ** -n
+        far = np.flatnonzero(dist_f >= scale)
+        _nets_agree(interval10, cantor6.member_indices, [scale])
+        _nets_agree(interval10, far, [scale / 2])
+        _nets_agree(interval10, rng.permutation(far), [scale / 2])
+
+
+def test_tree_net_matches_pairwise_scan_on_euclidean_subset():
+    space = hf.unit_cube_space(2, 5, metric="euclidean")
+    mask = mask_from_descriptor(space, {
+        "indices": np.flatnonzero(space.points[:, 0] < 0.3).tolist(),
+        "lambda": 1.0})
+    dist_f = dist_to_subset(space, mask)
+    for n in range(-1, 4):
+        scale = 2.0 ** -n
+        _nets_agree(space, mask.member_indices, [scale])
+        _nets_agree(space, np.flatnonzero(dist_f >= scale), [scale / 2])

@@ -162,9 +162,10 @@ def test_theorem_suite_threaded_run_is_identical(interval10, cantor6):
     args = (hf.space_to_descriptor(interval10),
             hf.mask_to_descriptor(cantor6),
             "besov", [{"s": 0.5, "p": 2.0, "q": 2.0}], [6])
-    serial = audit_theorem_suite(*args, trials=3, seed=0, threads=1)
-    threaded = audit_theorem_suite(*args, trials=3, seed=0, threads=4)
-    assert serial.to_dict() == threaded.to_dict()
+    # threads is accepted and ignored: the report bytes never depend on it
+    reports = [canonical_dumps(audit_theorem_suite(
+        *args, trials=3, seed=0, threads=t).to_dict()) for t in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_function_batches_are_reproducible(interval10):
