@@ -19,6 +19,9 @@ from scipy import sparse
 from .errors import ConfigError, NumericalError
 from .filling import Filling
 
+# Gathered tail-partition entries per block of a cross-matrix build.
+_CROSS_BLOCK_NNZ = 1 << 20
+
 __all__ = [
     "Partition",
     "poisson_extension",
@@ -175,7 +178,9 @@ def edge_blend(filling: Filling, edge_values, level: int) -> np.ndarray:
     Only edges joining level ``level`` to ``level + 1`` contribute; the
     weight of edge ``e = (x, y)`` at a point is ``psi_x psi_y``, the
     product of the tail partition at ``level`` and the head partition at
-    ``level + 1``.
+    ``level + 1``.  Those products depend only on the filling, so they
+    are built once per level and cached next to the partitions; each
+    call is one sparse product with the cached matrix.
 
     Parameters
     ----------
@@ -190,20 +195,56 @@ def edge_blend(filling: Filling, edge_values, level: int) -> np.ndarray:
     ndarray
         Point samples of the blended sequence.
     """
+    u = _check_edge_values(filling, edge_values)
+    return _cross_blend(filling, u, level)
+
+
+def _check_edge_values(filling: Filling, edge_values) -> np.ndarray:
     u = np.ascontiguousarray(edge_values, dtype=np.float64)
     if u.shape != (filling.n_edges,):
         raise ConfigError(
             "edge sequence has %s entries, filling has %d edges"
             % (u.shape, filling.n_edges))
+    return u
+
+
+def _cross_blend(filling: Filling, u: np.ndarray, level: int) -> np.ndarray:
+    eids = filling.cross_edges_at_level(level)
+    return _cross_blend_matrix(filling, level).T @ u[eids]
+
+
+def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
+    """Cached (cross edges, n_points) matrix of the products ``psi_x psi_y``.
+
+    Row ``i`` belongs to the i-th edge of `Filling.cross_edges_at_level`
+    and is the sparse entrywise product of its tail's partition row at
+    ``level`` and its head's row at ``level + 1``.  The rows are
+    multiplied in blocks of edges, so the gathered tail rows, many
+    copies of each coarse row, never hold much more than
+    ``_CROSS_BLOCK_NNZ`` entries at once.  A level without cross edges
+    gets an empty matrix and builds no partition.
+    """
+    key = ("cross", level)
+    cached = filling._partition_cache.get(key)
+    if cached is not None:
+        return cached
     eids = filling.cross_edges_at_level(level)
     if eids.size == 0:
-        return np.zeros(filling.space.n_points)
-    lo = build_partition(filling, level)
-    hi = build_partition(filling, level + 1)
-    t_local = filling.tails[eids] - lo.vertex_ids[0]
-    h_local = filling.heads[eids] - hi.vertex_ids[0]
-    pair = lo.psi[t_local].multiply(hi.psi[h_local]).tocsr()
-    return pair.T @ u[eids]
+        cross = sparse.csr_matrix((0, filling.space.n_points))
+    else:
+        lo = build_partition(filling, level)
+        hi = build_partition(filling, level + 1)
+        t_local = filling.tails[eids] - lo.vertex_ids[0]
+        h_local = filling.heads[eids] - hi.vertex_ids[0]
+        tail_nnz = np.cumsum(np.diff(lo.psi.indptr)[t_local])
+        cuts = np.searchsorted(tail_nnz, np.arange(
+            _CROSS_BLOCK_NNZ, tail_nnz[-1], _CROSS_BLOCK_NNZ))
+        blocks = [lo.psi[t].multiply(hi.psi[h]).tocsr() for t, h in
+                  zip(np.split(t_local, cuts), np.split(h_local, cuts))]
+        cross = blocks[0] if len(blocks) == 1 else \
+            sparse.vstack(blocks, format="csr")
+    filling._partition_cache[key] = cross
+    return cross
 
 
 def telescoping_integral(filling: Filling, edge_values,
@@ -216,7 +257,8 @@ def telescoping_integral(filling: Filling, edge_values,
     cloud) the integral of a derivative recovers the function up to the
     constant fixed by the basepoint.  Negative levels contribute their
     blend minus its basepoint value, pinning the integrand of coarse
-    scales to zero at the basepoint.
+    scales to zero at the basepoint.  Each level is one product with the
+    cross-edge matrix that `edge_blend` caches on the filling.
 
     Parameters
     ----------
@@ -246,9 +288,10 @@ def telescoping_integral(filling: Filling, edge_values,
             % (lo, hi, filling.level_lo, filling.level_hi - 1))
     if lo < 0 and basepoint is None:
         raise ConfigError("window reaches below level 0; basepoint required")
+    u = _check_edge_values(filling, edge_values)
     out = np.zeros(filling.space.n_points)
     for n in range(lo, hi + 1):
-        term = edge_blend(filling, edge_values, n)
+        term = _cross_blend(filling, u, n)
         if n < 0:
             term = term - term[basepoint]
         out += term

@@ -168,6 +168,9 @@ class NestedFilling:
     point_embedding: np.ndarray   # trace space point index -> ambient point index
     vertex_embedding: np.ndarray  # trace vertex id -> ambient vertex id
     edge_embedding: np.ndarray    # trace edge id -> ambient edge id
+    # extend_sobolev's certificate pairs and distances, per pair seed
+    _cert_plans: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @property
     def trace_space(self) -> FiniteMetricMeasureSpace:
@@ -406,6 +409,10 @@ def _orientation_ok(filling: Filling) -> bool:
                                 lh == lt + 1)))
 
 
+# Byte budget of one vertex block of the audit's distance matrices.
+_AUDIT_BLOCK_BYTES = 16 << 20
+
+
 def audit_filling(filling: Filling) -> dict:
     """Recheck the construction invariants; returns measured facts.
 
@@ -418,7 +425,10 @@ def audit_filling(filling: Filling) -> dict:
     product of the vertex-membership matrix with its transpose,
     independent of the per-level products the build takes edges from.
     Separation, covering and balls are judged on brute-force distance
-    matrices, not through the kd-tree query the build uses.
+    matrices, not through the kd-tree query the build uses; the matrices
+    are computed in blocks of vertices under a fixed byte budget, so the
+    audit's memory does not grow with the product of points and
+    vertices.
     """
     space = filling.space
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
@@ -442,16 +452,25 @@ def audit_filling(filling: Filling) -> dict:
             radius_ok = bool(np.all(on_f | (radii == scale)))
 
         coords = space.points[centers]
-        dmat = space.cross_dist(coords, coords)
-        np.fill_diagonal(dmat, np.inf)
-        # Mixed separations: a pair must respect the smaller requirement.
-        pair_sep = np.minimum(seps[:, None], seps[None, :])
-        separation_ok = bool(np.all(dmat >= pair_sep - 1e-15))
+        separation_ok = True
+        covered = np.zeros(space.n_points, dtype=bool)
+        # Column blocks of the brute-force distance matrices: a block's
+        # two float64 matrices hold at most _AUDIT_BLOCK_BYTES.
+        step = max(1, _AUDIT_BLOCK_BYTES
+                   // (8 * (space.n_points + centers.shape[0])))
+        for a in range(0, centers.shape[0], step):
+            b = min(a + step, centers.shape[0])
+            dmat = space.cross_dist(coords, coords[a:b])
+            dmat[np.arange(a, b), np.arange(b - a)] = np.inf
+            # Mixed separations: a pair must respect the smaller requirement.
+            pair_sep = np.minimum(seps[:, None], seps[None, a:b])
+            separation_ok &= bool(np.all(dmat >= pair_sep - 1e-15))
 
-        dist_all = space.cross_dist(space.points, coords)
-        covering_ok = bool(np.all((dist_all < radii[None, :] / 2).any(axis=1)))
-        radius_ok = radius_ok and _balls_ok(memb, lo, hi,
-                                            dist_all < radii[None, :])
+            dist_all = space.cross_dist(space.points, coords[a:b])
+            covered |= (dist_all < radii[None, a:b] / 2).any(axis=1)
+            radius_ok = radius_ok and _balls_ok(
+                memb, lo + a, lo + b, dist_all < radii[None, a:b])
+        covering_ok = bool(covered.all())
         report["radius_law_ok"] &= radius_ok
         report["levels"][n] = {
             "n_vertices": int(centers.shape[0]),

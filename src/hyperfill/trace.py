@@ -7,7 +7,9 @@ integral over the subset rebuilds a function on the subset points.
 Extension runs the same pipeline in reverse, zero-extending the subset
 edge sequence into the ambient filling.  Each operator reports the norm
 on both sides of the corresponding equivalence, never a hidden
-constant.
+constant.  A substitute norm variant is given on the ambient filling;
+the subset side is scored with its sets restricted to the subset, which
+for `half_ball_substitute` are the subset filling's own half balls.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 
 from .calculus import (discrete_derivative, level_blend, poisson_extension,
                        telescoping_integral)
-from .errors import GateError, NumericalError
+from .errors import ConfigError, GateError, NumericalError
 from .filling import NestedFilling
 from .norms import (NormVariant, SmoothnessParams, admissibility,
                     besov_fn_norm, besov_seq_norm, lp_norm, nonhom_norm,
@@ -39,6 +41,8 @@ __all__ = [
 
 # Pair budget for the pointwise-gradient certificate of an extension.
 _CERT_PAIR_CAP = 2_000_000
+# Pairs checked per block; bounds the certificate's per-call scratch.
+_CERT_BLOCK = 1 << 18
 
 _UNSET = object()
 
@@ -83,7 +87,9 @@ class SobolevCertificate:
     ``g`` is a Hajlasz gradient of the extended function: for every
     sampled pair, ``|u(x) - u(y)| <= d(x, y) (g(x) + g(y))``.  ``K`` is
     the factor by which the raw edge superposition was scaled to make
-    that hold, and ``pairs_checked`` counts the sampled pairs.
+    that hold, and ``pairs_checked`` counts the sampled pairs.  The pair
+    sample is drawn once per nested filling and pair seed, and reused by
+    every extension that filling certifies with that seed.
     """
 
     g: np.ndarray = field(repr=False)
@@ -116,6 +122,31 @@ def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str,
                 "subset failed the porosity scan; the %s window needs a "
                 "porous subset" % theorem)
     return adm
+
+
+def _trace_variant(nested: NestedFilling, variant: NormVariant | None):
+    """The variant scoring the subset filling.
+
+    A substitute's sets belong to the ambient edges; each subset edge
+    takes its ambient edge's set restricted to the subset points, in
+    subset point indices.  Other variants serve both sides as they are.
+    """
+    if variant is None or variant.kind != "substitute":
+        return variant
+    amb = nested.ambient
+    if len(variant.sets) != amb.n_edges:
+        raise ConfigError(
+            "substitute has %d sets, ambient filling has %d edges"
+            % (len(variant.sets), amb.n_edges))
+    sub_index = np.full(amb.space.n_points, -1, dtype=np.int64)
+    sub_index[nested.point_embedding] = np.arange(
+        nested.point_embedding.size)
+    sets = []
+    for eid in nested.edge_embedding:
+        local = sub_index[np.asarray(variant.sets[eid], dtype=np.int64)]
+        sets.append(local[local >= 0])
+    return NormVariant(kind="substitute", sets=sets,
+                       dilation=variant.dilation)
 
 
 def _restrict_derivative(nested: NestedFilling, f):
@@ -165,6 +196,8 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
         Source exponents with kind ``besov``; must pass the Besov trace
         window for the declared dimensions.
     variant : NormVariant, optional
+        Scores the ambient side; a substitute is restricted to the
+        subset for the subset side.
 
     Returns
     -------
@@ -179,12 +212,13 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
     t_params = params.replace(s=adm.trace_smoothness)
     u_amb = np.zeros(nested.ambient.n_edges)
     u_amb[nested.edge_embedding] = u_sub
-    t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
+    t_variant = _trace_variant(nested, variant)
+    t_norm = besov_fn_norm(nested.trace, samples, t_params, t_variant)
     s_norm = besov_fn_norm(nested.ambient, f, params, variant)
     details = {
         "anchor_point": anchor,
         "trace_side_seq_norm": besov_seq_norm(
-            nested.trace, u_sub, t_params, variant),
+            nested.trace, u_sub, t_params, t_variant),
         "ambient_side_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
         "source_seq_norm": besov_seq_norm(
@@ -207,7 +241,8 @@ def extend_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
     extended, u_amb, _ = _extension_samples(nested, f_sub)
     src_params = params.replace(s=adm.trace_smoothness)
     t_norm = besov_fn_norm(nested.ambient, extended, params, variant)
-    s_norm = besov_fn_norm(nested.trace, f_sub, src_params, variant)
+    s_norm = besov_fn_norm(nested.trace, f_sub, src_params,
+                           _trace_variant(nested, variant))
     details = {
         "zero_extended_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
@@ -236,7 +271,8 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
     samples, anchor = _trace_samples(nested, v, u_sub)
     t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p,
                                 q=params.p, kind="besov")
-    t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
+    t_norm = besov_fn_norm(nested.trace, samples, t_params,
+                           _trace_variant(nested, variant))
     s_norm = triebel_fn_norm(nested.ambient, f, params, variant)
     u_amb = np.zeros(nested.ambient.n_edges)
     u_amb[nested.edge_embedding] = u_sub
@@ -263,6 +299,27 @@ def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return ii[keep], jj[keep]
 
 
+def _cert_pair_plan(nested: NestedFilling, pair_seed: int):
+    """The certificate's pairs ``ii``, ``jj`` (int32) and their distances.
+
+    They depend only on the ambient space and the seed, so they are drawn
+    and measured once per nested filling and seed, then kept on it.
+    """
+    plan = nested._cert_plans.get(pair_seed)
+    if plan is None:
+        space = nested.ambient.space
+        ii, jj = _pair_sample(space.n_points, _CERT_PAIR_CAP,
+                              np.random.default_rng(pair_seed))
+        ii, jj = ii.astype(np.int32), jj.astype(np.int32)
+        d = np.empty(ii.size)
+        for lo in range(0, ii.size, _CERT_BLOCK):
+            blk = slice(lo, lo + _CERT_BLOCK)
+            d[blk] = _rowwise_dist(space.points[ii[blk]],
+                                   space.points[jj[blk]], space.metric_kind)
+        plan = nested._cert_plans[pair_seed] = (ii, jj, d)
+    return plan
+
+
 def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
                    pair_seed: int = 0) -> ExtensionResult:
     """Extend a subset function with an explicit gradient certificate.
@@ -273,7 +330,12 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     for which ``K base`` dominates every sampled difference quotient of
     the extended function.  Pairs where ``base`` vanishes at both ends
     must have equal values (the extension is locally constant there); a
-    violation raises ``NumericalError``.
+    violation raises ``NumericalError``.  The pairs are every pair of
+    ambient points, or, once there are more than 2,000,000, that many
+    draws seeded by ``pair_seed`` with the self-pairs dropped.  The pair
+    sample and its distances are drawn once per nested filling and seed;
+    each call gathers only the extension and its gradient over them,
+    block by block.
 
     Parameters
     ----------
@@ -299,19 +361,26 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     extended, u_amb, _ = _extension_samples(nested, f_sub)
 
     base = amb.edge_membership().T @ (2.0 ** amb.edge_levels * np.abs(u_amb))
-    rng = np.random.default_rng(pair_seed)
-    ii, jj = _pair_sample(space.n_points, _CERT_PAIR_CAP, rng)
-    d = _rowwise_dist(space.points[ii], space.points[jj], space.metric_kind)
-    du_pair = np.abs(extended[ii] - extended[jj])
-    cap = d * (base[ii] + base[jj])
-    dead = cap <= 0.0
-    live = ~dead & (d > 0.0)
+    ii, jj, d = _cert_pair_plan(nested, pair_seed)
     scale = float(np.abs(extended).max()) or 1.0
-    if np.any(du_pair[dead] > 1e-9 * scale):
+    blind, blind_max, quotient_max = False, [], []
+    for lo in range(0, ii.size, _CERT_BLOCK):
+        blk = slice(lo, lo + _CERT_BLOCK)
+        i, j, d_blk = ii[blk], jj[blk], d[blk]
+        du_pair = np.abs(extended[i] - extended[j])
+        cap = d_blk * (base[i] + base[j])
+        dead = cap <= 0.0
+        live = ~dead & (d_blk > 0.0)
+        if dead.any():
+            blind |= bool(np.any(du_pair[dead] > 1e-9 * scale))
+            blind_max.append(du_pair[dead].max())
+        if live.any():
+            quotient_max.append((du_pair[live] / cap[live]).max())
+    if blind:
         raise NumericalError(
             "extension varies across a pair its gradient cannot see "
-            "(max %.3g)" % float(du_pair[dead].max()))
-    K = float((du_pair[live] / cap[live]).max()) if live.any() else 0.0
+            "(max %.3g)" % float(np.max(blind_max)))
+    K = float(np.max(quotient_max)) if quotient_max else 0.0
     g = K * base
     g_norm = lp_norm(space, g, p)
     src_params = SmoothnessParams(s=adm.trace_smoothness, p=p, q=p,
@@ -354,7 +423,8 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
     t_q = params.q if theorem == "besov" else params.p
     t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p, q=t_q,
                                 kind=t_kind)
-    t_lp, t_seq = nonhom_norm(tr, samples, t_params, variant)
+    t_lp, t_seq = nonhom_norm(tr, samples, t_params,
+                              _trace_variant(nested, variant))
     s_lp, s_seq = nonhom_norm(nested.ambient, f, params, variant)
     gamma = nested.ambient.space.declared_Q - nested.mask.declared_lambda
     band = codim_mass_band(nested, gamma)
@@ -389,7 +459,8 @@ def nonhom_extend(nested: NestedFilling, f_sub, params: SmoothnessParams,
     src_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p, q=s_q,
                                   kind="nonhom_besov")
     t_lp, t_seq = nonhom_norm(amb, extended, params, variant)
-    s_lp, s_seq = nonhom_norm(tr, f_sub, src_params, variant)
+    s_lp, s_seq = nonhom_norm(tr, f_sub, src_params,
+                              _trace_variant(nested, variant))
     t_norm, s_norm = t_lp + t_seq, s_lp + s_seq
     details = {
         "target_lp_part": t_lp, "target_seq_part": t_seq,

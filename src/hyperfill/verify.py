@@ -190,6 +190,8 @@ def audit_porosity_qindependence(nested: NestedFilling, *, s: float = 0.5,
     amb = nested.ambient
     rng = np.random.default_rng(seed)
     q_list = [float(q) for q in q_list]
+    if not q_list:
+        raise ConfigError("q_list names no aggregation exponent")
     porosity = porosity_scan(amb.space, nested.mask, seed=seed)
     rows = [{"cell": "porosity",
              "constant": porosity if porosity is not None else 0.0}]

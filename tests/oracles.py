@@ -138,3 +138,12 @@ def ball_mass(points, weights, center, radius, metric="sup"):
     else:
         d = np.sqrt((diff**2).sum(axis=1))
     return float(np.asarray(weights)[d < radius].sum())
+
+
+def row_gather_cross_product(tail_psi, head_psi, tail_rows, head_rows):
+    """Entrywise product of gathered partition rows, one row per edge.
+
+    Row i is ``tail_psi[tail_rows[i]] * head_psi[head_rows[i]]``, taken
+    by gathering both row blocks and multiplying them as sparse matrices.
+    """
+    return tail_psi[tail_rows].multiply(head_psi[head_rows]).tocsr()

@@ -1,15 +1,18 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import sparse
 
 import hyperfill as hf
-from hyperfill.calculus import (build_partition, discrete_derivative,
-                                edge_blend, level_blend,
+from hyperfill import calculus
+from hyperfill.calculus import (_cross_blend_matrix, build_partition,
+                                discrete_derivative, edge_blend, level_blend,
                                 partition_lipschitz_quotient,
                                 poisson_extension, telescoping_integral)
 
 from conftest import tent_batch
-from oracles import dense_partition
+from oracles import dense_partition, row_gather_cross_product
 
 
 def test_poisson_extension_is_ball_average(plain6):
@@ -170,3 +173,57 @@ def test_smooth_function_blend_converges(plain6):
     errs = [np.abs(level_blend(plain6, v, n) - f).max()
             for n in (2, 4, 6)]
     assert errs[2] < errs[1] < errs[0]
+
+
+def _oracle_cross(fil, level):
+    eids = fil.cross_edges_at_level(level)
+    if eids.size == 0:
+        return sparse.csr_matrix((0, fil.space.n_points))
+    lo = build_partition(fil, level)
+    hi = build_partition(fil, level + 1)
+    return row_gather_cross_product(lo.psi, hi.psi,
+                                    fil.tails[eids] - lo.vertex_ids[0],
+                                    fil.heads[eids] - hi.vertex_ids[0])
+
+
+@pytest.mark.parametrize("block_nnz", [None, 64])
+@pytest.mark.parametrize("name", ["plain6", "pair8.ambient", "pair8.trace"])
+def test_cached_cross_matrix_equals_row_gather_product(request, monkeypatch,
+                                                       name, block_nnz):
+    fixture, _, side = name.partition(".")
+    fil = request.getfixturevalue(fixture)
+    fil = getattr(fil, side) if side else fil
+    if block_nnz is not None:
+        # a fresh copy, built in many small edge blocks
+        monkeypatch.setattr(calculus, "_CROSS_BLOCK_NNZ", block_nnz)
+        fil = dataclasses.replace(fil)
+    # the finest level has no cross edges
+    assert fil.cross_edges_at_level(fil.level_hi).size == 0
+    for n in fil.levels:
+        got = _cross_blend_matrix(fil, n)
+        want = _oracle_cross(fil, n)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.dtype == want.data.dtype
+        assert np.array_equal(got.data, want.data)
+        assert _cross_blend_matrix(fil, n) is got
+        u = np.random.default_rng(n - fil.level_lo).normal(size=fil.n_edges)
+        eids = fil.cross_edges_at_level(n)
+        assert edge_blend(fil, u, n).tobytes() == (
+            want.T @ u[eids]).tobytes()
+
+
+def test_caches_never_serve_another_filling(interval8):
+    warm = hf.build_filling(interval8, 0, 5)
+    other = hf.build_filling(interval8, 0, 6)
+    u_warm = np.ones(warm.n_edges)
+    telescoping_integral(warm, u_warm)
+    assert other._partition_cache == {}
+    u = np.random.default_rng(3).normal(size=other.n_edges)
+    for n in range(0, 5):
+        assert edge_blend(other, u, n).tobytes() == (
+            _oracle_cross(other, n).T @ u[other.cross_edges_at_level(n)]
+        ).tobytes()
+    assert not ({id(v) for v in warm._partition_cache.values()}
+                & {id(v) for v in other._partition_cache.values()})

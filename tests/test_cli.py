@@ -238,6 +238,18 @@ def test_trace_roundtrip_frozen(tmp_path):
     assert payload["trace"]["operator_ratio"] > 0.0
 
 
+@pytest.mark.parametrize("direction", ["trace", "extend", "roundtrip"])
+def test_trace_run_with_half_ball_variant(tmp_path, direction):
+    cfg = write_cfg(tmp_path / "t.json",
+                    dict(TRACE_CFG, direction=direction, variant="half_ball"))
+    out = tmp_path / "tr.json"
+    proc = run_cli("trace", "run", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(out.read_text())
+    side = payload if direction != "roundtrip" else payload["trace"]
+    assert side["operator_ratio"] > 0.0
+
+
 def test_inadmissible_exponents_exit_3(tmp_path):
     cfg = write_cfg(tmp_path / "t.json",
                     dict(TRACE_CFG,

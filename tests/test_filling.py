@@ -397,3 +397,54 @@ def test_audit_flags_net_blocking_missing_a_member(monkeypatch):
                                                0, 4))
     assert report["ok"] is False
     assert not all(lv["separation_ok"] for lv in report["levels"].values())
+
+
+def _without_sole_cover(fil):
+    """A copy of the filling without a finest-level vertex whose center
+    lies in no other half ball of its level."""
+    vids = fil.vertices_at_level(fil.level_hi)
+    pts = fil.space.points[fil.centers[vids]]
+    d = fil.space.cross_dist(pts, pts)
+    np.fill_diagonal(d, np.inf)
+    at = next(i for i in range(vids.size)
+              if not np.any(d[i] < fil.radii[vids] / 2))
+    v = int(vids[at])
+    keep = np.arange(fil.n_vertices) != v
+    new_id = np.cumsum(keep) - 1
+    ekeep = keep[fil.tails] & keep[fil.heads]
+    return dataclasses.replace(
+        fil, centers=fil.centers[keep], radii=fil.radii[keep],
+        vertex_levels=fil.vertex_levels[keep],
+        tails=new_id[fil.tails[ekeep]], heads=new_id[fil.heads[ekeep]],
+        edge_levels=fil.edge_levels[ekeep],
+        ball_member_list=[b for i, b in enumerate(fil.ball_member_list)
+                          if i != v])
+
+
+@pytest.mark.parametrize("name", ["plain6", "pair8.ambient", "pair8.trace"])
+def test_audit_in_one_vertex_blocks(request, name, monkeypatch):
+    fixture, _, side = name.partition(".")
+    fil = request.getfixturevalue(fixture)
+    fil = getattr(fil, side) if side else fil
+    whole = hf.audit_filling(fil)
+    monkeypatch.setattr(hf.filling, "_AUDIT_BLOCK_BYTES", 1)
+    assert hf.audit_filling(fil) == whole
+
+    # a ball that lost a member
+    balls = list(fil.ball_member_list)
+    v = next(i for i, row in enumerate(balls) if row.size >= 2)
+    balls[v] = balls[v][1:]
+    assert hf.audit_filling(dataclasses.replace(
+        fil, ball_member_list=balls))["radius_law_ok"] is False
+
+    # two centers of the finest level one cloud point apart
+    a, b = fil.vertices_at_level(fil.level_hi)[:2]
+    centers = fil.centers.copy()
+    centers[b] = centers[a] + 1
+    report = hf.audit_filling(dataclasses.replace(fil, centers=centers))
+    assert report["levels"][fil.level_hi]["separation_ok"] is False
+
+    # drop a finest-level vertex whose center no other half ball reaches
+    report = hf.audit_filling(_without_sole_cover(fil))
+    assert report["levels"][fil.level_hi]["covering_ok"] is False
+    assert report["ok"] is False

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 import hyperfill as hf
-from hyperfill.norms import SmoothnessParams
+from hyperfill import trace as trace_mod
+from hyperfill.norms import (SmoothnessParams, besov_fn_norm,
+                             half_ball_substitute, nonhom_norm)
 from hyperfill.trace import (codim_mass_band, extend_besov, extend_sobolev,
                              nonhom_extend, nonhom_trace, trace_besov,
                              trace_triebel)
@@ -163,3 +166,89 @@ def test_input_length_checks(pair8):
         trace_besov(pair8, np.zeros(5), BESOV)
     with pytest.raises(hf.ConfigError):
         extend_besov(pair8, np.zeros(5), BESOV)
+
+
+def _cert_bytes(res):
+    cert = res.certificate
+    return cert.K, cert.pairs_checked, cert.g.tobytes(), res.samples.tobytes()
+
+
+@pytest.mark.parametrize("pair_seed", [0, 1])
+def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
+                                                  monkeypatch, pair_seed):
+    # a cap below the pair count makes the sample depend on the seed
+    monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
+    fsub = tent[cantor6.member_indices]
+    warm = hf.build_nested_filling(interval10, cantor6, 0, 6)
+    other_seed = extend_sobolev(warm, fsub, 4.0, pair_seed=1 - pair_seed)
+    first = extend_sobolev(warm, fsub, 4.0, pair_seed=pair_seed)
+    again = extend_sobolev(warm, fsub, 4.0, pair_seed=pair_seed)
+    fresh = extend_sobolev(hf.build_nested_filling(interval10, cantor6, 0, 6),
+                           fsub, 4.0, pair_seed=pair_seed)
+    assert _cert_bytes(first) == _cert_bytes(again) == _cert_bytes(fresh)
+    assert sorted(warm._cert_plans) == [0, 1]
+    plan, other_plan = warm._cert_plans[pair_seed], warm._cert_plans[
+        1 - pair_seed]
+    assert plan[0].dtype == plan[1].dtype == np.int32
+    assert not np.array_equal(plan[0], other_plan[0])
+    assert first.certificate.pairs_checked == plan[0].size
+    assert other_seed.certificate.pairs_checked == other_plan[0].size
+
+
+def test_sobolev_certificate_blocks_do_not_change_it(pair8, tent,
+                                                     monkeypatch):
+    fsub = tent[pair8.mask.member_indices]
+    whole = extend_sobolev(pair8, fsub, 4.0)
+    monkeypatch.setattr(trace_mod, "_CERT_BLOCK", 997)
+    pair8._cert_plans.clear()
+    blocked = extend_sobolev(pair8, fsub, 4.0)
+    assert _cert_bytes(blocked) == _cert_bytes(whole)
+
+
+def test_certificate_plans_never_serve_another_filling(interval10, cantor6,
+                                                       pair6, tent):
+    fsub = tent[cantor6.member_indices]
+    extend_sobolev(pair6, fsub, 4.0)
+    other = hf.build_nested_filling(interval10, cantor6, 0, 5)
+    assert other._cert_plans == {}
+    extend_sobolev(other, fsub, 4.0)
+    assert other._cert_plans[0][0] is not pair6._cert_plans[0][0]
+    assert other.ambient._partition_cache is not \
+        pair6.ambient._partition_cache
+
+
+def test_sobolev_blind_pair_error(interval10, cantor6, tent, monkeypatch):
+    # with no edge superposition every pair is dead, so a varying
+    # extension must be refused, naming its largest blind increment
+    nested = hf.build_nested_filling(interval10, cantor6, 0, 6)
+    amb = nested.ambient
+    monkeypatch.setattr(amb, "edge_membership", lambda: sparse.csr_matrix(
+        (amb.n_edges, amb.space.n_points)))
+    fsub = tent[cantor6.member_indices]
+    u = extend_besov(nested, fsub, BESOV).samples
+    with pytest.raises(hf.NumericalError) as err:
+        extend_sobolev(nested, fsub, 4.0)
+    assert str(err.value) == (
+        "extension varies across a pair its gradient cannot see "
+        "(max %.3g)" % float(u.max() - u.min()))
+
+
+def test_half_ball_variant_scores_each_side_with_its_own_half_balls(pair8,
+                                                                    tent):
+    variant = half_ball_substitute(pair8.ambient)
+    own = half_ball_substitute(pair8.trace)
+    res = trace_besov(pair8, tent, BESOV, variant)
+    assert res.trace_norm == besov_fn_norm(pair8.trace, res.samples,
+                                           res.trace_params, own)
+    assert res.source_norm == besov_fn_norm(pair8.ambient, tent, BESOV,
+                                            variant)
+    fsub = tent[pair8.mask.member_indices]
+    ext = extend_besov(pair8, fsub, BESOV, variant)
+    assert ext.source_norm == besov_fn_norm(pair8.trace, fsub,
+                                            ext.source_params, own)
+    params = SmoothnessParams(0.5, 2.0, 2.0, "nonhom_besov")
+    nt = nonhom_trace(pair8, tent, params, variant)
+    assert (nt.details["trace_lp_part"], nt.details["trace_seq_part"]) == \
+        nonhom_norm(pair8.trace, nt.samples, nt.trace_params, own)
+    with pytest.raises(hf.ConfigError):
+        trace_besov(pair8, tent, BESOV, own)

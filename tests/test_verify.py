@@ -134,6 +134,8 @@ def test_porosity_qindependence(pair6):
     agg = by_cell["aggregate"]
     assert agg["ef_spread_lo"] <= agg["ef_spread_hi"]
     assert agg["full_spread_lo"] <= agg["full_spread_hi"]
+    with pytest.raises(hf.ConfigError):
+        audit_porosity_qindependence(pair6, q_list=[], trials=1)
 
 
 def test_theorem_suite_rows_and_skips(interval10, cantor6):
