@@ -429,11 +429,11 @@ def _cmd_trace_run(args) -> None:
     key = (theorem, direction)
     if direction == "roundtrip":
         f = _function_of(cfg, nested.trace_space, seed)
-        ext = _TRACE_OPS[(theorem, "extend")](nested, f, params, variant) \
-            if (theorem, "extend") in _TRACE_OPS else \
-            extend_besov(nested, f, params, variant)
-        back_op = _TRACE_OPS[(theorem, "trace")]
-        back = back_op(nested, ext.samples, params, variant)
+        # the triebel trace lands in a besov class, so it extends as one
+        extend_op = _TRACE_OPS.get((theorem, "extend"), extend_besov)
+        ext = extend_op(nested, f, params, variant)
+        back = _TRACE_OPS[(theorem, "trace")](nested, ext.samples, params,
+                                              variant)
         sup_err = float(np.abs(back.samples - f).max())
         payload.update(roundtrip_sup_error=sup_err,
                        extend=_ext_json(ext), trace=_trace_json(back))

@@ -266,11 +266,10 @@ def build_filling(space: FiniteMetricMeasureSpace, level_lo: int,
     radius 2^-n."""
     _validate_window(space, level_lo, level_hi)
     all_idx = np.arange(space.n_points, dtype=np.int64)
-    sup = space.metric_kind == "sup"
     level_centers, level_radii = {}, {}
     for n in range(level_lo, level_hi + 1):
-        sel = greedy_separated_subset(space.points, all_idx, 2.0 ** (-n - 1),
-                                      sup, ball=space.ball_indices)
+        sel = greedy_separated_subset(all_idx, 2.0 ** (-n - 1),
+                                      space.ball_indices)
         level_centers[n] = sel
         level_radii[n] = np.full(sel.shape[0], 2.0 ** (-n))
     return _assemble(space, "plain", level_lo, level_hi, level_centers,
@@ -295,16 +294,13 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
     _validate_window(space, level_lo, level_hi)
     dist_f = dist_to_subset(space, mask)
     members = mask.member_indices
-    sup = space.metric_kind == "sup"
 
     level_centers, level_radii, on_counts = {}, {}, {}
     for n in range(level_lo, level_hi + 1):
         scale = 2.0 ** (-n)
-        on_f = greedy_separated_subset(space.points, members, scale, sup,
-                                       ball=space.ball_indices)
+        on_f = greedy_separated_subset(members, scale, space.ball_indices)
         far = np.flatnonzero(dist_f >= scale)
-        off_f = greedy_separated_subset(space.points, far, scale / 2, sup,
-                                        ball=space.ball_indices)
+        off_f = greedy_separated_subset(far, scale / 2, space.ball_indices)
         level_centers[n] = np.concatenate([on_f, off_f])
         level_radii[n] = np.concatenate([
             np.full(on_f.shape[0], 4 * scale),

@@ -84,10 +84,10 @@ class FiniteMetricMeasureSpace:
             raise ConfigError(f"unknown metric {self.metric_kind!r}")
         if not (self.resolution > 0 and math.isfinite(self.resolution)):
             raise ConfigError("resolution must be positive")
-        if not (self.declared_Q > 0):
-            raise ConfigError("declared_Q must be positive")
-        if not (self.declared_diam > 0):
-            raise ConfigError("declared_diam must be positive")
+        if not (self.declared_Q > 0 and math.isfinite(self.declared_Q)):
+            raise ConfigError("declared_Q must be positive and finite")
+        if not (self.declared_diam > 0 and math.isfinite(self.declared_diam)):
+            raise ConfigError("declared_diam must be positive and finite")
 
     @property
     def n_points(self) -> int:
@@ -305,6 +305,12 @@ def ifs_attractor(system: IfsSystem, submaps=None, metric: str = "euclidean",
         raise ConfigError("contraction ratios must lie in (0, 1)")
     if system.depth < 1:
         raise ConfigError("depth must be at least 1")
+    if system.depth >= point_budget.bit_length():
+        # k >= 2 puts at least 2**depth > point_budget points; refuse before
+        # k**depth, which for a huge depth would not fit in memory
+        raise ConfigError(
+            f"attractor would have at least 2^{system.depth} points, over the "
+            f"budget of {point_budget}")
     n_total = k**system.depth
     if n_total > point_budget:
         raise ConfigError(
@@ -543,12 +549,13 @@ def doubling_audit(space: FiniteMetricMeasureSpace, *, lambdas=(2.0, 4.0),
 
 def _dyadic_radii(space, top=None):
     top = space.declared_diam / 2 if top is None else top
-    floor = RADIUS_FLOOR_FACTOR * space.resolution
+    floor = RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS)
     radii = []
-    r = 2.0 ** math.floor(math.log2(top))
-    while r >= floor * (1 - _REL_EPS):
-        radii.append(r)
-        r /= 2
+    if top > 0:  # a top that underflows to 0 has no log2
+        r = 2.0 ** math.floor(math.log2(top))
+        while r >= floor:
+            radii.append(r)
+            r /= 2
     if not radii:
         raise ConfigError("no radius fits between the audit floor and the diameter")
     return radii
@@ -688,6 +695,8 @@ def _space_from_descriptor(desc, point_budget):
         raise ConfigError("space descriptor must be a dict with a 'kind'")
     desc = dict(desc)
     subset_desc = desc.pop("subset", None)
+    if subset_desc is not None and not isinstance(subset_desc, dict):
+        raise ConfigError("subset descriptor must be a dict")
     kind = desc.pop("kind")
     mask = None
     if kind == "cube":

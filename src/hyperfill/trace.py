@@ -156,16 +156,24 @@ def _restrict_derivative(nested: NestedFilling, f):
     return v, du, du[nested.edge_embedding]
 
 
-def _trace_samples(nested: NestedFilling, v, u_sub):
-    """Telescoping integral on the subset plus the coarse anchor value."""
+def _anchor(nested: NestedFilling) -> int:
+    """The ambient index of the first subset point, where the homogeneous
+    operators take the coarse blend's value."""
+    return int(nested.point_embedding[0])
+
+
+def _trace_terms(nested: NestedFilling, v, u_sub):
+    """Telescoping integral on the subset, and the coarse blend of the
+    restricted ball means on the subset points."""
     tr = nested.trace
-    integral = telescoping_integral(tr, u_sub)
-    coarse = level_blend(tr, v[nested.vertex_embedding], tr.level_lo)
-    return integral + coarse[0], int(nested.point_embedding[0])
+    return (telescoping_integral(tr, u_sub),
+            level_blend(tr, v[nested.vertex_embedding], tr.level_lo))
 
 
-def _extension_samples(nested: NestedFilling, f_sub):
-    """Zero-extended subset derivative integrated over the ambient."""
+def _extension_terms(nested: NestedFilling, f_sub):
+    """Telescoping integral of the zero-extended subset derivative over the
+    ambient, the coarse blend of the zero-extended subset ball means on the
+    ambient points, and that derivative."""
     amb, tr = nested.ambient, nested.trace
     v_sub = poisson_extension(tr, f_sub)
     u_sub = discrete_derivative(tr, v_sub)
@@ -173,10 +181,20 @@ def _extension_samples(nested: NestedFilling, f_sub):
     u_amb[nested.edge_embedding] = u_sub
     v_amb = np.zeros(amb.n_vertices)
     v_amb[nested.vertex_embedding] = v_sub
-    integral = telescoping_integral(amb, u_amb)
-    coarse = level_blend(amb, v_amb, amb.level_lo)
-    anchor = int(nested.point_embedding[0])
-    return integral + coarse[anchor], u_amb, v_amb
+    return (telescoping_integral(amb, u_amb),
+            level_blend(amb, v_amb, amb.level_lo), u_amb)
+
+
+def _nonhom_subset_params(nested: NestedFilling, params: SmoothnessParams
+                          ) -> SmoothnessParams:
+    """Gate an inhomogeneous pair on its homogeneous theorem and return the
+    subset-side exponents: ``nonhom_besov`` at the trace smoothness, with
+    the source ``q`` for Besov and ``q = p`` for Triebel sources."""
+    theorem = "triebel" if params.kind == "nonhom_triebel" else "besov"
+    adm = _gate(nested, params.replace(kind=theorem), theorem)
+    return SmoothnessParams(s=adm.trace_smoothness, p=params.p,
+                            q=params.q if theorem == "besov" else params.p,
+                            kind="nonhom_besov")
 
 
 def _sup_restriction_error(nested: NestedFilling, extended, f_sub) -> float:
@@ -208,7 +226,8 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
     """
     adm = _gate(nested, params, "besov")
     v, du, u_sub = _restrict_derivative(nested, f)
-    samples, anchor = _trace_samples(nested, v, u_sub)
+    integral, coarse = _trace_terms(nested, v, u_sub)
+    samples = integral + coarse[0]
     t_params = params.replace(s=adm.trace_smoothness)
     u_amb = np.zeros(nested.ambient.n_edges)
     u_amb[nested.edge_embedding] = u_sub
@@ -216,7 +235,7 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
     t_norm = besov_fn_norm(nested.trace, samples, t_params, t_variant)
     s_norm = besov_fn_norm(nested.ambient, f, params, variant)
     details = {
-        "anchor_point": anchor,
+        "anchor_point": _anchor(nested),
         "trace_side_seq_norm": besov_seq_norm(
             nested.trace, u_sub, t_params, t_variant),
         "ambient_side_seq_norm": besov_seq_norm(
@@ -238,7 +257,8 @@ def extend_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
     measured at the matching trace smoothness on the subset.
     """
     adm = _gate(nested, params, "besov")
-    extended, u_amb, _ = _extension_samples(nested, f_sub)
+    integral, coarse, u_amb = _extension_terms(nested, f_sub)
+    extended = integral + coarse[_anchor(nested)]
     src_params = params.replace(s=adm.trace_smoothness)
     t_norm = besov_fn_norm(nested.ambient, extended, params, variant)
     s_norm = besov_fn_norm(nested.trace, f_sub, src_params,
@@ -267,8 +287,9 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
     if params.kind != "triebel":
         params = params.replace(kind="triebel")
     adm = _gate(nested, params, "triebel")
-    v, du, u_sub = _restrict_derivative(nested, f)
-    samples, anchor = _trace_samples(nested, v, u_sub)
+    v, _, u_sub = _restrict_derivative(nested, f)
+    integral, coarse = _trace_terms(nested, v, u_sub)
+    samples = integral + coarse[0]
     t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p,
                                 q=params.p, kind="besov")
     t_norm = besov_fn_norm(nested.trace, samples, t_params,
@@ -277,7 +298,7 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
     u_amb = np.zeros(nested.ambient.n_edges)
     u_amb[nested.edge_embedding] = u_sub
     details = {
-        "anchor_point": anchor,
+        "anchor_point": _anchor(nested),
         "restricted_at_source_q": triebel_seq_norm(
             nested.ambient, u_amb, params, variant),
         "restricted_at_q_eq_p": triebel_seq_norm(
@@ -358,7 +379,8 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     adm = _gate(nested, probe, "sobolev")
     amb = nested.ambient
     space = amb.space
-    extended, u_amb, _ = _extension_samples(nested, f_sub)
+    integral, coarse, u_amb = _extension_terms(nested, f_sub)
+    extended = integral + coarse[_anchor(nested)]
 
     base = amb.edge_membership().T @ (2.0 ** amb.edge_levels * np.abs(u_amb))
     ii, jj, d = _cert_pair_plan(nested, pair_seed)
@@ -411,18 +433,11 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
     the per-edge codimension band comparing subset and ambient masses of
     the shared edge balls.
     """
-    theorem = "triebel" if params.kind == "nonhom_triebel" else "besov"
-    gate_kind = "triebel" if theorem == "triebel" else "besov"
-    adm = _gate(nested, params.replace(kind=gate_kind), theorem)
+    t_params = _nonhom_subset_params(nested, params)
     tr = nested.trace
-    v, du, u_sub = _restrict_derivative(nested, f)
-    integral = telescoping_integral(tr, u_sub)
-    coarse = level_blend(tr, v[nested.vertex_embedding], tr.level_lo)
+    v, _, u_sub = _restrict_derivative(nested, f)
+    integral, coarse = _trace_terms(nested, v, u_sub)
     samples = integral + coarse
-    t_kind = "nonhom_besov"
-    t_q = params.q if theorem == "besov" else params.p
-    t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p, q=t_q,
-                                kind=t_kind)
     t_lp, t_seq = nonhom_norm(tr, samples, t_params,
                               _trace_variant(nested, variant))
     s_lp, s_seq = nonhom_norm(nested.ambient, f, params, variant)
@@ -443,21 +458,10 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
 def nonhom_extend(nested: NestedFilling, f_sub, params: SmoothnessParams,
                   variant: NormVariant | None = None) -> ExtensionResult:
     """Extend a subset function between the inhomogeneous classes."""
-    theorem = "triebel" if params.kind == "nonhom_triebel" else "besov"
-    gate_kind = "triebel" if theorem == "triebel" else "besov"
-    adm = _gate(nested, params.replace(kind=gate_kind), theorem)
+    src_params = _nonhom_subset_params(nested, params)
     amb, tr = nested.ambient, nested.trace
-    v_sub = poisson_extension(tr, f_sub)
-    u_sub = discrete_derivative(tr, v_sub)
-    u_amb = np.zeros(amb.n_edges)
-    u_amb[nested.edge_embedding] = u_sub
-    v_amb = np.zeros(amb.n_vertices)
-    v_amb[nested.vertex_embedding] = v_sub
-    extended = (telescoping_integral(amb, u_amb)
-                + level_blend(amb, v_amb, amb.level_lo))
-    s_q = params.q if theorem == "besov" else params.p
-    src_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p, q=s_q,
-                                  kind="nonhom_besov")
+    integral, coarse, _ = _extension_terms(nested, f_sub)
+    extended = integral + coarse
     t_lp, t_seq = nonhom_norm(amb, extended, params, variant)
     s_lp, s_seq = nonhom_norm(tr, f_sub, src_params,
                               _trace_variant(nested, variant))

@@ -25,8 +25,8 @@ from .norms import (NormVariant, SmoothnessParams, _rows_transpose_matvec,
                     admissibility, besov_seq_norm, half_ball_substitute,
                     lp_norm, nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
-from .trace import (_extension_samples, _restrict_derivative, _trace_samples,
-                    extend_besov, extend_sobolev, trace_besov, trace_triebel)
+from .trace import (_restrict_derivative, _trace_terms, extend_besov,
+                    extend_sobolev, trace_besov, trace_triebel)
 
 __all__ = [
     "ExperimentReport",
@@ -446,7 +446,8 @@ def _suite_cell(nested, theorem, cell, trials, seed, cell_index):
         except GateError as exc:
             return {"cell": label, "status": "skipped", "reason": str(exc)}
         v, _, u_sub = _restrict_derivative(nested, ext.samples)
-        back, _ = _trace_samples(nested, v, u_sub)
+        integral, coarse = _trace_terms(nested, v, u_sub)
+        back = integral + coarse[0]
         denom = float(np.abs(f_sub).max()) or 1.0
         sup_errs.append(float(np.abs(back - f_sub).max()) / denom)
         ext_ratios.append(ext.operator_ratio)

@@ -86,11 +86,15 @@ def qp_hajlasz_norm(dist, weights, values):
     return slsqp_hajlasz_norm(dist, weights, values, 2.0)
 
 
-def greedy_net(points, separation, metric="sup"):
-    """Greedy maximal separated subset, scanning by ascending index."""
+def greedy_net(points, separation, metric="sup", candidates=None):
+    """Greedy maximal separated subset of the candidates, each compared
+    with every point kept so far; the scan runs in the order of
+    `candidates` (ascending index over all points by default)."""
     pts = np.asarray(points, dtype=np.float64)
+    if candidates is None:
+        candidates = range(pts.shape[0])
     kept = []
-    for i in range(pts.shape[0]):
+    for i in candidates:
         ok = True
         for j in kept:
             diff = np.abs(pts[i] - pts[j])

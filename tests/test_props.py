@@ -23,11 +23,19 @@ point_clouds = hnp.arrays(
     elements=st.floats(0.0, 1.0, allow_nan=False, width=32))
 
 
+def _cloud_space(pts, sup):
+    return hf.FiniteMetricMeasureSpace(
+        points=pts, weights=np.ones(pts.shape[0]),
+        metric_kind="sup" if sup else "euclidean", resolution=1.0,
+        declared_Q=1.0, declared_diam=1.0)
+
+
 @given(point_clouds, st.floats(0.01, 1.5), st.booleans())
 @settings(max_examples=60)
 def test_greedy_subset_is_separated_and_maximal(pts, sep, sup):
     cands = np.arange(pts.shape[0], dtype=np.int64)
-    kept = greedy_separated_subset(pts, cands, sep, sup)
+    kept = greedy_separated_subset(cands, sep,
+                                   _cloud_space(pts, sup).ball_indices)
 
     def d(a, b):
         diff = np.abs(a - b)
@@ -46,15 +54,9 @@ def test_greedy_subset_is_separated_and_maximal(pts, sep, sup):
 @settings(max_examples=60)
 def test_greedy_subset_matches_reference(pts, sep):
     cands = np.arange(pts.shape[0], dtype=np.int64)
-    got = greedy_separated_subset(pts, cands, sep, True)
+    got = greedy_separated_subset(cands, sep,
+                                  _cloud_space(pts, True).ball_indices)
     assert np.array_equal(got, greedy_net(pts, sep, "sup"))
-
-
-def _cloud_space(pts, sup):
-    return hf.FiniteMetricMeasureSpace(
-        points=pts, weights=np.ones(pts.shape[0]),
-        metric_kind="sup" if sup else "euclidean", resolution=1.0,
-        declared_Q=1.0, declared_diam=1.0)
 
 
 @given(point_clouds, st.floats(0.01, 1.5), st.booleans(), st.randoms())
@@ -64,9 +66,9 @@ def test_tree_net_matches_pairwise_scan(pts, sep, sup, rnd):
     cands = np.arange(pts.shape[0], dtype=np.int64)
     rnd.shuffle(cands)
     cands = cands[:rnd.randint(1, cands.size)]
-    got = greedy_separated_subset(pts, cands, sep, sup,
-                                  ball=space.ball_indices)
-    assert np.array_equal(got, greedy_separated_subset(pts, cands, sep, sup))
+    got = greedy_separated_subset(cands, sep, space.ball_indices)
+    assert np.array_equal(got, greedy_net(pts, sep, space.metric_kind,
+                                          candidates=cands))
 
 
 @given(point_clouds, st.booleans(), st.data())

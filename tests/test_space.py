@@ -199,11 +199,28 @@ def test_doubling_audit(interval10):
     assert 0.0 < worst <= 2.0
 
 
+def test_no_dyadic_radius_above_the_floor_is_config_error():
+    # top = diam/2 = 0.45 clears the floor 4 * 0.1, but the first dyadic
+    # radius below it, 0.25, does not: the audits have nothing to measure
+    pts = np.linspace(0.0, 0.9, 10)[:, None]
+    space = hf.FiniteMetricMeasureSpace(pts, np.full(10, 0.1), "sup", 0.1,
+                                        1.0, 0.9)
+    mask = hf.SubsetMask(member_flags=np.arange(10) < 3, declared_lambda=1.0,
+                         subset_weights=np.where(np.arange(10) < 3, 0.1, 0.0))
+    with pytest.raises(hf.ConfigError):
+        _dyadic_radii(space)
+    with pytest.raises(hf.ConfigError):
+        hf.doubling_audit(space)
+    with pytest.raises(hf.ConfigError):
+        hf.porosity_scan(space, mask)
+    with pytest.raises(hf.ConfigError):
+        _dyadic_radii(space, top=0.0)
+
+
 def test_greedy_matches_reference_scan(interval8):
-    from hyperfill._kernels import greedy_separated_subset
     idx = np.arange(interval8.n_points, dtype=np.int64)
     for sep in (0.5, 0.21, 0.13):
-        got = greedy_separated_subset(interval8.points, idx, sep, True)
+        got = greedy_separated_subset(idx, sep, interval8.ball_indices)
         want = greedy_net(interval8.points, sep, "sup")
         assert np.array_equal(got, want)
 
@@ -279,12 +296,21 @@ def test_nonfinite_points_are_rejected():
             declared_diam=1.0)
 
 
+@pytest.mark.parametrize("field", ["declared_Q", "declared_diam"])
+def test_nonfinite_declared_scales_are_rejected(field):
+    kwargs = dict(points=np.array([[0.0], [1.0]]), weights=np.ones(2),
+                  metric_kind="sup", resolution=0.5, declared_Q=1.0,
+                  declared_diam=1.0)
+    kwargs[field] = math.inf
+    with pytest.raises(hf.ConfigError, match="finite"):
+        hf.FiniteMetricMeasureSpace(**kwargs)
+
+
 def _nets_agree(space, candidates, seps):
-    sup = space.metric_kind == "sup"
     for sep in seps:
-        want = greedy_separated_subset(space.points, candidates, sep, sup)
-        got = greedy_separated_subset(space.points, candidates, sep, sup,
-                                      ball=space.ball_indices)
+        want = greedy_net(space.points, sep, space.metric_kind,
+                          candidates=candidates)
+        got = greedy_separated_subset(candidates, sep, space.ball_indices)
         assert got.dtype == np.int64
         assert np.array_equal(got, want), sep
 
