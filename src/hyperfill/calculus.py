@@ -21,6 +21,8 @@ from .filling import Filling
 
 # Gathered tail-partition entries per block of a cross-matrix build.
 _CROSS_BLOCK_NNZ = 1 << 20
+# Points per vertex in the Lipschitz-quotient scan of a partition.
+_QUOTIENT_POINTS = 192
 
 __all__ = [
     "Partition",
@@ -298,15 +300,14 @@ def telescoping_integral(filling: Filling, edge_values,
     return out
 
 
-def partition_lipschitz_quotient(filling: Filling, level: int,
-                                 pair_cap: int = 192) -> float:
+def partition_lipschitz_quotient(filling: Filling, level: int) -> float:
     """Largest measured difference quotient of the level partition.
 
     For every vertex the quotient ``|psi_x(xi) - psi_x(eta)| / d(xi,
     eta)`` is scanned over point pairs drawn from twice the ball (pairs
     farther out see at most one nonzero value bounded by ``1/r`` times
-    their distance and cannot dominate).  Per vertex at most
-    ``pair_cap`` points enter the scan, strided deterministically.
+    their distance and cannot dominate).  Per vertex at most 192 points
+    enter the scan, strided deterministically.
 
     Returns
     -------
@@ -320,8 +321,8 @@ def partition_lipschitz_quotient(filling: Filling, level: int,
         center = space.points[filling.centers[vid]]
         radius = filling.radii[vid]
         near = np.flatnonzero(space.dist_from(center) < 2.0 * radius)
-        if near.size > pair_cap:
-            near = near[:: near.size // pair_cap + 1]
+        if near.size > _QUOTIENT_POINTS:
+            near = near[:: near.size // _QUOTIENT_POINTS + 1]
         vals = np.asarray(part.psi[row, near].todense()).ravel()
         dmat = space.cross_dist(space.points[near], space.points[near])
         diff = np.abs(vals[:, None] - vals[None, :])

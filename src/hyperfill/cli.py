@@ -133,15 +133,15 @@ def _mask_of(cfg: dict, space, inline_mask):
     return mask_from_descriptor(space, sub)
 
 
-def _params_of(cfg: dict) -> SmoothnessParams:
-    raw = cfg.get("params")
+def _params_of(raw, what: str) -> SmoothnessParams:
+    """Smoothness exponents from a config's params object."""
     if not isinstance(raw, dict):
-        raise ConfigError("config needs a 'params' object")
-    _check_keys(raw, {"s", "p"}, {"q", "kind"}, "params")
+        raise ConfigError("config needs a %r object" % what)
+    _check_keys(raw, {"s", "p"}, {"q", "kind"}, what)
     q = raw.get("q", "inf")
     return SmoothnessParams(
-        s=_float(raw["s"], "params.s"), p=_num(raw["p"], "params.p"),
-        q=_num(q, "params.q"), kind=raw.get("kind", "besov"))
+        s=_float(raw["s"], what + ".s"), p=_num(raw["p"], what + ".p"),
+        q=_num(q, what + ".q"), kind=raw.get("kind", "besov"))
 
 
 def _num(x, what: str) -> float:
@@ -289,7 +289,6 @@ def _cmd_filling_audit(args) -> None:
         payload["trace_overlap"] = overlap_audit(built.trace)
     else:
         payload = audit_filling(built)
-        payload["overlap"] = overlap_audit(built)
     _echo(payload, args.report)
     if not payload.get("ok", True):
         raise NumericalError("filling audit failed; see report")
@@ -336,7 +335,7 @@ def _cmd_norm_eval(args) -> None:
                 {"level_lo", "seed", "variant", "window"}, "norm eval")
     space, _ = _space_of(cfg)
     seed = _seed_of(cfg, args)
-    params = _params_of(cfg)
+    params = _params_of(cfg.get("params"), "params")
     f = _function_of(cfg, space, seed)
     payload = {"params": _params_json(params), "seed": seed,
                "backend": BACKEND}
@@ -407,7 +406,7 @@ def _cmd_trace_run(args) -> None:
     lo, hi = _window_of(cfg)
     nested = build_nested_filling(space, mask, lo, hi)
     seed = _seed_of(cfg, args)
-    params = _params_of(cfg)
+    params = _params_of(cfg.get("params"), "params")
     variant = _variant_of(cfg, nested.ambient)
     payload = {"theorem": theorem, "direction": direction, "seed": seed,
                "params": _params_json(params), "backend": BACKEND}
@@ -497,6 +496,33 @@ _AUDIT_KEYS = {
 }
 
 
+def _num_list(value, what: str) -> list:
+    return [_num(x, what) for x in _list(value, what)]
+
+
+def _float_list(value, what: str) -> list:
+    return [_float(x, what) for x in _list(value, what)]
+
+
+# Audit keywords read from a verify config, each with its converter; the
+# other config fields (space, subset, window, seed, theorem suite grid)
+# name the audit's targets.
+_AUDIT_FIELDS = {
+    "params": _params_of,
+    "trials": _int,
+    "level": _int,
+    "s": _float,
+    "p": _float,
+    "band_threshold": _float,
+    "final_fraction": _float,
+    "slack": _float,
+    "const_threshold": _float,
+    "widen_threshold": _float,
+    "q_list": _num_list,
+    "sigma_grid": _float_list,
+}
+
+
 def _cmd_verify(args) -> None:
     name = args.audit
     if name not in AUDITS:
@@ -514,47 +540,22 @@ def _cmd_verify(args) -> None:
         space_desc = cfg["space"]
         if isinstance(space_desc, str):
             space_desc = _read(space_desc)
-        report = AUDITS[name](
-            space_desc, sub, cfg["theorem"],
-            cfg.get("grid", {"s": [0.5], "p": [2.0], "q": [2.0]}),
-            cfg["resolutions"], trials=_int(cfg.get("trials", 5), "trials"),
-            seed=seed,
-            widen_threshold=_float(cfg.get("widen_threshold", 2.0),
-                                   "widen_threshold"))
+        targets = (space_desc, sub, cfg["theorem"],
+                   cfg.get("grid", {"s": [0.5], "p": [2.0], "q": [2.0]}),
+                   cfg["resolutions"])
     else:
         space, inline_mask = _space_of(cfg)
         lo, hi = _window_of(cfg)
         mask = _mask_of(cfg, space, inline_mask)
-        kwargs = {"seed": seed}
         if name == "audit_porosity_qindependence":
             if mask is None:
                 raise ConfigError("audit needs a subset")
-            target = build_nested_filling(space, mask, lo, hi)
-            for k in ("s", "p"):
-                if k in cfg:
-                    kwargs[k] = _float(cfg[k], k)
-            if "q_list" in cfg:
-                kwargs["q_list"] = [_num(q, "q_list")
-                                    for q in _list(cfg["q_list"], "q_list")]
+            targets = (build_nested_filling(space, mask, lo, hi),)
         else:
-            target = build_filling(space, lo, hi)
-            if "params" in cfg:
-                kwargs["params"] = _params_of(cfg)
-        if "trials" in cfg:
-            kwargs["trials"] = _int(cfg["trials"], "trials")
-        for k in ("band_threshold", "final_fraction", "slack",
-                  "const_threshold", "p"):
-            if k in cfg and name != "audit_porosity_qindependence":
-                kwargs[k] = _float(cfg[k], k)
-        if name == "audit_small_p_embedding":
-            kwargs.pop("params", None)
-            if "sigma_grid" in cfg:
-                kwargs["sigma_grid"] = [
-                    _float(x, "sigma_grid")
-                    for x in _list(cfg["sigma_grid"], "sigma_grid")]
-            if "level" in cfg:
-                kwargs["level"] = _int(cfg["level"], "level")
-        report = AUDITS[name](target, **kwargs)
+            targets = (build_filling(space, lo, hi),)
+    kwargs = {key: convert(cfg[key], key)
+              for key, convert in _AUDIT_FIELDS.items() if key in cfg}
+    report = AUDITS[name](*targets, seed=seed, **kwargs)
 
     payload = report.to_dict()
     _echo(payload, args.out)

@@ -171,6 +171,9 @@ class NestedFilling:
     # extend_sobolev's certificate pairs and distances, per pair seed
     _cert_plans: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # the trace gate's porosity_scan result, (constant or None,) once run
+    _porosity: tuple = field(default=(), init=False, repr=False,
+                             compare=False)
 
     @property
     def trace_space(self) -> FiniteMetricMeasureSpace:

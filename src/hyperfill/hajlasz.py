@@ -50,6 +50,11 @@ _ACTIVE_ROUNDS = 5
 _VIOLATED = 1e-14
 # Dual ascent and polish rounds at p > 1.
 _ROUNDS = 3
+# Relative duality-gap target for finite p.
+_GAP_TOL = 1e-7
+# Iteration budget of the inner solvers: HiGHS at p = 1; L-BFGS-B and the
+# Newton polish together at p > 1.
+_MAX_ITER = 100_000
 
 
 @dataclass(eq=False)
@@ -127,13 +132,13 @@ def _pair_matrix(ii, jj, n):
                           np.column_stack((ii, jj)).ravel())), shape=(k, n))
 
 
-def _solve_lp(ii, jj, m, w, max_iter):
+def _solve_lp(ii, jj, m, w):
     """``p = 1`` by HiGHS: (g, multipliers, iterations)."""
     from scipy import optimize
 
     a_ub = -_pair_matrix(ii, jj, w.size)
     res = optimize.linprog(w, A_ub=a_ub, b_ub=-m, bounds=(0, None),
-                           method="highs", options={"maxiter": max_iter})
+                           method="highs", options={"maxiter": _MAX_ITER})
     if res.status != 0:
         raise NumericalError("HiGHS stopped without an optimum after %d "
                              "iterations: %s" % (res.nit, res.message))
@@ -285,9 +290,7 @@ def _certify(candidates, scale, ii, jj, m, w, p):
 
 
 def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
-                 params: SmoothnessParams, *,
-                 tol: float = 1e-7,
-                 max_iter: int = 100_000) -> HajlaszGradient:
+                 params: SmoothnessParams) -> HajlaszGradient:
     """Minimal ``L^p`` norm of a fractional pointwise gradient.
 
     Parameters
@@ -298,11 +301,6 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
         Point samples of the function.
     params : SmoothnessParams
         Must have kind ``hajlasz``; uses ``s`` and ``p`` (``p >= 1``).
-    tol : float
-        Relative duality-gap target for finite ``p``.
-    max_iter : int
-        Iteration budget of the inner solvers: HiGHS at ``p = 1``;
-        L-BFGS-B and the Newton polish together at ``p > 1``.
 
     Returns
     -------
@@ -312,7 +310,7 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     ------
     NumericalError
         If the inner solver fails, or its answer does not certify the
-        gap target.
+        relative gap target 1e-7 within 100,000 inner iterations.
     """
     if params.kind != "hajlasz":
         raise ConfigError("params kind %r is not hajlasz" % params.kind)
@@ -356,14 +354,14 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
                 "pair quotient %.3g at p=%g" % (top, p))
     unit = m / top
     if p == 1.0:
-        g, y, iters = _solve_lp(ii, jj, unit, w, max_iter)
+        g, y, iters = _solve_lp(ii, jj, unit, w)
         g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
     else:
         # Each round: dual ascent, then a Newton polish whose multipliers
         # warm-start the next round.
         y, iters, candidates = np.zeros(m.size), 0, []
         for _ in range(_ROUNDS):
-            y, nit = _solve_dual(y, ii, jj, unit, w, p, max_iter - iters)
+            y, nit = _solve_dual(y, ii, jj, unit, w, p, _MAX_ITER - iters)
             iters += nit
             candidates.append((_primal_of_dual(y, ii, jj, w, p), y))
             polished = _newton_polish(y, ii, jj, unit, w, p)
@@ -376,10 +374,10 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
                         > _dual_value(y, ii, jj, unit, w, p)):
                     y = y_pol
             g, obj, dual, gap = _certify(candidates, top, ii, jj, m, w, p)
-            if gap <= tol or iters >= max_iter:
+            if gap <= _GAP_TOL or iters >= _MAX_ITER:
                 break
-    if gap <= tol:
+    if gap <= _GAP_TOL:
         return pack(g, obj, dual, gap, iters)
     raise NumericalError(
         "pairwise solver stalled at relative gap %.3g after %d iterations "
-        "(target %.3g)" % (gap, iters, tol))
+        "(target %.3g)" % (gap, iters, _GAP_TOL))

@@ -87,13 +87,12 @@ class NormVariant:
 
     ``indicator`` uses the edge ball itself, ``mass`` collapses the
     ``L^p`` integral of a level to the edge-ball masses, ``substitute``
-    replaces each ball by a caller-supplied subset of controlled mass
-    inside a dilate of the endpoint balls.
+    replaces each ball by a caller-supplied point set per edge, such as
+    the half balls of `half_ball_substitute`.
     """
 
     kind: str = "indicator"
     sets: list | None = None
-    dilation: float = 1.0
 
     def __post_init__(self):
         if self.kind not in ("indicator", "mass", "substitute"):
@@ -103,30 +102,6 @@ class NormVariant:
         if self.kind != "substitute" and self.sets is not None:
             raise ConfigError("per-edge sets only apply to substitute")
         self._membership = None
-
-    def validate_for(self, filling: Filling) -> None:
-        """Check substitute sets sit inside dilated endpoint balls."""
-        if self.kind != "substitute":
-            return
-        if len(self.sets) != filling.n_edges:
-            raise ConfigError(
-                "substitute has %d sets, filling has %d edges"
-                % (len(self.sets), filling.n_edges))
-        space = filling.space
-        for eid in range(filling.n_edges):
-            idx = np.asarray(self.sets[eid], dtype=np.int64)
-            if idx.size == 0:
-                raise ConfigError("substitute set for edge %d is empty" % eid)
-            ok = np.zeros(idx.size, dtype=bool)
-            for vid in (filling.tails[eid], filling.heads[eid]):
-                d = space.cross_dist(
-                    space.points[filling.centers[vid]][None, :],
-                    space.points[idx])[0]
-                ok |= d < self.dilation * filling.radii[vid]
-            if not ok.all():
-                raise ConfigError(
-                    "substitute set for edge %d leaves the dilated balls"
-                    % eid)
 
     def membership(self, filling: Filling) -> sparse.csr_matrix:
         if self.kind == "indicator":

@@ -161,9 +161,6 @@ class FiniteMetricMeasureSpace:
     def ball_mass(self, center_index: int, radius: float) -> float:
         return float(self.weights[self.ball_indices(center_index, radius)].sum())
 
-    def total_mass(self) -> float:
-        return float(self.weights.sum())
-
     def measured_diam(self) -> float:
         """Exact diameter of the cloud (chunked; O(n^2) distances)."""
         if self.metric_kind == "sup":
@@ -489,12 +486,26 @@ class AhlforsFit:
     seed: int
 
 
-def ahlfors_fit(space: FiniteMetricMeasureSpace, radii, *, seed: int = 0,
-                max_centers: int = 256) -> AhlforsFit:
+# Centers sampled by the audits below; every cloud point when fewer.
+_AHLFORS_CENTERS = 256
+_DOUBLING_CENTERS = 128
+_POROSITY_CENTERS = 512
+_CODIM_CENTERS = 256
+
+# Growth factors lam of the doubling audit.
+_DOUBLING_FACTORS = (2.0, 4.0)
+
+# Porosity constants tried by `porosity_scan`, in descending order.
+_POROSITY_GRID = (0.5, 0.375, 0.25, 0.1875, 0.125, 0.09375, 0.0625,
+                  0.046875, 0.03125)
+
+
+def ahlfors_fit(space: FiniteMetricMeasureSpace, radii, *,
+                seed: int = 0) -> AhlforsFit:
     """Log-log regression of ball mass against radius.
 
-    Fits ``mass(xi, r) ~ C * r^Q`` over sampled centers and the given radii;
-    the returned band (C_lo, C_hi) collects min and max of
+    Fits ``mass(xi, r) ~ C * r^Q`` over up to 256 sampled centers and the
+    given radii; the returned band (C_lo, C_hi) collects min and max of
     ``mass * r^-Q_hat``.  Radii must number at least three and respect the
     audit floor of four times the resolution.
     """
@@ -509,7 +520,7 @@ def ahlfors_fit(space: FiniteMetricMeasureSpace, radii, *, seed: int = 0,
     if space.n_points < 2:
         raise ConfigError("degenerate space: nothing to fit")
     rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, max_centers, rng)
+    centers = _sample_indices(space.n_points, _AHLFORS_CENTERS, rng)
     masses = np.empty((len(centers), len(radii)))
     for i, c in enumerate(centers):
         d = space.dist_from(space.points[c])
@@ -529,19 +540,23 @@ def ahlfors_fit(space: FiniteMetricMeasureSpace, radii, *, seed: int = 0,
     )
 
 
-def doubling_audit(space: FiniteMetricMeasureSpace, *, lambdas=(2.0, 4.0),
-                   radii=None, seed: int = 0, max_centers: int = 128) -> float:
-    """Largest measured ratio mass(lam * r) / (lam^Q * mass(r))."""
-    if radii is None:
-        radii = _dyadic_radii(space, top=space.declared_diam / max(lambdas))
+def doubling_audit(space: FiniteMetricMeasureSpace, *,
+                   seed: int = 0) -> float:
+    """Largest measured ratio mass(lam * r) / (lam^Q * mass(r)).
+
+    Probes lam = 2 and 4 at up to 128 sampled centers and the dyadic radii
+    from the audit floor up to a quarter of the diameter.
+    """
+    radii = _dyadic_radii(
+        space, top=space.declared_diam / max(_DOUBLING_FACTORS))
     rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, max_centers, rng)
+    centers = _sample_indices(space.n_points, _DOUBLING_CENTERS, rng)
     worst = 0.0
     for c in centers:
         d = space.dist_from(space.points[c])
         for r in radii:
             base = space.weights[d < r].sum()
-            for lam in lambdas:
+            for lam in _DOUBLING_FACTORS:
                 grown = space.weights[d < lam * r].sum()
                 worst = max(worst, grown / (lam**space.declared_Q * base))
     return float(worst)
@@ -561,29 +576,22 @@ def _dyadic_radii(space, top=None):
     return radii
 
 
-DEFAULT_POROSITY_GRID = (0.5, 0.375, 0.25, 0.1875, 0.125, 0.09375, 0.0625,
-                         0.046875, 0.03125)
-
-
-def porosity_scan(space: FiniteMetricMeasureSpace, mask: SubsetMask,
-                  c_grid=DEFAULT_POROSITY_GRID, *, radii=None, seed: int = 0,
-                  max_centers: int = 512):
+def porosity_scan(space: FiniteMetricMeasureSpace, mask: SubsetMask, *,
+                  seed: int = 0):
     """Largest porosity constant that every tested ball admits.
 
     A constant c passes when every sampled ball B(xi, r) meeting the subset
     contains a witness point eta with B(eta, c*r) inside B and disjoint from
-    the subset.  Returns the largest passing c from the descending grid, or
-    None when even the smallest fails (e.g. the subset is everything).
+    the subset.  Balls are centred at up to 512 sampled points, with the
+    dyadic radii from the audit floor up to half the diameter.  Returns the
+    largest passing c from the grid 1/2, 3/8, 1/4, ..., 1/32, or None when
+    even the smallest fails (e.g. the subset is everything).
     """
     mask.validate_against(space)
-    if radii is None:
-        radii = _dyadic_radii(space)
+    radii = _dyadic_radii(space)
     rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, max_centers, rng)
+    centers = _sample_indices(space.n_points, _POROSITY_CENTERS, rng)
     dist_f = dist_to_subset(space, mask)
-    c_grid = sorted(set(float(c) for c in c_grid), reverse=True)
-    if not all(0 < c < 1 for c in c_grid):
-        raise ConfigError("porosity constants must lie in (0, 1)")
 
     # For a ball B(xi, r), a witness eta works for every c up to
     # min((r - d(eta, xi)) / r, dist_F(eta) / r); the ball's capability is
@@ -597,16 +605,17 @@ def porosity_scan(space: FiniteMetricMeasureSpace, mask: SubsetMask,
                 continue  # ball misses the subset
             per_point = np.minimum((r - d) / r, dist_f / r)
             capability = min(capability, float(per_point.max()))
-    for c in c_grid:
+    for c in _POROSITY_GRID:
         if c <= capability:
             return c
     return None
 
 
 def codim_regularity_check(space: FiniteMetricMeasureSpace, mask: SubsetMask,
-                           gamma: float, radii, *, seed: int = 0,
-                           max_centers: int = 256):
+                           gamma: float, radii, *, seed: int = 0):
     """Band of mu(B_Z(xi, r)) / (nu(B_F(xi, r)) * r^gamma) over subset centers.
+
+    Up to 256 subset points are sampled as centers.
 
     A tight band certifies that the subset has co-dimension gamma inside the
     space; the band degrades as the radius span grows when gamma is wrong.
@@ -618,7 +627,7 @@ def codim_regularity_check(space: FiniteMetricMeasureSpace, mask: SubsetMask,
         raise ConfigError("radius below the audit floor of 4 * resolution")
     rng = np.random.default_rng(seed)
     members = mask.member_indices
-    centers = members[_sample_indices(len(members), max_centers, rng)]
+    centers = members[_sample_indices(len(members), _CODIM_CENTERS, rng)]
     lo, hi = math.inf, 0.0
     for ci in centers:
         d = space.dist_from(space.points[ci])
@@ -650,28 +659,6 @@ def metric_spot_check(space: FiniteMetricMeasureSpace, *, trials: int = 200,
     d_bc = _rowwise_dist(b, c, space.metric_kind)
     d_ac = _rowwise_dist(a, c, space.metric_kind)
     return float(np.maximum(d_ac - d_ab - d_bc, 0.0).max())
-
-
-def osc_overlap_fraction(space: FiniteMetricMeasureSpace, system: IfsSystem) -> float:
-    """Empirical open-set-condition check via overlap of depth-1 images.
-
-    Returns the largest fraction of one first-level cylinder lying within
-    the resolution of another; values near zero are consistent with the
-    separation the constructor assumes.
-    """
-    k = len(system.maps)
-    n = space.n_points
-    block = n // k
-    worst = 0.0
-    for i in range(k):
-        pts_i = space.points[i * block : (i + 1) * block]
-        for j in range(k):
-            if i == j:
-                continue
-            pts_j = space.points[j * block : (j + 1) * block]
-            d = space.cross_dist(pts_i, pts_j).min(axis=1)
-            worst = max(worst, float((d < space.resolution).mean()))
-    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ _CERT_PAIR_CAP = 2_000_000
 # Pairs checked per block; bounds the certificate's per-call scratch.
 _CERT_BLOCK = 1 << 18
 
-_UNSET = object()
-
 
 @dataclass(eq=False)
 class TraceResult:
@@ -104,20 +102,20 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str,
-          *, seed: int = 0):
-    """Admissibility plus (when required) porosity, or GateError."""
+def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str):
+    """Admissibility plus (when required) porosity, or GateError.
+
+    The porosity scan runs once per nested filling, with seed 0.
+    """
     space = nested.ambient.space
     adm = admissibility(space.declared_Q, nested.mask.declared_lambda,
                         params, theorem)
     if not adm.admissible:
         raise GateError("inadmissible exponents: " + "; ".join(adm.reasons))
     if adm.requires_porosity:
-        cached = getattr(nested, "_porosity", _UNSET)
-        if cached is _UNSET:
-            cached = porosity_scan(space, nested.mask, seed=seed)
-            nested._porosity = cached
-        if cached is None:
+        if not nested._porosity:
+            nested._porosity = (porosity_scan(space, nested.mask),)
+        if nested._porosity[0] is None:
             raise GateError(
                 "subset failed the porosity scan; the %s window needs a "
                 "porous subset" % theorem)
@@ -145,8 +143,7 @@ def _trace_variant(nested: NestedFilling, variant: NormVariant | None):
     for eid in nested.edge_embedding:
         local = sub_index[np.asarray(variant.sets[eid], dtype=np.int64)]
         sets.append(local[local >= 0])
-    return NormVariant(kind="substitute", sets=sets,
-                       dilation=variant.dilation)
+    return NormVariant(kind="substitute", sets=sets)
 
 
 def _restrict_derivative(nested: NestedFilling, f):

@@ -15,12 +15,13 @@ import hyperfill.cli
 CUBE8 = {"kind": "cube", "dim": 1, "depth": 8}
 
 
-def run_cli(*argv, env_extra=None, cwd=None):
+def run_cli(*argv, env_extra=None, cwd=None, timeout=None):
     env = {k: v for k, v in os.environ.items() if k != "HYPERFILL_SEED"}
     if env_extra:
         env.update(env_extra)
     return subprocess.run([sys.executable, "-m", "hyperfill", *argv],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, env=env, cwd=cwd,
+                          timeout=timeout)
 
 
 def write_cfg(path, payload):
@@ -223,6 +224,22 @@ TRACE_CFG = {"space": {"kind": "cube", "dim": 1, "depth": 10},
              "theorem": "besov",
              "direction": "roundtrip",
              "function": {"kind": "random_tents"}}
+
+
+@pytest.mark.parametrize("command, base, n_tents", [
+    ("norm", NORM_CFG, -1),
+    ("norm", NORM_CFG, 1e10),
+    ("norm", NORM_CFG, 1.7976931348623157e308),
+    ("trace", TRACE_CFG, 1.7976931348623157e308),
+])
+def test_tent_count_above_the_cap_exits_2(tmp_path, command, base, n_tents):
+    # one pass over the cloud per tent: an uncapped count runs for ever
+    cfg = write_cfg(tmp_path / "c.json", dict(
+        base, function={"kind": "random_tents", "n_tents": n_tents}))
+    action = "eval" if command == "norm" else "run"
+    proc = run_cli(command, action, "--config", cfg, timeout=60)
+    assert proc.returncode == 2
+    assert "n_tents" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_trace_roundtrip_frozen(tmp_path):

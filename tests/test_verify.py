@@ -160,16 +160,6 @@ def test_theorem_suite_rows_and_skips(interval10, cantor6):
                                     "cells_total": 4}
 
 
-def test_theorem_suite_threaded_run_is_identical(interval10, cantor6):
-    args = (hf.space_to_descriptor(interval10),
-            hf.mask_to_descriptor(cantor6),
-            "besov", [{"s": 0.5, "p": 2.0, "q": 2.0}], [6])
-    # threads is accepted and ignored: the report bytes never depend on it
-    reports = [canonical_dumps(audit_theorem_suite(
-        *args, trials=3, seed=0, threads=t).to_dict()) for t in (1, 2, 4)]
-    assert reports[0] == reports[1] == reports[2]
-
-
 def test_function_batches_are_reproducible(interval10):
     a = random_tent_functions(interval10, 3, np.random.default_rng(9))
     b = random_tent_functions(interval10, 3, np.random.default_rng(9))
@@ -177,3 +167,13 @@ def test_function_batches_are_reproducible(interval10):
     assert a.shape == (3, interval10.n_points)
     n = random_noise_functions(interval10, 2, np.random.default_rng(9))
     assert n.shape == (2, interval10.n_points)
+
+
+def test_tent_count_is_capped(interval10):
+    rng = np.random.default_rng(0)
+    assert not random_tent_functions(interval10, 1, rng, n_tents=0).any()
+    full = random_tent_functions(interval10, 1, rng, n_tents=verify.MAX_TENTS)
+    assert full.shape == (1, interval10.n_points)
+    for bad in (-1, verify.MAX_TENTS + 1):
+        with pytest.raises(hf.ConfigError, match="n_tents"):
+            random_tent_functions(interval10, 1, rng, n_tents=bad)
