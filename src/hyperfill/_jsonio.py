@@ -20,14 +20,21 @@ import numpy as np
 from .errors import ConfigError
 
 
+def _all_floats(items) -> bool:
+    """Whether every item of a list is a plain Python float."""
+    return set(map(type, items)) == {float}
+
+
 def sanitize(obj):
     """Recursively convert numpy containers/scalars to plain Python types."""
     if isinstance(obj, dict):
         return {str(k): sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [sanitize(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [sanitize(v) for v in obj.tolist()]
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        if _all_floats(obj):
+            return list(obj)
+        return [sanitize(v) for v in obj]
     if isinstance(obj, (np.floating,)):
         return float(obj)
     if isinstance(obj, (np.integer,)):
@@ -78,6 +85,14 @@ def _write(obj, parts, indent):
         if not len(obj):
             parts.append("[]")
             return
+        if _all_floats(obj):
+            # a flat list of floats: one finiteness check, one join
+            if not all(map(math.isfinite, obj)):
+                raise ConfigError("non-finite float in canonical JSON output")
+            item = pad + "  "
+            parts.append("[\n" + item + (",\n" + item).join(
+                [format(x + 0.0, ".17g") for x in obj]) + "\n" + pad + "]")
+            return
         parts.append("[\n")
         for i, v in enumerate(obj):
             parts.append(pad + "  ")
@@ -94,11 +109,6 @@ def canonical_dumps(obj) -> str:
     _write(sanitize(obj), parts, 0)
     parts.append("\n")
     return "".join(parts)
-
-
-def write_json(path, obj):
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(obj))
 
 
 def read_json(path):

@@ -18,6 +18,7 @@ from scipy import sparse
 
 from .errors import ConfigError, NumericalError
 from .filling import Filling
+from .space import _rowwise_dist
 
 # Gathered tail-partition entries per block of a cross-matrix build.
 _CROSS_BLOCK_NNZ = 1 << 20
@@ -123,20 +124,18 @@ def build_partition(filling: Filling, level: int) -> Partition:
     if vids.size == 0:
         raise ConfigError("filling has no vertices at level %d" % level)
     space = filling.space
-    rows, cols, data = [], [], []
-    for local, vid in enumerate(vids):
-        members = filling.ball_members(vid)
-        d = space.cross_dist(
-            space.points[filling.centers[vid]][None, :],
-            space.points[members])[0]
-        tent = np.clip(2.0 * (1.0 - d / filling.radii[vid]), 0.0, 1.0)
-        keep = tent > 0.0
-        rows.append(np.full(int(keep.sum()), local, dtype=np.int64))
-        cols.append(members[keep])
-        data.append(tent[keep])
-    phi = sparse.csr_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(vids.size, space.n_points))
+    # every (vertex, ball member) pair of the level, from the level's rows
+    # of the vertex-membership matrix
+    memb = filling.vertex_membership()
+    bounds = memb.indptr[vids[0]:vids[-1] + 2]
+    cols = memb.indices[bounds[0]:bounds[-1]]
+    rows = np.repeat(np.arange(vids.size), np.diff(bounds))
+    d = _rowwise_dist(space.points[filling.centers[vids]][rows],
+                      space.points[cols], space.metric_kind)
+    tent = np.clip(2.0 * (1.0 - d / filling.radii[vids][rows]), 0.0, 1.0)
+    keep = tent > 0.0
+    phi = sparse.csr_matrix((tent[keep], (rows[keep], cols[keep])),
+                            shape=(vids.size, space.n_points))
     denom = np.asarray(phi.sum(axis=0)).ravel()
     lo = float(denom.min())
     if lo < 1.0 - 1e-9:

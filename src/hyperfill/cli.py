@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from ._jsonio import canonical_dumps, read_json, write_json
+from ._jsonio import canonical_dumps, read_json
 from ._kernels import BACKEND
 from ._version import __version__
 from .calculus import discrete_derivative, edge_blend, level_blend
@@ -40,9 +40,20 @@ __all__ = ["main"]
 def _echo(payload: dict, out_path: str | None) -> None:
     """Write canonical JSON to a file or stdout."""
     if out_path:
-        write_json(out_path, payload)
+        _write_file(out_path, canonical_dumps(payload))
     else:
         sys.stdout.write(canonical_dumps(payload))
+
+
+def _write_file(path: str, text: str) -> None:
+    """Text to a file named on the command line; a path that cannot be
+    written is a config error."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s"
+                          % (path, exc.strerror or exc)) from exc
 
 
 def _read(path: str):
@@ -560,8 +571,7 @@ def _cmd_verify(args) -> None:
     payload = report.to_dict()
     _echo(payload, args.out)
     if args.csv:
-        with open(args.csv, "w") as fh:
-            fh.write(report.csv_text())
+        _write_file(args.csv, report.csv_text())
     if not report.passed:
         raise NumericalError(
             "audit verdicts failed: %s"

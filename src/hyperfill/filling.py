@@ -68,7 +68,9 @@ class Filling:
             [self.space.weights[m].sum() for m in self.ball_member_list])
         self._partition_cache = {}
         self._vertex_membership = None
+        self._level_balls = None
         self._edge_membership = None
+        self._ones = np.ones(0)
         self._edge_ball_mass = None
 
     # -- basic accessors ----------------------------------------------------
@@ -139,16 +141,27 @@ class Filling:
 
         Row e is the logical OR of the vertex-membership rows of its tail
         and head, so it lists the sorted cloud indices of
-        `edge_ball_members(e)` with data 1.0.
+        `edge_ball_members(e)` with data 1.0.  Row e holds
+        ``|B(tail)| + |B(head)| - |B(tail) ∩ B(head)|`` entries, counted
+        from the overlaps of `_ball_levels`, so the index array is
+        allocated once at its final size and filled in edge blocks of
+        about ``_BLOCK_NNZ`` gathered entries.  Only `edge_ball_mass`
+        uses it; the norms superpose through `_superpose`.
         """
         if self._edge_membership is None:
-            balls = self.vertex_membership().astype(bool)
-            union = balls[self.tails] + balls[self.heads]
-            union.sort_indices()
-            # float data over the boolean union's own index arrays
+            sizes = np.diff(self.vertex_membership().indptr)
+            shared = np.diff(self._ball_levels()[1].indptr)
+            indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
+            np.cumsum(sizes[self.tails] + sizes[self.heads] - shared,
+                      out=indptr[1:])
+            indices = np.empty(indptr[-1], dtype=_index_dtype(
+                self.space.n_points))
+            for lo, hi, union in self._edge_blocks(np.add):
+                union.sort_indices()
+                indices[indptr[lo]:indptr[hi]] = union.indices
             self._edge_membership = sparse.csr_matrix(
-                (np.ones(union.nnz), union.indices, union.indptr),
-                shape=union.shape)
+                (self._unit_data(indices.size), indices, indptr),
+                shape=(self.n_edges, self.space.n_points))
         return self._edge_membership
 
     def edge_ball_mass(self) -> np.ndarray:
@@ -156,6 +169,109 @@ class Filling:
         if self._edge_ball_mass is None:
             self._edge_ball_mass = self.edge_membership() @ self.space.weights
         return self._edge_ball_mass
+
+    def _edge_blocks(self, combine):
+        """``(lo, hi, combine(T[tails[lo:hi]], T[heads[lo:hi]]))`` over
+        blocks of consecutive edges, T the boolean vertex-membership
+        matrix; a block's gathered tail rows hold about ``_BLOCK_NNZ``
+        entries."""
+        balls = self.vertex_membership().astype(bool)
+        tail_nnz = np.cumsum(np.diff(balls.indptr)[self.tails])
+        cuts = np.searchsorted(tail_nnz, np.arange(
+            _BLOCK_NNZ, tail_nnz[-1] if tail_nnz.size else 0, _BLOCK_NNZ))
+        bounds = [0, *cuts.tolist(), self.n_edges]
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield lo, hi, combine(balls[self.tails[lo:hi]],
+                                  balls[self.heads[lo:hi]])
+
+    def _ball_levels(self):
+        """The vertex balls and the edge-ball overlaps, each placed in the
+        block of its level.
+
+        Both matrices have ``L * n_points`` columns, one block of
+        ``n_points`` per level of the window (L levels): row v of the
+        first lists B(v) in the block of v's level, and row e of the
+        second lists B(tail) ∩ B(head) in the block of e's edge level.
+        The first is returned transposed (CSC), as it is multiplied.
+        Built once and kept; `_superpose` multiplies with both.
+        """
+        if self._level_balls is None:
+            n, lo = self.space.n_points, self.level_lo
+            idx = _index_dtype(len(self.levels) * n)
+            balls = self.vertex_membership()
+            shift = np.repeat((self.vertex_levels - lo) * n,
+                              np.diff(balls.indptr))
+            balls = sparse.csr_matrix(
+                (balls.data, (balls.indices + shift).astype(idx),
+                 balls.indptr),
+                shape=(self.n_vertices, len(self.levels) * n))
+            cols, counts = [], []
+            for _, _, both in self._edge_blocks(lambda a, b: a.multiply(b)):
+                cols.append(both.indices)
+                counts.append(np.diff(both.indptr))
+            indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
+            np.cumsum(np.concatenate(counts), out=indptr[1:])
+            indices = np.concatenate(cols).astype(idx, copy=False)
+            del cols
+            for k, (a, b) in self._edge_range.items():
+                indices[indptr[a]:indptr[b]] += (k - lo) * n
+            overlaps = sparse.csr_matrix(
+                (self._unit_data(indices.size), indices, indptr),
+                shape=(self.n_edges, len(self.levels) * n))
+            self._level_balls = (balls.T, overlaps)
+        return self._level_balls
+
+    def _unit_data(self, size: int) -> np.ndarray:
+        """``size`` ones, the data of a 0/1 matrix built here.
+
+        The overlaps and the edge-ball matrix read prefixes of one shared
+        read-only array of ones.  A longer request replaces it and moves
+        the matrices already built onto the new array, so the filling
+        holds its ones once, as long as its largest such matrix.
+        """
+        if self._ones.size < size:
+            self._ones = np.ones(size)
+            self._ones.flags.writeable = False
+            held = [self._edge_membership]
+            if self._level_balls is not None:
+                held.append(self._level_balls[1])
+            for mat in held:
+                if mat is not None:
+                    mat.data = self._ones[:mat.nnz]
+        return self._ones[:size]
+
+    def _superpose(self, weights: np.ndarray, levels: range) -> np.ndarray:
+        """Level superpositions of edge weights over the edge balls.
+
+        Returns one row per level k of ``levels`` (a range inside the
+        window): ``G_k = sum_{|e|=k} w_e chi_B(e)`` on the cloud points,
+        for ``w`` = ``weights`` (one nonnegative entry per edge).  Since
+        ``B(e) = B(tail) ∪ B(head)``, ``G_k`` is each vertex ball weighted
+        by the sum of its incident level-k edge weights, less every
+        overlap ``B(tail) ∩ B(head)``, which that sum counts twice:
+        ``G = Tᵀ s - Pᵀ w``.  A point outside the balls of every
+        positive-weight edge of level k adds only zeros and gets exactly
+        0.0.  Elsewhere ``G_k`` is at least its largest term and the two
+        sums at most twice ``G_k``, so their rounding cannot bring it near
+        zero.  One product with each matrix of `_ball_levels` covers
+        every level.
+        """
+        n, V = self.space.n_points, self.n_vertices
+        balls_t, overlaps = self._ball_levels()
+        e0 = self._edge_range[levels[0]][0]
+        e1 = self._edge_range[levels[-1]][1]
+        w = weights[e0:e1]
+        tails, heads = self.tails[e0:e1], self.heads[e0:e1]
+        # The head of a cross edge is a level-(k+1) vertex, whose ball sits
+        # in block k+1: its share is summed apart and moved back a block.
+        cross = self.vertex_levels[heads] != self.edge_levels[e0:e1]
+        g = balls_t @ (np.bincount(tails, w, V)
+                       + np.bincount(heads, np.where(cross, 0.0, w), V))
+        g[:-n] += (balls_t @ np.bincount(heads, np.where(cross, w, 0.0),
+                                         V))[n:]
+        g -= _rows_transpose_matvec(overlaps, e0, e1, w)
+        first = levels[0] - self.level_lo
+        return g.reshape(-1, n)[first:first + len(levels)]
 
 
 @dataclass
@@ -202,6 +318,34 @@ def _level_ranges(sorted_levels, levels) -> dict:
     starts = np.searchsorted(sorted_levels, levels, side="left")
     stops = np.searchsorted(sorted_levels, levels, side="right")
     return {int(n): (int(a), int(b)) for n, a, b in zip(levels, starts, stops)}
+
+
+# Gathered tail-ball entries per edge block of the edge-ball builds.
+_BLOCK_NNZ = 1 << 18
+
+
+def _index_dtype(n_columns: int):
+    """int32 for sparse column indices below 2^31, else int64."""
+    return np.int32 if n_columns <= np.iinfo(np.int32).max else np.int64
+
+
+def _rows_transpose_matvec(mat: sparse.csr_matrix, start: int, stop: int,
+                           x: np.ndarray) -> np.ndarray:
+    """``mat[start:stop].T @ x`` without copying the rows.
+
+    The transpose of a CSR row block is a CSC matrix over slices of the
+    same ``indices`` and ``data``; only its column pointers are shifted to
+    start at 0.  The product adds each output entry's terms in ascending
+    row order, as ``mat[start:stop].T @ x`` does, so the sums are equal
+    bit for bit.  The arrays are assigned after an empty construction
+    because the constructor copies a slice much shorter than its base.
+    """
+    lo, hi = mat.indptr[start], mat.indptr[stop]
+    block = sparse.csc_matrix((mat.shape[1], stop - start), dtype=mat.dtype)
+    block.indptr = mat.indptr[start:stop + 1] - lo
+    block.indices = mat.indices[lo:hi]
+    block.data = mat.data[lo:hi]
+    return block @ x
 
 
 def _membership_matrix(rows, n_points):

@@ -19,7 +19,7 @@ from scipy import sparse
 
 from .calculus import discrete_derivative, level_blend, poisson_extension
 from .errors import ConfigError, GateError
-from .filling import Filling, _membership_matrix
+from .filling import Filling
 from .space import FiniteMetricMeasureSpace
 
 __all__ = [
@@ -88,7 +88,9 @@ class NormVariant:
     ``indicator`` uses the edge ball itself, ``mass`` collapses the
     ``L^p`` integral of a level to the edge-ball masses, ``substitute``
     replaces each ball by a caller-supplied point set per edge, such as
-    the half balls of `half_ball_substitute`.
+    the half balls of `half_ball_substitute`.  Edges may share one set
+    object; the superposition then adds their weights first and spreads
+    the shared set once.
     """
 
     kind: str = "indicator"
@@ -103,12 +105,21 @@ class NormVariant:
             raise ConfigError("per-edge sets only apply to substitute")
         self._membership = None
 
-    def membership(self, filling: Filling) -> sparse.csr_matrix:
-        if self.kind == "indicator":
-            return filling.edge_membership()
-        if self.kind == "mass":
-            raise ConfigError("mass variant has no pointwise membership")
-        # One cached matrix, held with a weak reference to its filling so
+    def membership(self, filling: Filling
+                   ) -> tuple[sparse.csr_matrix, np.ndarray]:
+        """A substitute's distinct sets, placed by level, and each edge's row.
+
+        Returns ``(rows, row_of_edge)``.  ``rows`` has one row per
+        distinct set (by identity) and edge level that use it, in order of
+        first use, listing the set in the block of ``n_points`` columns of
+        that level, as in `Filling._ball_levels`; edge e's set is row
+        ``row_of_edge[e]``.  Only the substitute variant has one.
+        """
+        if self.kind != "substitute":
+            raise ConfigError("only the substitute variant has per-edge "
+                              "sets; the %s variant uses the filling's "
+                              "balls" % self.kind)
+        # One cached pair, held with a weak reference to its filling so
         # the cache neither keeps it alive nor serves a later filling.
         cached = self._membership
         if cached is not None and cached[0]() is filling:
@@ -117,10 +128,34 @@ class NormVariant:
             raise ConfigError(
                 "substitute has %d sets, filling has %d edges"
                 % (len(self.sets), filling.n_edges))
-        rows = [np.asarray(s, dtype=np.int64) for s in self.sets]
-        mat = _membership_matrix(rows, filling.space.n_points)
-        self._membership = (weakref.ref(filling), mat)
-        return mat
+        n = filling.space.n_points
+        block = filling.edge_levels - filling.level_lo
+        # one row per distinct (set object, edge level), in order of first
+        # use
+        keys = np.stack([np.fromiter(map(id, self.sets), dtype=np.uint64,
+                                     count=filling.n_edges),
+                         block.astype(np.uint64)])
+        _, first, inverse = np.unique(keys, axis=1, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(order.size)
+        row_of_edge = rank[inverse.ravel()]
+        reps = first[order]
+        sets = [np.asarray(self.sets[e], dtype=np.int64) for e in reps]
+        indices = np.concatenate([np.empty(0, dtype=np.int64), *sets])
+        if indices.size and (indices.min() < 0 or indices.max() >= n):
+            raise ConfigError("substitute set holds a point index outside "
+                              "[0, %d)" % n)
+        sizes = [m.size for m in sets]
+        indices += np.repeat(block[reps] * n, sizes)
+        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        rows = sparse.csr_matrix(
+            (np.ones(indices.size), indices, indptr),
+            shape=(len(sets), len(filling.levels) * n))
+        self._membership = (weakref.ref(filling), (rows, row_of_edge))
+        return self._membership[1]
 
 
 def half_ball_substitute(filling: Filling) -> NormVariant:
@@ -128,7 +163,8 @@ def half_ball_substitute(filling: Filling) -> NormVariant:
 
     Every vertex's open half ball comes from one batched
     `FiniteMetricMeasureSpace.ball_rows` query; ``sets[e]`` is the tail
-    vertex's row, so edges sharing a tail share one array.
+    vertex's row, so edges sharing a tail share one array, and the
+    level superpositions go through one row per tail vertex.
     """
     half_balls = filling.space.ball_rows(filling.centers, 0.5 * filling.radii)
     return NormVariant(kind="substitute",
@@ -171,23 +207,53 @@ def _power_sum_root(v: np.ndarray, p: float, weights=None) -> float:
     return float(total ** (1.0 / p))
 
 
-def _rows_transpose_matvec(mat: sparse.csr_matrix, start: int, stop: int,
-                           x: np.ndarray) -> np.ndarray:
-    """``mat[start:stop].T @ x`` without copying the rows.
+def _superpose(filling: Filling, variant: NormVariant, weights: np.ndarray,
+               levels: range) -> np.ndarray:
+    """``sum_{|e|=k} w_e chi_A(e)`` for each level k of ``levels``, one row
+    each, ``A(e)`` the variant's set of edge e: its ball for the
+    indicator (`Filling._superpose`), else the substitute's set, summed
+    once per distinct set."""
+    if variant.kind == "indicator":
+        return filling._superpose(weights, levels)
+    rows, row_of_edge = variant.membership(filling)
+    e0, e1 = _edge_span(filling, levels)
+    per_row = np.bincount(row_of_edge[e0:e1], weights[e0:e1],
+                          minlength=rows.shape[0])
+    first = levels[0] - filling.level_lo
+    return (rows.T @ per_row).reshape(-1, filling.space.n_points)[
+        first:first + len(levels)]
 
-    The transpose of a CSR row block is a CSC matrix over slices of the
-    same ``indices`` and ``data``; only its column pointers are shifted to
-    start at 0.  The product adds each output entry's terms in ascending
-    row order, as ``mat[start:stop].T @ x`` does, so the sums are equal
-    bit for bit.  The arrays are assigned after an empty construction
-    because the constructor copies a slice much shorter than its base.
+
+def _superpose_max(filling: Filling, variant: NormVariant,
+                   weights: np.ndarray, levels: range) -> np.ndarray:
+    """``max_e w_e chi_A(e)`` over the edges of ``levels``, exactly.
+
+    The largest weight of each vertex's incident edges (each distinct
+    set's edges, for a substitute) is spread over its ball (its set):
+    a point's maximum over the balls holding it is its maximum over the
+    edge balls ``B(tail) ∪ B(head)`` holding it.
     """
-    lo, hi = mat.indptr[start], mat.indptr[stop]
-    block = sparse.csc_matrix((mat.shape[1], stop - start), dtype=mat.dtype)
-    block.indptr = mat.indptr[start:stop + 1] - lo
-    block.indices = mat.indices[lo:hi]
-    block.data = mat.data[lo:hi]
-    return block @ x
+    e0, e1 = _edge_span(filling, levels)
+    w = weights[e0:e1]
+    n = filling.space.n_points
+    if variant.kind == "indicator":
+        rows = filling.vertex_membership()
+        top = np.zeros(filling.n_vertices)
+        np.maximum.at(top, filling.tails[e0:e1], w)
+        np.maximum.at(top, filling.heads[e0:e1], w)
+    else:
+        rows, row_of_edge = variant.membership(filling)
+        top = np.zeros(rows.shape[0])
+        np.maximum.at(top, row_of_edge[e0:e1], w)
+    stack = np.zeros(rows.shape[1])
+    np.maximum.at(stack, rows.indices, np.repeat(top, np.diff(rows.indptr)))
+    return stack.reshape(-1, n).max(axis=0)
+
+
+def _edge_span(filling: Filling, levels: range) -> tuple[int, int]:
+    """Half-open edge id range of a run of consecutive levels."""
+    return (filling.edge_range(levels[0])[0],
+            filling.edge_range(levels[-1])[1])
 
 
 def _edge_window(filling: Filling,
@@ -247,9 +313,12 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     u = _check_u(filling, edge_values)
     space = filling.space
     s, p, q = params.s, params.p, params.q
+    window = _edge_window(filling, level_window)
+    if variant.kind != "mass":
+        stacks = _superpose(filling, variant, u, window)
     level_norms = []
     scales = []
-    for k in _edge_window(filling, level_window):
+    for j, k in enumerate(window):
         lo, hi = filling.edge_range(k)
         if lo == hi:
             continue
@@ -260,9 +329,7 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
             else:
                 a = _power_sum_root(u[lo:hi], p, masses)
         else:
-            memb = variant.membership(filling)
-            g = _rows_transpose_matvec(memb, lo, hi, u[lo:hi])
-            a = lp_norm(space, g, p)
+            a = lp_norm(space, stacks[j], p)
         level_norms.append(a)
         scales.append(2.0 ** (k * s))
     if not level_norms:
@@ -307,28 +374,29 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
         raise ConfigError("p = inf undefined for the pointwise aggregation")
     s, p, q = params.s, params.p, params.q
     window = _edge_window(filling, level_window)
-    eids = np.concatenate([filling.edges_at_level(k) for k in window])
-    if eids.size == 0:
+    e0, e1 = _edge_span(filling, window)
+    if e0 == e1:
         return 0.0
-    # Weights over every edge, zero outside the window: the whole matrix is
-    # multiplied instead of copying the window's rows, and the zero terms
-    # leave every sum and maximum unchanged.
+    # Weights over every edge, zero outside the window's edge range.
     weights = np.zeros(filling.n_edges)
-    weights[eids] = 2.0 ** (filling.edge_levels[eids] * s) * u[eids]
-    memb = variant.membership(filling)
+    weights[e0:e1] = 2.0 ** (filling.edge_levels[e0:e1] * s) * u[e0:e1]
     if np.isinf(q):
-        stack = np.zeros(filling.space.n_points)
-        np.maximum.at(stack, memb.indices,
-                      np.repeat(weights, np.diff(memb.indptr)))
+        stack = _superpose_max(filling, variant, weights, window)
     else:
-        with np.errstate(over="ignore"):
-            stack = (memb.T @ weights ** q) ** (1.0 / q)
+        def aggregate(w):
+            return _superpose(filling, variant, w ** q, window).sum(
+                axis=0) ** (1.0 / q)
+
+        # an overflowed weights ** q makes inf - inf = nan in the
+        # superposition, which sends it to the scaled fallback below
+        with np.errstate(over="ignore", invalid="ignore"):
+            stack = aggregate(weights)
         m = weights.max()
         if (not np.isfinite(stack).all() or not stack.any()) \
                 and 0.0 < m < np.inf:
             # weights ** q left the float range; as in _power_sum_root,
             # aggregate weights / max and scale back
-            stack = m * (memb.T @ (weights / m) ** q) ** (1.0 / q)
+            stack = m * aggregate(weights / m)
     return lp_norm(filling.space, stack, p)
 
 

@@ -379,7 +379,8 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     integral, coarse, u_amb = _extension_terms(nested, f_sub)
     extended = integral + coarse[_anchor(nested)]
 
-    base = amb.edge_membership().T @ (2.0 ** amb.edge_levels * np.abs(u_amb))
+    base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb),
+                          amb.levels).sum(axis=0)
     ii, jj, d = _cert_pair_plan(nested, pair_seed)
     scale = float(np.abs(extended).max()) or 1.0
     blind, blind_max, quotient_max = False, [], []

@@ -21,9 +21,9 @@ from ._version import __version__
 from .calculus import level_blend, poisson_extension
 from .errors import ConfigError, GateError
 from .filling import Filling, NestedFilling, build_nested_filling
-from .norms import (NormVariant, SmoothnessParams, _rows_transpose_matvec,
-                    admissibility, besov_seq_norm, half_ball_substitute,
-                    lp_norm, nonhom_norm, triebel_seq_norm)
+from .norms import (NormVariant, SmoothnessParams, admissibility,
+                    besov_seq_norm, half_ball_substitute, lp_norm,
+                    nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
 from .trace import (_restrict_derivative, _trace_terms, extend_besov,
                     extend_sobolev, trace_besov, trace_triebel)
@@ -232,7 +232,8 @@ def audit_porosity_qindependence(nested: NestedFilling, *, s: float = 0.5,
                  "full_spread_lo": f_lo, "full_spread_hi": f_hi})
     return ExperimentReport(
         experiment_id="porosity_qindependence",
-        config={"s": s, "p": p, "q_list": q_list, "trials": trials},
+        config={"s": s, "p": p, "trials": trials,
+                "q_list": ["inf" if np.isinf(q) else q for q in q_list]},
         thresholds={}, rows=rows,
         verdicts={"subset_is_porous": porosity is not None},
         rng_seed=seed)
@@ -301,17 +302,13 @@ def audit_small_p_embedding(filling: Filling, *, p: float = 0.8,
     rng = np.random.default_rng(seed)
     batch = random_tent_functions(space, trials, rng)
     vids = filling.vertices_at_level(level)
-    memb = filling.edge_membership()
-    levels = range(filling.level_lo, filling.level_hi + 1)
+    levels = filling.levels
     worst = {sig: 0.0 for sig in sigma_grid}
     for f in batch:
         v = poisson_extension(filling, f)
         du = np.abs(v[filling.heads] - v[filling.tails])
         coarse = level_blend(filling, v, 0)
-        stacks = {}
-        for k in levels:
-            lo, hi = filling.edge_range(k)
-            stacks[k] = _rows_transpose_matvec(memb, lo, hi, du[lo:hi])
+        stacks = dict(zip(levels, filling._superpose(du, levels)))
         for vid in vids:
             ball = filling.ball_members(vid)
             lhs = float(space.weights[ball] @ np.abs(f[ball])) ** p

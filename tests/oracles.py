@@ -4,8 +4,10 @@ Deliberately naive: loop-heavy, no shared code with the package, so a
 library bug cannot hide inside its own oracle.
 """
 
+import json
+
 import numpy as np
-from scipy import optimize
+from scipy import optimize, sparse
 
 
 def pair_distances(points, metric="sup"):
@@ -151,3 +153,87 @@ def row_gather_cross_product(tail_psi, head_psi, tail_rows, head_rows):
     by gathering both row blocks and multiplying them as sparse matrices.
     """
     return tail_psi[tail_rows].multiply(head_psi[head_rows]).tocsr()
+
+
+def set_matrix(sets, n_points):
+    """(len(sets), n_points) CSR matrix with data 1.0, row i listing sets[i]."""
+    rows = [np.asarray(s, dtype=np.int64) for s in sets]
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    indptr[1:] = np.cumsum([r.size for r in rows])
+    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+    return sparse.csr_matrix((np.ones(indices.size), indices, indptr),
+                             shape=(len(rows), n_points))
+
+
+def edge_ball_matrix(filling):
+    """The (n_edges, n_points) indicator of the edge balls, one row per edge
+    from the union of its endpoints' ball lists."""
+    balls = filling.ball_member_list
+    return set_matrix([np.union1d(balls[t], balls[h])
+                       for t, h in zip(filling.tails, filling.heads)],
+                      filling.space.n_points)
+
+
+def edge_superposition(matrix, lo, hi, u):
+    """``sum_{lo <= e < hi} u_e chi_A(e)``: the product of the rows of one
+    edge range of a per-edge set matrix with the edge sequence."""
+    return matrix[lo:hi].T @ u[lo:hi]
+
+
+def edge_superposition_max(matrix, lo, hi, u):
+    """``max_{lo <= e < hi} u_e chi_A(e)`` (0 where no set holds the point)."""
+    out = np.zeros(matrix.shape[1])
+    for e in range(lo, hi):
+        row = matrix.indices[matrix.indptr[e]:matrix.indptr[e + 1]]
+        out[row] = np.maximum(out[row], u[e])
+    return out
+
+
+def tent_partition(filling, level):
+    """The sparse tent partition of one level, one vertex at a time: row i
+    is ``clip(2 (1 - d/r), 0, 1)`` over its ball's points, normalised by
+    the column sums."""
+    space = filling.space
+    vids = filling.vertices_at_level(level)
+    rows, cols, data = [], [], []
+    for local, vid in enumerate(vids):
+        members = filling.ball_members(vid)
+        d = space.cross_dist(
+            space.points[filling.centers[vid]][None, :],
+            space.points[members])[0]
+        tent = np.clip(2.0 * (1.0 - d / filling.radii[vid]), 0.0, 1.0)
+        keep = tent > 0.0
+        rows.append(np.full(int(keep.sum()), local, dtype=np.int64))
+        cols.append(members[keep])
+        data.append(tent[keep])
+    phi = sparse.csr_matrix(
+        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(vids.size, space.n_points))
+    denom = np.asarray(phi.sum(axis=0)).ravel()
+    return phi.multiply(1.0 / denom[None, :]).tocsr()
+
+
+def canonical_text(obj, indent=0):
+    """Canonical JSON of plain Python values, one item at a time: sorted
+    keys, two-space indent, floats with 17 significant digits and negative
+    zero written as 0 (no trailing newline)."""
+    pad = "  " * indent
+    if obj is None or isinstance(obj, bool):
+        return {None: "null", True: "true", False: "false"}[obj]
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
+        assert np.isfinite(obj)
+        return "%.17g" % (obj + 0.0)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [pad + "  " + json.dumps(k) + ": "
+                 + canonical_text(obj[k], indent + 1) for k in sorted(obj)]
+        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if not obj:
+        return "[]"
+    items = [pad + "  " + canonical_text(v, indent + 1) for v in obj]
+    return "[\n" + ",\n".join(items) + "\n" + pad + "]"

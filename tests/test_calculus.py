@@ -12,7 +12,8 @@ from hyperfill.calculus import (_cross_blend_matrix, build_partition,
                                 poisson_extension, telescoping_integral)
 
 from conftest import tent_batch
-from oracles import dense_partition, row_gather_cross_product
+from oracles import (dense_partition, row_gather_cross_product,
+                     tent_partition)
 
 
 def test_poisson_extension_is_ball_average(plain6):
@@ -57,6 +58,24 @@ def test_partition_matches_dense_reference(plain6):
         ref = dense_partition(plain6, n)
         assert sparse.issparse(part.psi)
         assert np.allclose(part.psi.toarray(), ref, atol=1e-14)
+
+
+def _assert_partitions_equal_per_vertex_build(fil):
+    for n in fil.levels:
+        got = build_partition(fil, n).psi
+        want = tent_partition(fil, n)
+        for name in ("indptr", "indices", "data"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (n, name)
+
+
+def test_partition_equals_per_vertex_build(any_filling):
+    _assert_partitions_equal_per_vertex_build(any_filling)
+
+
+def test_partition_equals_per_vertex_build_euclidean():
+    space = hf.unit_cube_space(2, 4, metric="euclidean")
+    _assert_partitions_equal_per_vertex_build(hf.build_filling(space, -1, 2))
 
 
 def test_partition_supported_on_balls(plain6):

@@ -302,6 +302,44 @@ def test_verify_writes_report_and_csv(tmp_path):
     assert lines[0] == "experiment_id,cell,metric,value"
 
 
+@pytest.mark.parametrize("flag", ["--out", "--report", "--csv"])
+def test_output_into_a_missing_directory_exits_2(tmp_path, capsys, flag):
+    missing = tmp_path / "no_such_dir" / "x.out"
+    desc = write_cfg(tmp_path / "space.json", CUBE8)
+    if flag == "--report":
+        argv = ["space", "audit", desc, "--report", str(missing)]
+    else:
+        cfg = write_cfg(tmp_path / "v.json",
+                        {"space": CUBE8, "level_hi": 5, "trials": 2})
+        argv = ["verify", "audit_norm_variants", "--config", cfg,
+                flag, str(missing)]
+    assert hf.cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert not missing.parent.exists()
+
+
+def test_porosity_audit_reports_with_its_default_q_list(tmp_path):
+    # the default q_list holds inf, which the report spells "inf"
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 10},
+        "subset": {"cantor_depth": 6}, "level_hi": 6, "trials": 2})
+    out = tmp_path / "r.json"
+    assert hf.cli.main(["verify", "audit_porosity_qindependence",
+                        "--config", cfg, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["config"]["q_list"] == [0.8, 1, 2, "inf"]
+    assert "full_qinf" in report["rows"][1]
+    # the report's q_list is a valid config q_list
+    again = tmp_path / "again.json"
+    cfg2 = write_cfg(tmp_path / "v2.json", {
+        **json.loads((tmp_path / "v.json").read_text()),
+        "q_list": report["config"]["q_list"]})
+    assert hf.cli.main(["verify", "audit_porosity_qindependence",
+                        "--config", cfg2, "--out", str(again)]) == 0
+    assert again.read_bytes() == out.read_bytes()
+
+
 def test_failed_audit_exits_4_but_reports(tmp_path):
     # a five-level filling cannot push the approximation tail under the
     # default cut, so the audit fails; the report must still land on disk

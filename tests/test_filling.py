@@ -215,6 +215,18 @@ def test_edge_membership_matches_per_edge_unions(any_filling):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
+def test_overlaps_and_edge_balls_share_one_array_of_ones():
+    fil = hf.build_filling(hf.unit_cube_space(1, 6), 0, 4)
+    _, overlaps = fil._ball_levels()
+    memb = fil.edge_membership()
+    # the edge-ball matrix came second and longer: the overlaps moved onto
+    # its ones
+    assert np.shares_memory(overlaps.data, memb.data)
+    for mat in (overlaps, memb):
+        assert mat.data.size == mat.nnz and np.all(mat.data == 1.0)
+        assert not mat.data.flags.writeable
+
+
 def _with_edges(fil, tails, heads):
     """A copy of the filling carrying another edge list, in level order."""
     tails = np.asarray(tails, dtype=np.int64)

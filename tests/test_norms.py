@@ -7,11 +7,15 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
+from hyperfill import norms
 from hyperfill.norms import (NormVariant, SmoothnessParams, admissibility,
                              besov_fn_norm, besov_seq_norm,
                              half_ball_substitute, lp_norm, nonhom_norm,
                              trace_smoothness_window, triebel_fn_norm,
                              triebel_seq_norm)
+
+from oracles import (edge_ball_matrix, edge_superposition,
+                     edge_superposition_max, set_matrix)
 
 BESOV = SmoothnessParams(0.5, 2.0, 2.0, "besov")
 TRIEBEL = SmoothnessParams(0.5, 2.0, 2.0, "triebel")
@@ -264,19 +268,32 @@ def test_half_ball_sets_match_per_edge_scan(any_filling):
     assert all(hb.sets[e] is hb.sets[same[0]] for e in same)
 
 
-def _row_gathered_triebel(fil, u, params, variant, window):
-    """The Triebel norm from the window's rows only: the reference sum."""
-    eids = np.concatenate([fil.edges_at_level(k)
-                           for k in range(window[0], window[1] + 1)])
-    weights = 2.0 ** (fil.edge_levels[eids] * params.s) * np.abs(u[eids])
-    memb = variant.membership(fil)[eids]
+def _oracle_matrix(fil, variant):
+    """The per-edge set matrix of a variant, one row per edge."""
+    if variant.kind == "indicator":
+        return edge_ball_matrix(fil)
+    return set_matrix(variant.sets, fil.space.n_points)
+
+
+def _oracle_triebel(fil, u, params, variant, window):
+    """The Triebel norm from the E×n product of the window's edges."""
+    lo = fil.edge_range(window[0])[0]
+    hi = fil.edge_range(window[1])[1]
+    weights = np.zeros(fil.n_edges)
+    weights[lo:hi] = (2.0 ** (fil.edge_levels[lo:hi] * params.s)
+                      * np.abs(u[lo:hi]))
+    memb = _oracle_matrix(fil, variant)
     if np.isinf(params.q):
-        coo = memb.tocoo()
-        stack = np.zeros(fil.space.n_points)
-        np.maximum.at(stack, coo.col, weights[coo.row])
+        stack = edge_superposition_max(memb, lo, hi, weights)
     else:
-        stack = (memb.T @ weights ** params.q) ** (1.0 / params.q)
+        stack = edge_superposition(
+            memb, lo, hi, weights ** params.q) ** (1.0 / params.q)
     return lp_norm(fil.space, stack, params.p)
+
+
+def _windows(fil):
+    return [(fil.level_lo, fil.level_hi),
+            (fil.level_lo + 1, fil.level_hi - 1)]
 
 
 @pytest.mark.parametrize("q", [0.7, 2.0, np.inf])
@@ -284,10 +301,15 @@ def test_triebel_partial_window_matches_row_gather(any_filling, q):
     fil = any_filling
     u = _edge_noise(fil)
     params = SmoothnessParams(0.5, 1.5, q, "triebel")
-    window = (fil.level_lo + 1, fil.level_hi - 1)
     for variant in (NormVariant(), half_ball_substitute(fil)):
-        assert triebel_seq_norm(fil, u, params, variant, window) \
-            == _row_gathered_triebel(fil, u, params, variant, window)
+        for window in _windows(fil):
+            got = triebel_seq_norm(fil, u, params, variant, window)
+            want = _oracle_triebel(fil, u, params, variant, window)
+            if np.isinf(q):
+                # a maximum over the balls is exact
+                assert got == want
+            else:
+                assert got == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 def test_substitute_cache_is_tied_to_one_live_filling():
@@ -305,9 +327,11 @@ def test_substitute_cache_is_tied_to_one_live_filling():
     assert variant.membership(other) is not first
 
 
-def _row_gathered_besov(fil, u, params, variant, window):
-    """The Besov norm with each level's rows copied out: the reference."""
+def _oracle_besov(fil, u, params, variant, window):
+    """The Besov norm with each level's superposition taken from the
+    E×n product of that level's edges: the reference."""
     u = np.abs(u)
+    memb = None if variant.kind == "mass" else _oracle_matrix(fil, variant)
     terms = []
     for k in range(window[0], window[1] + 1):
         eids = np.flatnonzero(fil.edge_levels == k)
@@ -320,7 +344,7 @@ def _row_gathered_besov(fil, u, params, variant, window):
             else:
                 a = float((masses @ u[eids] ** params.p) ** (1.0 / params.p))
         else:
-            g = variant.membership(fil)[eids].T @ u[eids]
+            g = edge_superposition(memb, eids[0], eids[-1] + 1, u)
             a = lp_norm(fil.space, g, params.p)
         terms.append(2.0 ** (k * params.s) * a)
     terms = np.asarray(terms)
@@ -333,15 +357,85 @@ def _row_gathered_besov(fil, u, params, variant, window):
 def test_besov_levels_match_row_gather(any_filling, q):
     fil = any_filling
     u = _edge_noise(fil)
-    windows = [(fil.level_lo, fil.level_hi),
-               (fil.level_lo + 1, fil.level_hi - 1)]
     for p in (1.5, np.inf):
         params = SmoothnessParams(0.5, p, q, "besov")
         for variant in (NormVariant(), half_ball_substitute(fil),
                         NormVariant("mass")):
-            for window in windows:
+            for window in _windows(fil):
                 assert besov_seq_norm(fil, u, params, variant, window) \
-                    == _row_gathered_besov(fil, u, params, variant, window)
+                    == pytest.approx(_oracle_besov(fil, u, params, variant,
+                                                   window),
+                                     rel=1e-13, abs=0.0)
+
+
+def _sparse_weights(fil, seed=5):
+    """Nonnegative edge weights, zero on about half the edges."""
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.1, 3.0, size=fil.n_edges)
+    w[rng.random(fil.n_edges) < 0.5] = 0.0
+    return w
+
+
+def test_superposition_matches_edge_ball_product(any_filling):
+    fil = any_filling
+    w = _sparse_weights(fil)
+    memb = edge_ball_matrix(fil)
+    for window in [*_windows(fil), *((k, k) for k in fil.levels)]:
+        levels = range(window[0], window[1] + 1)
+        got = fil._superpose(w, levels)
+        assert got.shape == (len(levels), fil.space.n_points)
+        for row, k in zip(got, levels):
+            want = edge_superposition(memb, *fil.edge_range(k), w)
+            np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
+            # points outside every weighted edge ball are exactly zero,
+            # which extend_sobolev's dead-pair rule relies on
+            assert np.all(row[want == 0.0] == 0.0)
+            assert np.all(row >= 0.0)
+
+
+def test_distinct_substitute_superposes_bit_for_bit(any_filling):
+    fil = any_filling
+    # one array per edge, none shared
+    variant = NormVariant("substitute", sets=[
+        fil.edge_ball_members(e) for e in range(fil.n_edges)])
+    memb = set_matrix(variant.sets, fil.space.n_points)
+    w = _sparse_weights(fil)
+    for window in _windows(fil):
+        levels = range(window[0], window[1] + 1)
+        got = norms._superpose(fil, variant, w, levels)
+        for row, k in zip(got, levels):
+            want = edge_superposition(memb, *fil.edge_range(k), w)
+            assert np.array_equal(row, want)
+        params = SmoothnessParams(0.5, 1.5, 2.0, "besov")
+        assert besov_seq_norm(fil, w, params, variant, window) == \
+            _oracle_besov(fil, w, params, variant, window)
+        params = params.replace(kind="triebel", q=np.inf)
+        assert triebel_seq_norm(fil, w, params, variant, window) == \
+            _oracle_triebel(fil, w, params, variant, window)
+
+
+def test_shared_substitute_sets_become_one_row_per_level(plain6):
+    variant = half_ball_substitute(plain6)
+    rows, row_of_edge = variant.membership(plain6)
+    n = plain6.space.n_points
+    # one row per tail vertex (its edges all sit at its level), listing
+    # the tail's half ball in that level's block of columns
+    tails = plain6.tails
+    assert rows.shape[0] == np.unique(tails).size
+    assert np.unique(np.stack([tails, row_of_edge]), axis=1).shape[1] \
+        == rows.shape[0]
+    for e in range(0, plain6.n_edges, 97):
+        r = row_of_edge[e]
+        block = (plain6.edge_levels[e] - plain6.level_lo) * n
+        assert np.array_equal(
+            rows.indices[rows.indptr[r]:rows.indptr[r + 1]] - block,
+            variant.sets[e])
+    with pytest.raises(hf.ConfigError):
+        NormVariant().membership(plain6)
+    bad = NormVariant("substitute", sets=[np.array([plain6.space.n_points])]
+                      * plain6.n_edges)
+    with pytest.raises(hf.ConfigError):
+        besov_seq_norm(plain6, np.ones(plain6.n_edges), BESOV, bad)
 
 
 def test_besov_seq_norm_does_not_copy_membership():

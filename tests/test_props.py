@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -12,7 +13,7 @@ from hyperfill.calculus import (discrete_derivative, level_blend,
                                 telescoping_integral)
 from hyperfill.norms import SmoothnessParams, besov_seq_norm, lp_norm
 
-from oracles import greedy_net
+from oracles import canonical_text, greedy_net
 
 TINY_SPACE = hf.unit_cube_space(1, 4)
 TINY = hf.build_filling(TINY_SPACE, 0, 2)
@@ -210,3 +211,21 @@ def test_canonical_json_writes_negative_zero_as_zero():
 def test_sanitize_is_idempotent(obj):
     once = sanitize(obj)
     assert sanitize(once) == once
+
+
+def test_float_lists_are_written_as_item_by_item():
+    tiny = 5e-324
+    floats = [-0.0, 0.0, 1e308, -1e308, tiny, -tiny, 2.2250738585072014e-308,
+              0.1, 1.0 / 3.0, 123456789.0]
+    docs = [floats, [1.5], floats + [7], [3, 2.5, -0.0], [[0.5, -0.0],
+            [floats, 2, [1e-300]]], {"a": floats, "b": {"c": [0.25]}},
+            tuple(floats), np.array(floats)]
+    for doc in docs:
+        plain = doc.tolist() if isinstance(doc, np.ndarray) else doc
+        text = canonical_dumps(doc)
+        assert text == canonical_text(json.loads(json.dumps(plain))) + "\n"
+        assert canonical_dumps(json.loads(text)) == text
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        for doc in ([0.5, bad], {"x": [bad, 1.0]}, np.array([1.0, bad])):
+            with pytest.raises(hf.ConfigError):
+                canonical_dumps(doc)

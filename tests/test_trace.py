@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy import sparse
 
 import hyperfill as hf
 from hyperfill import trace as trace_mod
@@ -222,8 +221,8 @@ def test_sobolev_blind_pair_error(interval10, cantor6, tent, monkeypatch):
     # extension must be refused, naming its largest blind increment
     nested = hf.build_nested_filling(interval10, cantor6, 0, 6)
     amb = nested.ambient
-    monkeypatch.setattr(amb, "edge_membership", lambda: sparse.csr_matrix(
-        (amb.n_edges, amb.space.n_points)))
+    monkeypatch.setattr(amb, "_superpose", lambda w, levels: np.zeros(
+        (len(levels), amb.space.n_points)))
     fsub = tent[cantor6.member_indices]
     u = extend_besov(nested, fsub, BESOV).samples
     with pytest.raises(hf.NumericalError) as err:

@@ -10,6 +10,8 @@ from hyperfill.verify import (ExperimentReport, audit_approx_density, audit_nonh
                               audit_small_p_embedding, audit_theorem_suite,
                               random_noise_functions, random_tent_functions)
 
+from oracles import edge_ball_matrix, edge_superposition
+
 
 @pytest.fixture(scope="module")
 def variants_report(plain6):
@@ -37,7 +39,7 @@ def test_report_csv_schema(variants_report):
     assert all(parts[0] == "norm_variants" for parts in body)
     # floats carry full precision
     row0 = {p[2]: p[3] for p in body if p[1] == "trial_000"}
-    assert row0["indicator"] == "393.18559930418741"
+    assert row0["indicator"] == "393.18559930418735"
     # metrics within a cell come out sorted, so reruns diff cleanly
     metrics = [p[2] for p in body if p[1] == "trial_000"]
     assert metrics == sorted(metrics)
@@ -98,11 +100,18 @@ def test_small_p_embedding_matches_row_gather(request, monkeypatch, name):
     filling = getattr(filling, side) if side else filling
     kw = dict(p=0.5, sigma_grid=(0.5, 1.0, 2.0), trials=3, seed=3, level=2)
     got = audit_small_p_embedding(filling, **kw).to_dict()
-    # the same audit with each level's rows copied out, as it used to be
-    monkeypatch.setattr(
-        verify, "_rows_transpose_matvec",
-        lambda mat, lo, hi, x: mat[np.arange(lo, hi)].T @ x)
-    assert got == audit_small_p_embedding(filling, **kw).to_dict()
+    # the same audit with each level's superposition taken from the E×n
+    # product of that level's edges
+    memb = edge_ball_matrix(filling)
+    monkeypatch.setattr(filling, "_superpose", lambda w, levels: np.array(
+        [edge_superposition(memb, *filling.edge_range(k), w)
+         for k in levels]))
+    want = audit_small_p_embedding(filling, **kw).to_dict()
+    assert got.keys() == want.keys()
+    assert {k: got[k] for k in got if k != "rows"} == \
+        {k: want[k] for k in want if k != "rows"}
+    for a, b in zip(got["rows"], want["rows"], strict=True):
+        assert a == pytest.approx(b, rel=1e-12)
 
 
 def test_approx_density_audit(interval10):
