@@ -6,13 +6,19 @@ d(i,j)^s`` over all point pairs.  Each exponent has one exact route:
 
 * ``p = 1`` is a linear program, solved by HiGHS
   (``scipy.optimize.linprog``) on the sparse pair matrix;
-* ``p > 1`` has a smooth Lagrange dual over multipliers ``y >= 0``,
-  maximised by L-BFGS-B and then polished by Newton steps on the KKT
-  system of the active pairs;
+* ``p = 2`` is a least-distance program in ``x = w^(1/2) g``, solved
+  exactly by Lawson and Hanson's NNLS (``scipy.optimize.nnls``) on a
+  working set of pairs that grows by each point's most violated pair
+  until none is violated; the working-set matrix holds ``(n + 1) |S|``
+  float64 entries for ``n`` points and ``|S|`` pairs in the set, and a
+  set whose matrix would pass 256 MiB raises ``NumericalError``;
+* every other ``p > 1`` has a smooth Lagrange dual over multipliers
+  ``y >= 0``, maximised by L-BFGS-B and then polished by Newton steps on
+  the KKT system of the active pairs;
 * ``p = inf`` has a closed form.
 
-The solver's own convergence claims are not trusted.  A one-pass
-feasibility lift turns its ``g`` into an exactly feasible point, so the
+The solver's own convergence claims are not trusted.  A feasibility
+lift turns its ``g`` into an exactly feasible point, so the
 reported norm is an upper bound; the dual function evaluated at its
 multipliers is a lower bound, and their relative gap certifies the
 result.
@@ -46,14 +52,17 @@ _KKT_REG = 1e-10
 _NEWTON_STEPS = 30
 _ACTIVE_ROUNDS = 5
 # Violation, in units of the largest level, that brings a pair into the
-# active set.
+# active set (the Newton polish) or the working set (p = 2).
 _VIOLATED = 1e-14
-# Dual ascent and polish rounds at p > 1.
+# Memory budget of the p = 2 working-set matrix, (n + 1) |S| float64
+# entries; NNLS factors a copy of it, so the peak is about twice this.
+_WORK_BYTES = 256 * 2**20
+# Dual ascent and polish rounds at p > 1, p != 2.
 _ROUNDS = 3
 # Relative duality-gap target for finite p.
 _GAP_TOL = 1e-7
 # Iteration budget of the inner solvers: HiGHS at p = 1; L-BFGS-B and the
-# Newton polish together at p > 1.
+# Newton polish together at p > 1, p != 2.
 _MAX_ITER = 100_000
 
 
@@ -66,8 +75,9 @@ class HajlaszGradient:
     solver's convex objective (the ``p``-th power for finite ``p``), and
     ``gap`` is their relative difference, a certificate that ``norm``
     exceeds the true infimum by at most roughly ``gap / p``.
-    ``iterations`` counts the inner solver's iterations (HiGHS at
-    ``p = 1``; L-BFGS-B plus Newton polish steps at ``p > 1``).
+    ``iterations`` counts the inner solver's iterations: HiGHS at
+    ``p = 1``, working-set rounds (one NNLS solve each) at ``p = 2``, and
+    L-BFGS-B plus Newton polish steps at every other ``p > 1``.
     """
 
     norm: float
@@ -144,6 +154,72 @@ def _solve_lp(ii, jj, m, w):
                              "iterations: %s" % (res.nit, res.message))
     y = np.maximum(-res.ineqlin.marginals, 0.0)
     return np.maximum(res.x, 0.0), y, int(res.nit)
+
+
+def _top_pair_per_point(score, ii, jj):
+    """Sorted ids of the pairs that give some point its largest positive
+    ``score``, ties going to the lower pair id."""
+    pts = np.concatenate((ii, jj))
+    pair = np.tile(np.arange(score.size), 2)
+    both = np.tile(score, 2)
+    order = np.lexsort((-both, pts))
+    pts, pair, both = pts[order], pair[order], both[order]
+    first = np.ones(pts.size, dtype=bool)
+    first[1:] = pts[1:] != pts[:-1]
+    return np.unique(pair[first & (both > 0.0)])
+
+
+def _solve_ldp(ii, jj, m, w):
+    """``p = 2`` by least-distance NNLS on a working set of pairs.
+
+    With ``x = D^(1/2) g``, ``D = diag(w)`` and ``G = A D^(-1/2)`` over
+    the working set ``S``, the program is ``min |x|^2`` subject to
+    ``G x >= m_S``.  Lawson and Hanson solve it through ``u = nnls(E,
+    e_{n+1})`` with ``E = [G^T; m_S^T]``: the multipliers are ``y_S =
+    2 u / (1 - m_S . u)`` and ``g = A^T y / (2 w)``.  ``S`` starts as
+    each point's largest-level pair; each round adds each point's most
+    violated pair, until no pair is violated.  Returns ``(g, y,
+    rounds)``.
+    """
+    from scipy import optimize
+
+    n = w.size
+    rhs = np.zeros(n + 1)
+    rhs[n] = 1.0
+    scale = 1.0 / np.sqrt(w)
+    work = _top_pair_per_point(m, ii, jj)
+    rounds = 0
+    while True:
+        rounds += 1
+        if (n + 1) * work.size * 8 > _WORK_BYTES:
+            raise NumericalError(
+                "the p = 2 working set of %d pairs needs a %d x %d matrix, "
+                "over its %d MiB budget" % (work.size, n + 1, work.size,
+                                           _WORK_BYTES >> 20))
+        cols = np.arange(work.size)
+        e = np.zeros((n + 1, work.size))
+        e[ii[work], cols] = scale[ii[work]]
+        e[jj[work], cols] = scale[jj[work]]
+        e[n] = m[work]
+        try:
+            u, _ = optimize.nnls(e, rhs)
+        except RuntimeError as exc:
+            raise NumericalError("NNLS stopped on %d pairs in round %d: %s"
+                                 % (work.size, rounds, exc)) from None
+        denom = 1.0 - m[work] @ u
+        if not denom > 0.0:
+            raise NumericalError("NNLS found the %d working pairs "
+                                 "infeasible" % work.size)
+        y = np.zeros(m.size)
+        y[work] = 2.0 * u / denom
+        g = _primal_of_dual(y, ii, jj, w, 2.0)
+        short = m - g[ii] - g[jj]
+        short[work] = 0.0
+        join = _top_pair_per_point(np.where(short > _VIOLATED, short, 0.0),
+                                   ii, jj)
+        if join.size == 0:
+            return g, y, rounds
+        work = np.union1d(work, join)
 
 
 def _solve_dual(y0, ii, jj, m, w, p, max_iter):
@@ -269,6 +345,22 @@ def _newton_polish(y, ii, jj, m, w, p):
     return g, full_y, total
 
 
+def _lift(g, ii, jj, m):
+    """``g`` raised until every pair constraint holds in floating point.
+
+    `pair_max_lift` repairs every constraint in exact arithmetic, but a
+    deficit below the rounding unit of ``g`` can survive the addition;
+    the points of each pair still short then step up one float at a time.
+    """
+    g = g + pair_max_lift(g, ii, jj, m)
+    short = g[ii] + g[jj] < m
+    while short.any():
+        pts = np.union1d(ii[short], jj[short])
+        g[pts] = np.nextafter(g[pts], np.inf)
+        short = g[ii] + g[jj] < m
+    return g
+
+
 def _certify(candidates, scale, ii, jj, m, w, p):
     """Best certified bounds over candidate ``(g, y)`` pairs.
 
@@ -279,8 +371,7 @@ def _certify(candidates, scale, ii, jj, m, w, p):
     """
     best_obj, best_g, best_dual = np.inf, None, 0.0
     for g, y in candidates:
-        g = scale * g
-        g = g + pair_max_lift(g, ii, jj, m)
+        g = _lift(scale * g, ii, jj, m)
         obj = float(w @ g) if p == 1.0 else float(w @ g ** p)
         if obj < best_obj:
             best_obj, best_g = obj, g
@@ -310,7 +401,9 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     ------
     NumericalError
         If the inner solver fails, or its answer does not certify the
-        relative gap target 1e-7 within 100,000 inner iterations.
+        relative gap target 1e-7: at ``p = 2`` once no pair is violated,
+        at every other finite ``p`` within 100,000 inner iterations.  Also
+        if the ``p = 2`` working-set matrix would pass 256 MiB.
     """
     if params.kind != "hajlasz":
         raise ConfigError("params kind %r is not hajlasz" % params.kind)
@@ -355,6 +448,9 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     unit = m / top
     if p == 1.0:
         g, y, iters = _solve_lp(ii, jj, unit, w)
+        g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
+    elif p == 2.0:
+        g, y, iters = _solve_ldp(ii, jj, unit, w)
         g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
     else:
         # Each round: dual ascent, then a Newton polish whose multipliers

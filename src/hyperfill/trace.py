@@ -159,12 +159,32 @@ def _anchor(nested: NestedFilling) -> int:
     return int(nested.point_embedding[0])
 
 
+def _coarse_terms(filling, u, v, basepoint: int):
+    """Telescoping integral of ``u`` and the coarse blend of ``v`` at the
+    filling's lowest level, shifted by the constant the integral pins.
+
+    Levels below zero enter the integral minus their value at
+    ``basepoint``, which takes ``(T_0 v - T_lo v)[basepoint]`` off every
+    point (``T_k v`` the level-``k`` blend, ``hi`` the finest level).  The
+    coarse blend carries it back, so ``integral + coarse`` and ``integral
+    + coarse[basepoint]`` stay the exact telescopes ``T_hi v`` and ``T_hi
+    v - T_lo v + T_lo v[basepoint]``.  From level zero up nothing is
+    pinned or shifted.
+    """
+    lo = filling.level_lo
+    integral = telescoping_integral(filling, u, basepoint=basepoint)
+    coarse = level_blend(filling, v, lo)
+    if lo < 0:
+        coarse = coarse + (level_blend(filling, v, 0)[basepoint]
+                           - coarse[basepoint])
+    return integral, coarse
+
+
 def _trace_terms(nested: NestedFilling, v, u_sub):
     """Telescoping integral on the subset, and the coarse blend of the
-    restricted ball means on the subset points."""
-    tr = nested.trace
-    return (telescoping_integral(tr, u_sub),
-            level_blend(tr, v[nested.vertex_embedding], tr.level_lo))
+    restricted ball means on the subset points.  Levels below zero are
+    pinned at the first subset point, the subset side of `_anchor`."""
+    return _coarse_terms(nested.trace, u_sub, v[nested.vertex_embedding], 0)
 
 
 def _extension_terms(nested: NestedFilling, f_sub):
@@ -178,8 +198,7 @@ def _extension_terms(nested: NestedFilling, f_sub):
     u_amb[nested.edge_embedding] = u_sub
     v_amb = np.zeros(amb.n_vertices)
     v_amb[nested.vertex_embedding] = v_sub
-    return (telescoping_integral(amb, u_amb),
-            level_blend(amb, v_amb, amb.level_lo), u_amb)
+    return _coarse_terms(amb, u_amb, v_amb, _anchor(nested)) + (u_amb,)
 
 
 def _nonhom_subset_params(nested: NestedFilling, params: SmoothnessParams

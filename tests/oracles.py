@@ -88,6 +88,43 @@ def qp_hajlasz_norm(dist, weights, values):
     return slsqp_hajlasz_norm(dist, weights, values, 2.0)
 
 
+def ldp_hajlasz_norm(dist, weights, values):
+    """p=2 Hajlasz functional as one least-distance program over all pairs.
+
+    Minimizes sum_i w_i g_i^2 subject to g_i + g_j >= |f_i - f_j| / d_ij
+    over every pair with d_ij > 0 and f_i != f_j.  In x_i = sqrt(w_i) g_i
+    this is min |x|^2 subject to G x >= h; Lawson and Hanson's dual is
+    the NNLS problem min |E u - e| over u >= 0 with E = [G^T; h^T] and
+    e the last unit vector, and x = -r[:n] / r[n] for r = E u - e.
+    Returns the L^2(w) norm of the optimal g, and g.
+    """
+    dist = np.asarray(dist, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[0]
+    cols = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            m = abs(values[i] - values[j])
+            if dist[i, j] == 0.0 or m == 0.0:
+                continue
+            col = np.zeros(n + 1)
+            col[i] = 1.0 / np.sqrt(weights[i])
+            col[j] = 1.0 / np.sqrt(weights[j])
+            col[n] = m / dist[i, j]
+            cols.append(col)
+    if not cols:
+        return 0.0, np.zeros(n)
+    e = np.zeros(n + 1)
+    e[n] = 1.0
+    mat = np.array(cols).T
+    u, _ = optimize.nnls(mat, e, maxiter=100 * mat.shape[1])
+    r = mat @ u - e
+    assert r[n] < 0.0, "least-distance program reported infeasible"
+    g = -r[:n] / r[n] / np.sqrt(weights)
+    return float(np.sqrt(weights @ g**2)), g
+
+
 def greedy_net(points, separation, metric="sup", candidates=None):
     """Greedy maximal separated subset of the candidates, each compared
     with every point kept so far; the scan runs in the order of

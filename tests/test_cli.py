@@ -267,6 +267,35 @@ def test_trace_run_with_half_ball_variant(tmp_path, direction):
     assert side["operator_ratio"] > 0.0
 
 
+def _bottom_edge_roundtrip(tmp_path, metric, level_lo):
+    bottom = [32 * k for k in range(32)]
+    cfg = write_cfg(tmp_path / ("t%s%d.json" % (metric, level_lo)), dict(
+        TRACE_CFG, space={"kind": "cube", "dim": 2, "depth": 5,
+                          "metric": metric},
+        subset={"indices": bottom, "lambda": 1.0}, level_lo=level_lo,
+        level_hi=3, params={"s": 0.5, "p": 4.0, "q": 4.0, "kind": "besov"}))
+    out = tmp_path / ("tr%s%d.json" % (metric, level_lo))
+    proc = run_cli("trace", "run", "--config", cfg, "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_trace_run_below_level_zero(tmp_path):
+    # under the sup metric the 2-D cube has diameter 1, so its root may sit
+    # at level 0 or -1; the extra coarse level must not move the roundtrip
+    at_zero = _bottom_edge_roundtrip(tmp_path, "sup", 0)
+    below = _bottom_edge_roundtrip(tmp_path, "sup", -1)
+    for get in (lambda p: p["roundtrip_sup_error"],
+                lambda p: p["extend"]["restriction_sup_error"]):
+        assert get(below) == pytest.approx(get(at_zero), rel=1e-12)
+    # the Euclidean cube has diameter sqrt(2) and needs the root at -1
+    euclid = _bottom_edge_roundtrip(tmp_path, "euclidean", -1)
+    assert len(euclid["trace"]["samples"]) == 32
+    assert euclid["trace"]["operator_ratio"] > 0.0
+    assert euclid["roundtrip_sup_error"] == pytest.approx(
+        at_zero["roundtrip_sup_error"], rel=0.05)
+
+
 def test_inadmissible_exponents_exit_3(tmp_path):
     cfg = write_cfg(tmp_path / "t.json",
                     dict(TRACE_CFG,

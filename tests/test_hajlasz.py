@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
+from hyperfill import hajlasz
 from hyperfill.hajlasz import hajlasz_norm
 from hyperfill.norms import SmoothnessParams
 
-from oracles import (lp_hajlasz_norm, pair_distances, qp_hajlasz_norm,
-                     slsqp_hajlasz_norm)
+from oracles import (ldp_hajlasz_norm, lp_hajlasz_norm, pair_distances,
+                     qp_hajlasz_norm, slsqp_hajlasz_norm)
 
 P1 = SmoothnessParams(1.0, 1.0, kind="hajlasz")
 P2 = SmoothnessParams(1.0, 2.0, kind="hajlasz")
@@ -98,12 +99,82 @@ def test_p2_tent_sum_at_64_points_certifies():
     assert got.objective == pytest.approx(got.norm**2, rel=1e-15)
 
 
+def _p2_space(depth, weights, seed):
+    """The 1-D dyadic cube, with its uniform weights or random ones."""
+    cube = hf.unit_cube_space(1, depth)
+    if weights == "uniform":
+        return cube
+    w = np.random.default_rng(100 + seed).uniform(0.1, 1.0, cube.n_points)
+    return hf.FiniteMetricMeasureSpace(cube.points, w / w.sum(), "sup",
+                                       cube.resolution, cube.declared_Q,
+                                       cube.declared_diam)
+
+
+@pytest.mark.parametrize("weights", ["uniform", "random"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("depth", [6, 7])
+def test_p2_working_set_solves_the_full_program(monkeypatch, depth, seed,
+                                                weights):
+    space = _p2_space(depth, weights, seed)
+    f = _tent_sum(space.points, np.random.default_rng(seed))
+    w = space.weights
+    seen = []
+    certify = hajlasz._certify
+
+    def spy(candidates, scale, *rest):
+        seen.append((candidates, scale))
+        return certify(candidates, scale, *rest)
+
+    monkeypatch.setattr(hajlasz, "_certify", spy)
+    got = hajlasz_norm(space, f, SmoothnessParams(0.5, 2.0, kind="hajlasz"))
+    D = pair_distances(space.points)
+    opt, _ = ldp_hajlasz_norm(D**0.5, w, f)
+    assert got.converged and got.gap <= 1e-12
+    assert got.norm == pytest.approx(opt, rel=1e-12, abs=0.0)
+    # KKT: g is feasible on every pair, y >= 0 and 2 w g = A^T y
+    i, j = np.triu_indices(space.n_points, 1)
+    m = np.abs(f[i] - f[j]) / D[i, j] ** 0.5
+    assert np.all(got.g[i] + got.g[j] >= m) and got.g.min() >= 0.0
+    [([(_, y_unit)], top)] = seen
+    assert y_unit.min() >= 0.0
+    y = np.zeros(m.size)
+    y[m > 0.0] = top * y_unit      # the solver keeps the pairs with m > 0
+    lhs = 2.0 * w * got.g
+    rhs = np.bincount(i, y, space.n_points) + np.bincount(j, y,
+                                                          space.n_points)
+    assert np.abs(lhs - rhs).max() <= 1e-9 * lhs.max()
+    slack = got.g[i] + got.g[j] - m
+    assert y @ slack <= 1e-9 * (y @ m)
+
+
+def test_p2_never_runs_the_dual_ascent(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p = 2 reached the L-BFGS-B route")
+
+    monkeypatch.setattr(hajlasz, "_solve_dual", refuse)
+    monkeypatch.setattr(hajlasz, "_newton_polish", refuse)
+    space = hf.unit_cube_space(1, 6)
+    f = _tent_sum(space.points, np.random.default_rng(0))
+    got = hajlasz_norm(space, f, SmoothnessParams(0.5, 2.0, kind="hajlasz"))
+    assert got.converged and got.gap <= 1e-12
+    assert 1 <= got.iterations <= space.n_points
+
+
+def test_p2_working_set_over_budget_raises(monkeypatch):
+    # 65 rows by a starting set of at least 32 pairs is over 16 KB
+    monkeypatch.setattr(hajlasz, "_WORK_BYTES", 65 * 32 * 8 - 1)
+    space = hf.unit_cube_space(1, 6)
+    f = _tent_sum(space.points, np.random.default_rng(0))
+    with pytest.raises(hf.NumericalError, match="MiB budget"):
+        hajlasz_norm(space, f, SmoothnessParams(0.5, 2.0, kind="hajlasz"))
+
+
 _HAJLASZ_CFG = {"space": {"kind": "cube", "dim": 1, "depth": 5},
                 "level_hi": 2, "seed": 4,
                 "function": {"kind": "random_tents"}}
 
 
-@pytest.mark.parametrize("p", [1.0, 1.5])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
 def test_norm_eval_payload_is_byte_identical_across_processes(tmp_path, p):
     cfg = tmp_path / "h.json"
     cfg.write_text(json.dumps(dict(

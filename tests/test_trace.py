@@ -3,6 +3,8 @@ import pytest
 
 import hyperfill as hf
 from hyperfill import trace as trace_mod
+from hyperfill.calculus import (discrete_derivative, level_blend,
+                                poisson_extension, telescoping_integral)
 from hyperfill.norms import (SmoothnessParams, besov_fn_norm,
                              half_ball_substitute, nonhom_norm)
 from hyperfill.trace import (codim_mass_band, extend_besov, extend_sobolev,
@@ -251,3 +253,95 @@ def test_half_ball_variant_scores_each_side_with_its_own_half_balls(pair8,
         nonhom_norm(pair8.trace, nt.samples, nt.trace_params, own)
     with pytest.raises(hf.ConfigError):
         trace_besov(pair8, tent, BESOV, own)
+
+
+def _bottom_edge_pair():
+    """Euclidean 2-D depth-5 cube and its bottom row, levels -1..3."""
+    space = hf.unit_cube_space(2, 5, metric="euclidean")
+    rows = np.flatnonzero(space.points[:, 1] == space.points[:, 1].min())
+    mask = hf.mask_from_descriptor(space, {"indices": rows.tolist(),
+                                           "lambda": 1.0})
+    return hf.build_nested_filling(space, mask, -1, 3), rows
+
+
+def test_trace_and_extension_start_below_level_zero():
+    nested, rows = _bottom_edge_pair()
+    space = nested.ambient.space
+    params = SmoothnessParams(0.5, 4.0, 4.0, "besov")
+    f = np.sin(3.0 * space.points[:, 0]) + space.points[:, 1] ** 2
+    res = trace_besov(nested, f, params)
+    # the window telescopes to the finest blend, whose coarse part is the
+    # constant root blend
+    tr = nested.trace
+    fine = level_blend(tr, poisson_extension(nested.ambient, f)[
+        nested.vertex_embedding], tr.level_hi)
+    assert np.abs(res.samples - fine).max() <= 1e-12
+    nh = nonhom_trace(nested, f, params.replace(kind="nonhom_besov"))
+    assert np.abs(nh.samples - fine).max() <= 1e-12
+    assert np.isfinite([res.trace_norm, res.source_norm]).all()
+    back = extend_besov(nested, res.samples, params)
+    assert np.isfinite(back.samples).all()
+    assert back.restriction_sup_error <= 0.1
+
+
+def _scaled_cantor_pair(scale: float, level_lo: int):
+    """The 256-point interval and its depth-4 Cantor subset, stretched by
+    ``scale``, over six levels from ``level_lo``."""
+    base = hf.unit_cube_space(1, 8)
+    mask = hf.cantor_mask(base, 4)
+    space = hf.FiniteMetricMeasureSpace(
+        base.points * scale, base.weights, base.metric_kind,
+        base.resolution * scale, base.declared_Q, base.declared_diam * scale)
+    mask = hf.mask_from_descriptor(space, {
+        "indices": mask.member_indices.tolist(),
+        "lambda": mask.declared_lambda})
+    return hf.build_nested_filling(space, mask, level_lo, level_lo + 5)
+
+
+def test_operators_below_level_zero_are_scale_invariant():
+    # stretching the cloud by 2^3 and the window by three levels gives the
+    # same balls, partitions and blends; at levels -3..2 the root blends
+    # are no longer constant near the subset, so a constant left over by
+    # pinning the negative levels would shift every sample
+    unit, wide = _scaled_cantor_pair(1.0, 0), _scaled_cantor_pair(8.0, -3)
+    x = unit.ambient.space.points[:, 0]
+    f = np.sin(3.0 * x) + x ** 2
+    f_sub = f[unit.mask.member_indices]
+    besov = SmoothnessParams(0.7, 4.0, 4.0, "besov")
+    nonhom = besov.replace(kind="nonhom_besov")
+    for op, g, params in ((trace_besov, f, besov), (nonhom_trace, f, nonhom),
+                          (extend_besov, f_sub, besov),
+                          (nonhom_extend, f_sub, nonhom)):
+        a, b = op(unit, g, params), op(wide, g, params)
+        assert np.abs(a.samples - b.samples).max() <= 1e-12, op.__name__
+        if hasattr(a, "restriction_sup_error"):
+            assert b.restriction_sup_error == pytest.approx(
+                a.restriction_sup_error, rel=1e-12, abs=1e-12)
+    tr = wide.trace
+    fine = level_blend(tr, poisson_extension(wide.ambient, f)[
+        wide.vertex_embedding], tr.level_hi)
+    nh = nonhom_trace(wide, f, nonhom)
+    assert np.abs(nh.samples - fine).max() <= 1e-12
+
+
+def test_windows_from_level_zero_keep_their_bytes(pair8, tent):
+    # the basepoint pins only levels below zero; from level zero up the
+    # operators are the unanchored telescoping sums
+    tr, amb = pair8.trace, pair8.ambient
+    v = poisson_extension(amb, tent)
+    u_sub = discrete_derivative(amb, v)[pair8.edge_embedding]
+    expect = telescoping_integral(tr, u_sub) + level_blend(
+        tr, v[pair8.vertex_embedding], tr.level_lo)[0]
+    assert trace_besov(pair8, tent, BESOV).samples.tobytes() == \
+        expect.tobytes()
+    f_sub = tent[pair8.mask.member_indices]
+    v_sub = poisson_extension(tr, f_sub)
+    u_amb = np.zeros(amb.n_edges)
+    u_amb[pair8.edge_embedding] = discrete_derivative(tr, v_sub)
+    v_amb = np.zeros(amb.n_vertices)
+    v_amb[pair8.vertex_embedding] = v_sub
+    anchor = pair8.point_embedding[0]
+    expect = telescoping_integral(amb, u_amb) + level_blend(
+        amb, v_amb, amb.level_lo)[anchor]
+    assert extend_besov(pair8, f_sub, BESOV).samples.tobytes() == \
+        expect.tobytes()
