@@ -69,6 +69,7 @@ class Filling:
         self._partition_cache = {}
         self._vertex_membership = None
         self._level_balls = None
+        self._half_balls = None
         self._edge_membership = None
         self._ones = np.ones(0)
         self._edge_ball_mass = None
@@ -184,6 +185,16 @@ class Filling:
             yield lo, hi, combine(balls[self.tails[lo:hi]],
                                   balls[self.heads[lo:hi]])
 
+    def _by_level(self, balls: sparse.csr_matrix) -> sparse.csr_matrix:
+        """Row v of an (n_vertices, n_points) matrix moved into the block of
+        ``n_points`` columns of v's level, out of ``L * n_points``."""
+        n, width = self.space.n_points, len(self.levels) * self.space.n_points
+        shift = np.repeat((self.vertex_levels - self.level_lo) * n,
+                          np.diff(balls.indptr))
+        return sparse.csr_matrix(
+            (balls.data, (balls.indices + shift).astype(_index_dtype(width)),
+             balls.indptr), shape=(self.n_vertices, width))
+
     def _ball_levels(self):
         """The vertex balls and the edge-ball overlaps, each placed in the
         block of its level.
@@ -197,21 +208,15 @@ class Filling:
         """
         if self._level_balls is None:
             n, lo = self.space.n_points, self.level_lo
-            idx = _index_dtype(len(self.levels) * n)
-            balls = self.vertex_membership()
-            shift = np.repeat((self.vertex_levels - lo) * n,
-                              np.diff(balls.indptr))
-            balls = sparse.csr_matrix(
-                (balls.data, (balls.indices + shift).astype(idx),
-                 balls.indptr),
-                shape=(self.n_vertices, len(self.levels) * n))
+            balls = self._by_level(self.vertex_membership())
             cols, counts = [], []
             for _, _, both in self._edge_blocks(lambda a, b: a.multiply(b)):
                 cols.append(both.indices)
                 counts.append(np.diff(both.indptr))
             indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
             np.cumsum(np.concatenate(counts), out=indptr[1:])
-            indices = np.concatenate(cols).astype(idx, copy=False)
+            indices = np.concatenate(cols).astype(balls.indices.dtype,
+                                                  copy=False)
             del cols
             for k, (a, b) in self._edge_range.items():
                 indices[indptr[a]:indptr[b]] += (k - lo) * n
@@ -220,6 +225,21 @@ class Filling:
                 shape=(self.n_edges, len(self.levels) * n))
             self._level_balls = (balls.T, overlaps)
         return self._level_balls
+
+    def _half_ball_levels(self) -> sparse.csc_matrix:
+        """The open vertex half balls ``B(center, radius / 2)``, placed by
+        level and transposed as the vertex balls of `_ball_levels` are.
+
+        One batched `FiniteMetricMeasureSpace.ball_rows` query, built
+        once and kept.  An edge's half ball is its tail's, and a tail
+        sits at its edge's level, so ``H @ bincount(tails, w)`` is every
+        level's half-ball superposition.
+        """
+        if self._half_balls is None:
+            rows = self.space.ball_rows(self.centers, 0.5 * self.radii)
+            self._half_balls = self._by_level(
+                _membership_matrix(rows, self.space.n_points)).T
+        return self._half_balls
 
     def _unit_data(self, size: int) -> np.ndarray:
         """``size`` ones, the data of a 0/1 matrix built here.

@@ -11,11 +11,9 @@ inhomogeneous norm adds the coarsest level blend in ``L^p``.
 from __future__ import annotations
 
 import dataclasses
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .calculus import discrete_derivative, level_blend, poisson_extension
 from .errors import ConfigError, GateError
@@ -81,94 +79,34 @@ class SmoothnessParams:
         return dataclasses.replace(self, **kw)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True)
 class NormVariant:
     """Choice of the per-edge set entering the level superposition.
 
     ``indicator`` uses the edge ball itself, ``mass`` collapses the
-    ``L^p`` integral of a level to the edge-ball masses, ``substitute``
-    replaces each ball by a caller-supplied point set per edge, such as
-    the half balls of `half_ball_substitute`.  Edges may share one set
-    object; the superposition then adds their weights first and spreads
-    the shared set once.
+    ``L^p`` integral of a level to the edge-ball masses, ``half_ball``
+    replaces each edge ball by the open half ball around the edge's tail
+    vertex, ``B(center, radius / 2)``.  A variant depends on no filling:
+    one object scores any filling, both sides of a nested one included.
     """
 
     kind: str = "indicator"
-    sets: list | None = None
 
     def __post_init__(self):
-        if self.kind not in ("indicator", "mass", "substitute"):
+        if self.kind not in ("indicator", "mass", "half_ball"):
             raise ConfigError("unknown norm variant %r" % (self.kind,))
-        if self.kind == "substitute" and self.sets is None:
-            raise ConfigError("substitute variant needs per-edge sets")
-        if self.kind != "substitute" and self.sets is not None:
-            raise ConfigError("per-edge sets only apply to substitute")
-        self._membership = None
-
-    def membership(self, filling: Filling
-                   ) -> tuple[sparse.csr_matrix, np.ndarray]:
-        """A substitute's distinct sets, placed by level, and each edge's row.
-
-        Returns ``(rows, row_of_edge)``.  ``rows`` has one row per
-        distinct set (by identity) and edge level that use it, in order of
-        first use, listing the set in the block of ``n_points`` columns of
-        that level, as in `Filling._ball_levels`; edge e's set is row
-        ``row_of_edge[e]``.  Only the substitute variant has one.
-        """
-        if self.kind != "substitute":
-            raise ConfigError("only the substitute variant has per-edge "
-                              "sets; the %s variant uses the filling's "
-                              "balls" % self.kind)
-        # One cached pair, held with a weak reference to its filling so
-        # the cache neither keeps it alive nor serves a later filling.
-        cached = self._membership
-        if cached is not None and cached[0]() is filling:
-            return cached[1]
-        if len(self.sets) != filling.n_edges:
-            raise ConfigError(
-                "substitute has %d sets, filling has %d edges"
-                % (len(self.sets), filling.n_edges))
-        n = filling.space.n_points
-        block = filling.edge_levels - filling.level_lo
-        # one row per distinct (set object, edge level), in order of first
-        # use
-        keys = np.stack([np.fromiter(map(id, self.sets), dtype=np.uint64,
-                                     count=filling.n_edges),
-                         block.astype(np.uint64)])
-        _, first, inverse = np.unique(keys, axis=1, return_index=True,
-                                      return_inverse=True)
-        order = np.argsort(first)
-        rank = np.empty_like(order)
-        rank[order] = np.arange(order.size)
-        row_of_edge = rank[inverse.ravel()]
-        reps = first[order]
-        sets = [np.asarray(self.sets[e], dtype=np.int64) for e in reps]
-        indices = np.concatenate([np.empty(0, dtype=np.int64), *sets])
-        if indices.size and (indices.min() < 0 or indices.max() >= n):
-            raise ConfigError("substitute set holds a point index outside "
-                              "[0, %d)" % n)
-        sizes = [m.size for m in sets]
-        indices += np.repeat(block[reps] * n, sizes)
-        indptr = np.zeros(len(sets) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        rows = sparse.csr_matrix(
-            (np.ones(indices.size), indices, indptr),
-            shape=(len(sets), len(filling.levels) * n))
-        self._membership = (weakref.ref(filling), (rows, row_of_edge))
-        return self._membership[1]
 
 
 def half_ball_substitute(filling: Filling) -> NormVariant:
-    """Substitute variant using the half ball around each tail vertex.
+    """The ``half_ball`` variant, with ``filling``'s half balls built.
 
     Every vertex's open half ball comes from one batched
-    `FiniteMetricMeasureSpace.ball_rows` query; ``sets[e]`` is the tail
-    vertex's row, so edges sharing a tail share one array, and the
-    level superpositions go through one row per tail vertex.
+    `FiniteMetricMeasureSpace.ball_rows` query, kept on the filling
+    (`Filling._half_ball_levels`); later norms on that filling reuse it.
+    The returned variant serves every filling alike.
     """
-    half_balls = filling.space.ball_rows(filling.centers, 0.5 * filling.radii)
-    return NormVariant(kind="substitute",
-                       sets=[half_balls[t] for t in filling.tails])
+    filling._half_ball_levels()
+    return NormVariant("half_ball")
 
 
 def lp_norm(space: FiniteMetricMeasureSpace, values, p: float) -> float:
@@ -211,43 +149,38 @@ def _superpose(filling: Filling, variant: NormVariant, weights: np.ndarray,
                levels: range) -> np.ndarray:
     """``sum_{|e|=k} w_e chi_A(e)`` for each level k of ``levels``, one row
     each, ``A(e)`` the variant's set of edge e: its ball for the
-    indicator (`Filling._superpose`), else the substitute's set, summed
-    once per distinct set."""
+    indicator (`Filling._superpose`), else its tail's half ball, which
+    takes the sum of the tail's edge weights."""
     if variant.kind == "indicator":
         return filling._superpose(weights, levels)
-    rows, row_of_edge = variant.membership(filling)
     e0, e1 = _edge_span(filling, levels)
-    per_row = np.bincount(row_of_edge[e0:e1], weights[e0:e1],
-                          minlength=rows.shape[0])
+    g = filling._half_ball_levels() @ np.bincount(
+        filling.tails[e0:e1], weights[e0:e1], filling.n_vertices)
     first = levels[0] - filling.level_lo
-    return (rows.T @ per_row).reshape(-1, filling.space.n_points)[
-        first:first + len(levels)]
+    return g.reshape(-1, filling.space.n_points)[first:first + len(levels)]
 
 
 def _superpose_max(filling: Filling, variant: NormVariant,
                    weights: np.ndarray, levels: range) -> np.ndarray:
     """``max_e w_e chi_A(e)`` over the edges of ``levels``, exactly.
 
-    The largest weight of each vertex's incident edges (each distinct
-    set's edges, for a substitute) is spread over its ball (its set):
-    a point's maximum over the balls holding it is its maximum over the
-    edge balls ``B(tail) ∪ B(head)`` holding it.
+    The largest weight of each vertex's incident edges (its tail edges,
+    for half balls) is spread over its ball (its half ball): a point's
+    maximum over the balls holding it is its maximum over the edge balls
+    ``B(tail) ∪ B(head)`` holding it.
     """
     e0, e1 = _edge_span(filling, levels)
     w = weights[e0:e1]
-    n = filling.space.n_points
+    top = np.zeros(filling.n_vertices)
+    np.maximum.at(top, filling.tails[e0:e1], w)
     if variant.kind == "indicator":
         rows = filling.vertex_membership()
-        top = np.zeros(filling.n_vertices)
-        np.maximum.at(top, filling.tails[e0:e1], w)
         np.maximum.at(top, filling.heads[e0:e1], w)
     else:
-        rows, row_of_edge = variant.membership(filling)
-        top = np.zeros(rows.shape[0])
-        np.maximum.at(top, row_of_edge[e0:e1], w)
+        rows = filling._half_ball_levels().T
     stack = np.zeros(rows.shape[1])
     np.maximum.at(stack, rows.indices, np.repeat(top, np.diff(rows.indptr)))
-    return stack.reshape(-1, n).max(axis=0)
+    return stack.reshape(-1, filling.space.n_points).max(axis=0)
 
 
 def _edge_span(filling: Filling, levels: range) -> tuple[int, int]:
@@ -349,7 +282,7 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     Aggregates ``(2^{|e|s} |u_e|)^q`` over all window edges pointwise,
     takes the ``q``-th root, and measures the result once in ``L^p``;
     at ``q = inf`` the inner sum becomes a pointwise supremum.  Only
-    indicator and substitute variants define a pointwise superposition.
+    indicator and half-ball variants define a pointwise superposition.
 
     Parameters
     ----------

@@ -7,9 +7,9 @@ integral over the subset rebuilds a function on the subset points.
 Extension runs the same pipeline in reverse, zero-extending the subset
 edge sequence into the ambient filling.  Each operator reports the norm
 on both sides of the corresponding equivalence, never a hidden
-constant.  A substitute norm variant is given on the ambient filling;
-the subset side is scored with its sets restricted to the subset, which
-for `half_ball_substitute` are the subset filling's own half balls.
+constant.  One norm variant scores both sides: an embedded ambient
+vertex's half ball restricted to the subset is the subset vertex's own
+half ball, so the ``half_ball`` variant needs no restriction.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 from .calculus import (discrete_derivative, level_blend, poisson_extension,
                        telescoping_integral)
-from .errors import ConfigError, GateError, NumericalError
+from .errors import GateError, NumericalError
 from .filling import NestedFilling
 from .norms import (NormVariant, SmoothnessParams, admissibility,
                     besov_fn_norm, besov_seq_norm, lp_norm, nonhom_norm,
@@ -122,35 +122,26 @@ def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str):
     return adm
 
 
-def _trace_variant(nested: NestedFilling, variant: NormVariant | None):
-    """The variant scoring the subset filling.
+def _restrict(nested: NestedFilling, f):
+    """The restriction of ``f`` to the subset, scale by scale.
 
-    A substitute's sets belong to the ambient edges; each subset edge
-    takes its ambient edge's set restricted to the subset points, in
-    subset point indices.  Other variants serve both sides as they are.
+    Returns ``(integral, coarse, du, u_amb)``: the telescoping integral
+    on the subset of the restricted derivative and the coarse blend of
+    the restricted ambient ball means on the subset points (levels below
+    zero pinned at the first subset point, the subset side of
+    `_anchor`), the ambient derivative ``du``, and ``du`` zero off the
+    embedded subset edges.  The homogeneous trace is ``integral +
+    coarse[0]``, the inhomogeneous one ``integral + coarse``.
     """
-    if variant is None or variant.kind != "substitute":
-        return variant
     amb = nested.ambient
-    if len(variant.sets) != amb.n_edges:
-        raise ConfigError(
-            "substitute has %d sets, ambient filling has %d edges"
-            % (len(variant.sets), amb.n_edges))
-    sub_index = np.full(amb.space.n_points, -1, dtype=np.int64)
-    sub_index[nested.point_embedding] = np.arange(
-        nested.point_embedding.size)
-    sets = []
-    for eid in nested.edge_embedding:
-        local = sub_index[np.asarray(variant.sets[eid], dtype=np.int64)]
-        sets.append(local[local >= 0])
-    return NormVariant(kind="substitute", sets=sets)
-
-
-def _restrict_derivative(nested: NestedFilling, f):
-    """Ambient ball means, their derivative, and its subset restriction."""
-    v = poisson_extension(nested.ambient, f)
-    du = discrete_derivative(nested.ambient, v)
-    return v, du, du[nested.edge_embedding]
+    v = poisson_extension(amb, f)
+    du = discrete_derivative(amb, v)
+    u_sub = du[nested.edge_embedding]
+    u_amb = np.zeros(amb.n_edges)
+    u_amb[nested.edge_embedding] = u_sub
+    integral, coarse = _coarse_terms(nested.trace, u_sub,
+                                     v[nested.vertex_embedding], 0)
+    return integral, coarse, du, u_amb
 
 
 def _anchor(nested: NestedFilling) -> int:
@@ -178,13 +169,6 @@ def _coarse_terms(filling, u, v, basepoint: int):
         coarse = coarse + (level_blend(filling, v, 0)[basepoint]
                            - coarse[basepoint])
     return integral, coarse
-
-
-def _trace_terms(nested: NestedFilling, v, u_sub):
-    """Telescoping integral on the subset, and the coarse blend of the
-    restricted ball means on the subset points.  Levels below zero are
-    pinned at the first subset point, the subset side of `_anchor`."""
-    return _coarse_terms(nested.trace, u_sub, v[nested.vertex_embedding], 0)
 
 
 def _extension_terms(nested: NestedFilling, f_sub):
@@ -230,8 +214,7 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
         Source exponents with kind ``besov``; must pass the Besov trace
         window for the declared dimensions.
     variant : NormVariant, optional
-        Scores the ambient side; a substitute is restricted to the
-        subset for the subset side.
+        Scores both sides.
 
     Returns
     -------
@@ -241,19 +224,15 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
         sequence norm measured on both sides of the equivalence.
     """
     adm = _gate(nested, params, "besov")
-    v, du, u_sub = _restrict_derivative(nested, f)
-    integral, coarse = _trace_terms(nested, v, u_sub)
+    integral, coarse, du, u_amb = _restrict(nested, f)
     samples = integral + coarse[0]
     t_params = params.replace(s=adm.trace_smoothness)
-    u_amb = np.zeros(nested.ambient.n_edges)
-    u_amb[nested.edge_embedding] = u_sub
-    t_variant = _trace_variant(nested, variant)
-    t_norm = besov_fn_norm(nested.trace, samples, t_params, t_variant)
+    t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
     s_norm = besov_fn_norm(nested.ambient, f, params, variant)
     details = {
         "anchor_point": _anchor(nested),
         "trace_side_seq_norm": besov_seq_norm(
-            nested.trace, u_sub, t_params, t_variant),
+            nested.trace, u_amb[nested.edge_embedding], t_params, variant),
         "ambient_side_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
         "source_seq_norm": besov_seq_norm(
@@ -277,8 +256,7 @@ def extend_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
     extended = integral + coarse[_anchor(nested)]
     src_params = params.replace(s=adm.trace_smoothness)
     t_norm = besov_fn_norm(nested.ambient, extended, params, variant)
-    s_norm = besov_fn_norm(nested.trace, f_sub, src_params,
-                           _trace_variant(nested, variant))
+    s_norm = besov_fn_norm(nested.trace, f_sub, src_params, variant)
     details = {
         "zero_extended_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
@@ -303,16 +281,12 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
     if params.kind != "triebel":
         params = params.replace(kind="triebel")
     adm = _gate(nested, params, "triebel")
-    v, _, u_sub = _restrict_derivative(nested, f)
-    integral, coarse = _trace_terms(nested, v, u_sub)
+    integral, coarse, _, u_amb = _restrict(nested, f)
     samples = integral + coarse[0]
     t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p,
                                 q=params.p, kind="besov")
-    t_norm = besov_fn_norm(nested.trace, samples, t_params,
-                           _trace_variant(nested, variant))
+    t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
     s_norm = triebel_fn_norm(nested.ambient, f, params, variant)
-    u_amb = np.zeros(nested.ambient.n_edges)
-    u_amb[nested.edge_embedding] = u_sub
     details = {
         "anchor_point": _anchor(nested),
         "restricted_at_source_q": triebel_seq_norm(
@@ -451,12 +425,9 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
     the shared edge balls.
     """
     t_params = _nonhom_subset_params(nested, params)
-    tr = nested.trace
-    v, _, u_sub = _restrict_derivative(nested, f)
-    integral, coarse = _trace_terms(nested, v, u_sub)
+    integral, coarse, _, _ = _restrict(nested, f)
     samples = integral + coarse
-    t_lp, t_seq = nonhom_norm(tr, samples, t_params,
-                              _trace_variant(nested, variant))
+    t_lp, t_seq = nonhom_norm(nested.trace, samples, t_params, variant)
     s_lp, s_seq = nonhom_norm(nested.ambient, f, params, variant)
     gamma = nested.ambient.space.declared_Q - nested.mask.declared_lambda
     band = codim_mass_band(nested, gamma)
@@ -480,8 +451,7 @@ def nonhom_extend(nested: NestedFilling, f_sub, params: SmoothnessParams,
     integral, coarse, _ = _extension_terms(nested, f_sub)
     extended = integral + coarse
     t_lp, t_seq = nonhom_norm(amb, extended, params, variant)
-    s_lp, s_seq = nonhom_norm(tr, f_sub, src_params,
-                              _trace_variant(nested, variant))
+    s_lp, s_seq = nonhom_norm(tr, f_sub, src_params, variant)
     t_norm, s_norm = t_lp + t_seq, s_lp + s_seq
     details = {
         "target_lp_part": t_lp, "target_seq_part": t_seq,

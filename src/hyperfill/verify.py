@@ -11,6 +11,7 @@ means.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,8 +26,8 @@ from .norms import (NormVariant, SmoothnessParams, admissibility,
                     besov_seq_norm, half_ball_substitute, lp_norm,
                     nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
-from .trace import (_restrict_derivative, _trace_terms, extend_besov,
-                    extend_sobolev, trace_besov, trace_triebel)
+from .trace import (_restrict, extend_besov, extend_sobolev, trace_besov,
+                    trace_triebel)
 
 __all__ = [
     "ExperimentReport",
@@ -451,8 +452,7 @@ def _suite_cell(nested, theorem, cell, trials, seed, cell_index):
             return {"cell": label, "status": "skipped", "reason": str(exc)}
         if theorem == "sobolev":
             # no Sobolev trace operator: restrict the extension by hand
-            v, _, u_sub = _restrict_derivative(nested, ext.samples)
-            integral, coarse = _trace_terms(nested, v, u_sub)
+            integral, coarse, _, _ = _restrict(nested, ext.samples)
             back = integral + coarse[0]
         else:
             trace_op = trace_besov if theorem == "besov" else trace_triebel
@@ -478,11 +478,12 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
     """Trace/extension round trips over a parameter and resolution grid.
 
     Builds one nested filling per requested resolution (``level_hi``),
-    runs every grid cell through the extension and trace operators, and
-    judges two claims: round-trip sup error does not grow under
-    refinement, and operator ratios stay inside a band that widens by
-    less than ``widen_threshold`` across resolutions.  Inadmissible
-    cells are recorded as skipped with the gate's reasons.
+    each rooted at the largest level n with ``2^-n`` at least the
+    declared diameter, runs every grid cell through the extension and
+    trace operators, and judges two claims: round-trip sup error does not
+    grow under refinement, and operator ratios stay inside a band that
+    widens by less than ``widen_threshold`` across resolutions.
+    Inadmissible cells are recorded as skipped with the gate's reasons.
     """
     cells = _normalize_grid(param_grid)
     try:
@@ -498,7 +499,9 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
         if subset_desc is None:
             raise ConfigError("theorem suite needs a subset")
         mask = mask_from_descriptor(space, subset_desc)
-    nesteds = {r: build_nested_filling(space, mask, 0, r)
+    # the root level: the largest n with 2^-n at least the diameter
+    level_lo = math.floor(-math.log2(space.declared_diam))
+    nesteds = {r: build_nested_filling(space, mask, level_lo, r)
                for r in resolutions}
     rows = [_suite_cell(nesteds[r], theorem, cell, trials, seed, idx)
             for idx, (cell, r) in enumerate(

@@ -211,6 +211,16 @@ def edge_ball_matrix(filling):
                       filling.space.n_points)
 
 
+def half_ball_matrix(filling):
+    """The (n_edges, n_points) indicator of each edge's tail half ball, the
+    open ball of half the tail's radius, from brute-force distances."""
+    space = filling.space
+    dist = pair_distances(space.points, space.metric_kind)
+    halves = [np.flatnonzero(dist[c] < 0.5 * r)
+              for c, r in zip(filling.centers, filling.radii)]
+    return set_matrix([halves[t] for t in filling.tails], space.n_points)
+
+
 def edge_superposition(matrix, lo, hi, u):
     """``sum_{lo <= e < hi} u_e chi_A(e)``: the product of the rows of one
     edge range of a per-edge set matrix with the edge sequence."""

@@ -103,6 +103,15 @@ def test_norm_eval_frozen_value(tmp_path):
     assert payload["backend"] == "pure"
 
 
+def test_norm_eval_half_ball_frozen_value(tmp_path):
+    cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, variant="half_ball"))
+    out = tmp_path / "norm.json"
+    proc = run_cli("norm", "eval", "--config", cfg, "--seed", "5",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["value"] == 49.831736644494683
+
+
 def test_norm_eval_reruns_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path / "n.json", NORM_CFG)
     a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -1,7 +1,5 @@
-import gc
 import tracemalloc
 import warnings
-import weakref
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from hyperfill.norms import (NormVariant, SmoothnessParams, admissibility,
                              triebel_seq_norm)
 
 from oracles import (edge_ball_matrix, edge_superposition,
-                     edge_superposition_max, set_matrix)
+                     edge_superposition_max, half_ball_matrix)
 
 BESOV = SmoothnessParams(0.5, 2.0, 2.0, "besov")
 TRIEBEL = SmoothnessParams(0.5, 2.0, 2.0, "triebel")
@@ -166,12 +164,7 @@ def test_nonhom_constant_keeps_only_lp_part(plain6):
 
 def test_half_ball_substitute_shrinks_norms(plain6):
     hb = half_ball_substitute(plain6)
-    assert hb.kind == "substitute"
-    assert len(hb.sets) == plain6.n_edges
-    for eid in (0, 500, 2017):
-        assert np.all(np.isin(hb.sets[eid],
-                              plain6.edge_ball_members(eid)))
-        assert hb.sets[eid].size > 0
+    assert hb == NormVariant("half_ball")
     u = np.abs(_edge_noise(plain6))
     assert besov_seq_norm(plain6, u, BESOV, variant=hb) \
         <= besov_seq_norm(plain6, u, BESOV)
@@ -254,25 +247,25 @@ def test_triebel_fn_norm_gates_small_p(plain6):
 
 def test_half_ball_sets_match_per_edge_scan(any_filling):
     fil = any_filling
-    space = fil.space
-    hb = half_ball_substitute(fil)
-    assert isinstance(hb, NormVariant) and isinstance(hb.sets, list)
-    assert len(hb.sets) == fil.n_edges
+    space, n = fil.space, fil.space.n_points
+    # column v lists v's half ball in the block of v's level
+    halves = fil._half_ball_levels()
     for eid in range(fil.n_edges):
         vid = fil.tails[eid]
         d = space.dist_from(space.points[fil.centers[vid]])
-        assert np.array_equal(hb.sets[eid],
+        block = (fil.edge_levels[eid] - fil.level_lo) * n
+        got = halves.indices[halves.indptr[vid]:halves.indptr[vid + 1]]
+        assert np.array_equal(got - block,
                               np.flatnonzero(d < 0.5 * fil.radii[vid]))
-    # edges with one tail share the tail's array
-    same = np.flatnonzero(fil.tails == fil.tails[0])
-    assert all(hb.sets[e] is hb.sets[same[0]] for e in same)
+        assert got.size and np.all(np.isin(got - block,
+                                           fil.edge_ball_members(eid)))
 
 
 def _oracle_matrix(fil, variant):
     """The per-edge set matrix of a variant, one row per edge."""
     if variant.kind == "indicator":
         return edge_ball_matrix(fil)
-    return set_matrix(variant.sets, fil.space.n_points)
+    return half_ball_matrix(fil)
 
 
 def _oracle_triebel(fil, u, params, variant, window):
@@ -310,21 +303,6 @@ def test_triebel_partial_window_matches_row_gather(any_filling, q):
                 assert got == want
             else:
                 assert got == pytest.approx(want, rel=1e-13, abs=0.0)
-
-
-def test_substitute_cache_is_tied_to_one_live_filling():
-    space = hf.unit_cube_space(1, 6)
-    fil = hf.build_filling(space, 0, 3)
-    variant = half_ball_substitute(fil)
-    first = variant.membership(fil)
-    assert variant.membership(fil) is first
-    alive = weakref.ref(fil)
-    del fil
-    gc.collect()
-    assert alive() is None
-    # a new filling, even one reusing the freed id, gets its own matrix
-    other = hf.build_filling(space, 0, 3)
-    assert variant.membership(other) is not first
 
 
 def _oracle_besov(fil, u, params, variant, window):
@@ -393,49 +371,21 @@ def test_superposition_matches_edge_ball_product(any_filling):
             assert np.all(row >= 0.0)
 
 
-def test_distinct_substitute_superposes_bit_for_bit(any_filling):
+def test_half_ball_superposition_matches_tail_half_balls(any_filling):
     fil = any_filling
-    # one array per edge, none shared
-    variant = NormVariant("substitute", sets=[
-        fil.edge_ball_members(e) for e in range(fil.n_edges)])
-    memb = set_matrix(variant.sets, fil.space.n_points)
+    variant = half_ball_substitute(fil)
+    memb = half_ball_matrix(fil)
     w = _sparse_weights(fil)
     for window in _windows(fil):
         levels = range(window[0], window[1] + 1)
         got = norms._superpose(fil, variant, w, levels)
         for row, k in zip(got, levels):
             want = edge_superposition(memb, *fil.edge_range(k), w)
-            assert np.array_equal(row, want)
-        params = SmoothnessParams(0.5, 1.5, 2.0, "besov")
-        assert besov_seq_norm(fil, w, params, variant, window) == \
-            _oracle_besov(fil, w, params, variant, window)
-        params = params.replace(kind="triebel", q=np.inf)
-        assert triebel_seq_norm(fil, w, params, variant, window) == \
-            _oracle_triebel(fil, w, params, variant, window)
-
-
-def test_shared_substitute_sets_become_one_row_per_level(plain6):
-    variant = half_ball_substitute(plain6)
-    rows, row_of_edge = variant.membership(plain6)
-    n = plain6.space.n_points
-    # one row per tail vertex (its edges all sit at its level), listing
-    # the tail's half ball in that level's block of columns
-    tails = plain6.tails
-    assert rows.shape[0] == np.unique(tails).size
-    assert np.unique(np.stack([tails, row_of_edge]), axis=1).shape[1] \
-        == rows.shape[0]
-    for e in range(0, plain6.n_edges, 97):
-        r = row_of_edge[e]
-        block = (plain6.edge_levels[e] - plain6.level_lo) * n
-        assert np.array_equal(
-            rows.indices[rows.indptr[r]:rows.indptr[r + 1]] - block,
-            variant.sets[e])
-    with pytest.raises(hf.ConfigError):
-        NormVariant().membership(plain6)
-    bad = NormVariant("substitute", sets=[np.array([plain6.space.n_points])]
-                      * plain6.n_edges)
-    with pytest.raises(hf.ConfigError):
-        besov_seq_norm(plain6, np.ones(plain6.n_edges), BESOV, bad)
+            np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
+            assert np.all(row[want == 0.0] == 0.0)
+        lo, hi = fil.edge_range(window[0])[0], fil.edge_range(window[1])[1]
+        assert np.array_equal(norms._superpose_max(fil, variant, w, levels),
+                              edge_superposition_max(memb, lo, hi, w))
 
 
 def test_besov_seq_norm_does_not_copy_membership():

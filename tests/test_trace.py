@@ -251,8 +251,14 @@ def test_half_ball_variant_scores_each_side_with_its_own_half_balls(pair8,
     nt = nonhom_trace(pair8, tent, params, variant)
     assert (nt.details["trace_lp_part"], nt.details["trace_seq_part"]) == \
         nonhom_norm(pair8.trace, nt.samples, nt.trace_params, own)
-    with pytest.raises(hf.ConfigError):
-        trace_besov(pair8, tent, BESOV, own)
+    ne = nonhom_extend(pair8, fsub, params, variant)
+    assert (ne.details["source_lp_part"], ne.details["source_seq_part"]) == \
+        nonhom_norm(pair8.trace, fsub, ne.source_params, own)
+    tt = trace_triebel(pair8, tent, BESOV.replace(kind="triebel"), variant)
+    assert tt.trace_norm == besov_fn_norm(pair8.trace, tt.samples,
+                                          tt.trace_params, own)
+    # the variant belongs to no filling: either side's serves both
+    assert trace_besov(pair8, tent, BESOV, own).trace_norm == res.trace_norm
 
 
 def _bottom_edge_pair():
@@ -282,6 +288,22 @@ def test_trace_and_extension_start_below_level_zero():
     back = extend_besov(nested, res.samples, params)
     assert np.isfinite(back.samples).all()
     assert back.restriction_sup_error <= 0.1
+
+
+def test_euclidean_cube_traces_onto_its_bottom_face():
+    # the unit cube's diameter is sqrt(3) * 15/16, so the root level is -1
+    space = hf.unit_cube_space(3, 4, metric="euclidean")
+    face = np.flatnonzero(space.points[:, 2] == space.points[:, 2].min())
+    mask = hf.mask_from_descriptor(space, {"indices": face.tolist(),
+                                           "lambda": 2.0})
+    nested = hf.build_nested_filling(space, mask, -1, 2)
+    params = SmoothnessParams(0.9, 4.0, 4.0, "besov")
+    x = space.points
+    res = trace_besov(nested, np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2],
+                      params)
+    ext = extend_besov(nested, res.samples, params)
+    for ratio in (res.operator_ratio, ext.operator_ratio):
+        assert 0.0 < ratio < np.inf
 
 
 def _scaled_cantor_pair(scale: float, level_lo: int):

@@ -169,6 +169,20 @@ def test_theorem_suite_rows_and_skips(interval10, cantor6):
                                     "cells_total": 4}
 
 
+def test_theorem_suite_roots_at_the_diameter():
+    # a Euclidean square has diameter above 1, so its root level is -1;
+    # unit cubes in the sup metric keep level 0
+    space = hf.unit_cube_space(2, 6, metric="euclidean")
+    rows = np.flatnonzero(space.points[:, 1] == space.points[:, 1].min())
+    rep = audit_theorem_suite(
+        hf.space_to_descriptor(space),
+        {"indices": rows.tolist(), "lambda": 1.0}, "besov",
+        [{"s": 0.9, "p": 4.0, "q": 4.0}], [3, 4], trials=3, seed=0)
+    cells = [row for row in rep.rows if row["cell"] != "aggregate"]
+    assert [row["status"] for row in cells] == ["ok", "ok"]
+    assert all(0.0 < row["ext_ratio_med"] < np.inf for row in cells)
+
+
 def test_function_batches_are_reproducible(interval10):
     a = random_tent_functions(interval10, 3, np.random.default_rng(9))
     b = random_tent_functions(interval10, 3, np.random.default_rng(9))
