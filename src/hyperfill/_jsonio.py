@@ -6,8 +6,9 @@ double), keys are sorted, and the layout is fixed.  Negative zero is written
 as ``0``, like every integral float, so the sign of a zero is dropped.  With
 that, canonical text is a fixed point of its own parse:
 ``canonical_dumps(json.loads(t)) == t``.  NaN and infinities are not
-representable in JSON; builders are expected to map them to ``None`` before
-serializing, and `canonical_dumps` raises if one slips through.
+representable in JSON; builders write an infinite exponent as the string
+``"inf"`` (`SmoothnessParams.to_dict`), and `canonical_dumps` raises if a
+non-finite float slips through.
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ from .filling import (audit_filling, audit_nested, build_filling,
                       overlap_audit)
 from .hajlasz import hajlasz_norm
 from .norms import (NormVariant, SmoothnessParams, besov_fn_norm,
-                    half_ball_substitute, nonhom_norm, triebel_fn_norm)
-from .space import (_dyadic_radii, ahlfors_fit, codim_regularity_check,
-                    doubling_audit, mask_from_descriptor, mask_to_descriptor,
+                    nonhom_norm, triebel_fn_norm)
+from .space import (_check_keys, _dyadic_radii, ahlfors_fit,
+                    codim_regularity_check, doubling_audit,
+                    mask_from_descriptor, mask_to_descriptor,
                     metric_spot_check, porosity_scan, space_from_descriptor,
                     space_to_descriptor, subspace)
 from .trace import (extend_besov, extend_sobolev, nonhom_extend, nonhom_trace,
@@ -97,18 +98,6 @@ def _load_cfg(path: str) -> dict:
     return cfg
 
 
-def _check_keys(cfg: dict, required: set, optional: set, where: str) -> None:
-    keys = set(cfg)
-    missing = required - keys
-    if missing:
-        raise ConfigError("%s config missing keys: %s"
-                          % (where, sorted(missing)))
-    unknown = keys - required - optional
-    if unknown:
-        raise ConfigError("%s config has unknown keys: %s"
-                          % (where, sorted(unknown)))
-
-
 def _seed_of(cfg: dict, args) -> int:
     """Effective seed: env var beats config beats flag default."""
     env = os.environ.get("HYPERFILL_SEED")
@@ -123,13 +112,13 @@ def _seed_of(cfg: dict, args) -> int:
     return seed
 
 
-def _space_of(cfg: dict, key: str = "space"):
+def _space_of(cfg: dict):
     """(space, inline mask) from an inline descriptor or a file path."""
-    desc = cfg.get(key)
+    desc = cfg.get("space")
     if isinstance(desc, str):
         desc = _read(desc)
     if desc is None:
-        raise ConfigError("config needs a %r descriptor" % key)
+        raise ConfigError("config needs a 'space' descriptor")
     return space_from_descriptor(desc)
 
 
@@ -148,7 +137,7 @@ def _params_of(raw, what: str) -> SmoothnessParams:
     """Smoothness exponents from a config's params object."""
     if not isinstance(raw, dict):
         raise ConfigError("config needs a %r object" % what)
-    _check_keys(raw, {"s", "p"}, {"q", "kind"}, what)
+    _check_keys(raw, {"s", "p"}, {"q", "kind"}, what + " config")
     q = raw.get("q", "inf")
     return SmoothnessParams(
         s=_float(raw["s"], what + ".s"), p=_num(raw["p"], what + ".p"),
@@ -164,14 +153,12 @@ def _num(x, what: str) -> float:
     return _float(x, what)
 
 
-def _variant_of(cfg: dict, filling) -> NormVariant | None:
+def _variant_of(cfg: dict) -> NormVariant | None:
     name = cfg.get("variant", "indicator")
     if name == "indicator":
         return None
-    if name == "mass":
-        return NormVariant(kind="mass")
-    if name == "half_ball":
-        return half_ball_substitute(filling)
+    if name in ("mass", "half_ball"):
+        return NormVariant(name)
     raise ConfigError("unknown variant %r" % name)
 
 
@@ -254,11 +241,12 @@ def _cmd_space_audit(args) -> None:
 
 # -------------------------------------------------------------- filling
 
-def _filling_from_cfg(cfg: dict, for_nested: bool):
+def _filling_from_cfg(cfg: dict):
+    """(filling, nested?) from a config: nested when it names a subset."""
     space, inline_mask = _space_of(cfg)
     mask = _mask_of(cfg, space, inline_mask)
     lo, hi = _window_of(cfg)
-    if mask is not None and for_nested:
+    if mask is not None:
         return build_nested_filling(space, mask, lo, hi), True
     return build_filling(space, lo, hi), False
 
@@ -266,29 +254,26 @@ def _filling_from_cfg(cfg: dict, for_nested: bool):
 def _cmd_filling_build(args) -> None:
     cfg = _load_cfg(args.config)
     _check_keys(cfg, {"space", "level_hi"},
-                {"subset", "level_lo", "seed"}, "filling build")
-    built, nested = _filling_from_cfg(cfg, for_nested=True)
+                {"subset", "level_lo", "seed"}, "filling build config")
+    built, nested = _filling_from_cfg(cfg)
     payload = nested_to_dict(built) if nested else filling_to_dict(built)
     _echo(payload, args.out)
 
 
-def _load_filling(args, cfg_keys=(), nested_ok=True):
+def _load_filling(args):
     """Filling from --filling file or built from --config."""
     if getattr(args, "filling", None):
         payload = _read(args.filling)
         if not isinstance(payload, dict):
             raise ConfigError("filling file must hold a JSON object")
         if "ambient" in payload:
-            if not nested_ok:
-                raise ConfigError("expected a plain filling file")
             return nested_from_dict(payload), True
         return filling_from_dict(payload), False
     if getattr(args, "config", None):
         cfg = _load_cfg(args.config)
         _check_keys(cfg, {"space", "level_hi"},
-                    {"subset", "level_lo", "seed"} | set(cfg_keys),
-                    "filling")
-        return _filling_from_cfg(cfg, for_nested=nested_ok)
+                    {"subset", "level_lo", "seed"}, "filling config")
+        return _filling_from_cfg(cfg)
     raise ConfigError("need --filling or --config")
 
 
@@ -343,12 +328,12 @@ def _cmd_check_telescoping(args) -> None:
 def _cmd_norm_eval(args) -> None:
     cfg = _load_cfg(args.config)
     _check_keys(cfg, {"space", "level_hi", "params", "function"},
-                {"level_lo", "seed", "variant", "window"}, "norm eval")
+                {"level_lo", "seed", "variant", "window"}, "norm eval config")
     space, _ = _space_of(cfg)
     seed = _seed_of(cfg, args)
     params = _params_of(cfg.get("params"), "params")
     f = _function_of(cfg, space, seed)
-    payload = {"params": _params_json(params), "seed": seed,
+    payload = {"params": params.to_dict(), "seed": seed,
                "backend": BACKEND}
     if params.kind == "hajlasz":
         result = hajlasz_norm(space, f, params)
@@ -366,7 +351,7 @@ def _cmd_norm_eval(args) -> None:
             raise ConfigError("window must list two levels, got %r"
                               % (cfg["window"],))
     filling = build_filling(space, lo, hi)
-    variant = _variant_of(cfg, filling)
+    variant = _variant_of(cfg)
     if params.kind == "besov":
         value = besov_fn_norm(filling, f, params, variant, window)
     elif params.kind == "triebel":
@@ -377,15 +362,6 @@ def _cmd_norm_eval(args) -> None:
         value = coarse + seq
     payload["value"] = value
     _echo(payload, args.out)
-
-
-def _params_json(params: SmoothnessParams) -> dict:
-    return {"s": params.s, "p": _num_json(params.p),
-            "q": _num_json(params.q), "kind": params.kind}
-
-
-def _num_json(x: float):
-    return "inf" if np.isinf(x) else x
 
 
 # ---------------------------------------------------------------- trace
@@ -403,7 +379,7 @@ def _cmd_trace_run(args) -> None:
     cfg = _load_cfg(args.config)
     _check_keys(cfg, {"space", "subset", "level_hi", "params", "theorem",
                       "direction", "function"},
-                {"level_lo", "seed", "variant"}, "trace run")
+                {"level_lo", "seed", "variant"}, "trace run config")
     theorem = cfg["theorem"]
     direction = cfg["direction"]
     if theorem not in ("besov", "triebel", "sobolev", "nonhom") \
@@ -418,9 +394,9 @@ def _cmd_trace_run(args) -> None:
     nested = build_nested_filling(space, mask, lo, hi)
     seed = _seed_of(cfg, args)
     params = _params_of(cfg.get("params"), "params")
-    variant = _variant_of(cfg, nested.ambient)
+    variant = _variant_of(cfg)
     payload = {"theorem": theorem, "direction": direction, "seed": seed,
-               "params": _params_json(params), "backend": BACKEND}
+               "params": params.to_dict(), "backend": BACKEND}
 
     if theorem == "sobolev":
         if direction != "extend":
@@ -465,7 +441,7 @@ def _trace_json(res) -> dict:
         "trace_norm": res.trace_norm,
         "source_norm": res.source_norm,
         "operator_ratio": res.operator_ratio,
-        "trace_params": _params_json(res.trace_params),
+        "trace_params": res.trace_params.to_dict(),
         "details": res.details,
         "samples": res.samples.tolist(),
     }
@@ -477,7 +453,7 @@ def _ext_json(res) -> dict:
         "source_norm": res.source_norm,
         "operator_ratio": res.operator_ratio,
         "restriction_sup_error": res.restriction_sup_error,
-        "source_params": _params_json(res.source_params),
+        "source_params": res.source_params.to_dict(),
         "details": res.details,
         "samples": res.samples.tolist(),
     }
@@ -541,7 +517,7 @@ def _cmd_verify(args) -> None:
                           % (name, sorted(AUDITS)))
     cfg = _load_cfg(args.config)
     required, optional = _AUDIT_KEYS[name]
-    _check_keys(cfg, required, optional, name)
+    _check_keys(cfg, required, optional, name + " config")
     seed = _seed_of(cfg, args)
 
     if name == "audit_theorem_suite":

@@ -18,7 +18,6 @@ ambient one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,14 +96,6 @@ class Filling:
         self._require_level(k)
         return self._edge_range[k]
 
-    def edges_at_level(self, k: int) -> np.ndarray:
-        """Edge ids at scale k (same-level k edges plus k to k+1 edges).
-
-        Edges are stored in ascending level, so these ids are the
-        contiguous range `edge_range(k)`.
-        """
-        return np.arange(*self.edge_range(k))
-
     def cross_edges_at_level(self, n: int) -> np.ndarray:
         """Edge ids joining level n to level n+1, in edge order."""
         self._require_level(n)
@@ -114,13 +105,6 @@ class Filling:
         if not (0 <= vertex_id < self.n_vertices):
             raise ConfigError(f"vertex id {vertex_id} out of range")
         return self.ball_member_list[vertex_id]
-
-    def edge_ball_members(self, edge_id: int) -> np.ndarray:
-        """Cloud indices of B(e), the union of the endpoint balls."""
-        if not (0 <= edge_id < self.n_edges):
-            raise ConfigError(f"edge id {edge_id} out of range")
-        return np.union1d(self.ball_member_list[self.tails[edge_id]],
-                          self.ball_member_list[self.heads[edge_id]])
 
     def _require_level(self, n: int):
         if not (self.level_lo <= n <= self.level_hi):
@@ -141,13 +125,13 @@ class Filling:
         """Sparse (n_edges, n_points) indicator of the edge balls B(e).
 
         Row e is the logical OR of the vertex-membership rows of its tail
-        and head, so it lists the sorted cloud indices of
-        `edge_ball_members(e)` with data 1.0.  Row e holds
-        ``|B(tail)| + |B(head)| - |B(tail) ∩ B(head)|`` entries, counted
-        from the overlaps of `_ball_levels`, so the index array is
-        allocated once at its final size and filled in edge blocks of
-        about ``_BLOCK_NNZ`` gathered entries.  Only `edge_ball_mass`
-        uses it; the norms superpose through `_superpose`.
+        and head, so it lists the sorted cloud indices of B(e) with data
+        1.0.  Row e holds ``|B(tail)| + |B(head)| - |B(tail) ∩ B(head)|``
+        entries, counted from the overlaps of `_ball_levels`, so the index
+        array is allocated once at its final size and filled in edge
+        blocks of about ``_BLOCK_NNZ`` gathered entries.  Only
+        `edge_ball_mass` uses it; the norms superpose through
+        `_superpose`.
         """
         if self._edge_membership is None:
             sizes = np.diff(self.vertex_membership().indptr)
@@ -304,8 +288,8 @@ class NestedFilling:
     point_embedding: np.ndarray   # trace space point index -> ambient point index
     vertex_embedding: np.ndarray  # trace vertex id -> ambient vertex id
     edge_embedding: np.ndarray    # trace edge id -> ambient edge id
-    # extend_sobolev's certificate pairs and distances, per pair seed
-    _cert_plans: dict = field(default_factory=dict, init=False, repr=False,
+    # extend_sobolev's certificate pairs and distances, (ii, jj, d) once drawn
+    _cert_plan: tuple = field(default=(), init=False, repr=False,
                               compare=False)
     # the trace gate's porosity_scan result, (constant or None,) once run
     _porosity: tuple = field(default=(), init=False, repr=False,
@@ -519,13 +503,12 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
 
 def overlap_audit(filling: Filling) -> dict:
     """Per level, the largest number of balls covering a single point."""
+    memb = filling.vertex_membership()
     out = {}
     for n in filling.levels:
         lo, hi = filling._level_start[n]
-        counts = np.zeros(filling.space.n_points, dtype=np.int64)
-        for v in range(lo, hi):
-            counts[filling.ball_member_list[v]] += 1
-        out[n] = int(counts.max()) if hi > lo else 0
+        points = memb.indices[memb.indptr[lo]:memb.indptr[hi]]
+        out[n] = int(np.bincount(points).max()) if hi > lo else 0
     return out
 
 
@@ -675,7 +658,7 @@ def audit_nested(nested: NestedFilling) -> dict:
     member_flags = nested.mask.member_flags
     embedded = np.zeros(amb.n_vertices, dtype=bool)
     embedded[nested.vertex_embedding] = True
-    meets = np.array([member_flags[m].any() for m in amb.ball_member_list])
+    meets = amb.vertex_membership() @ member_flags > 0
     report["meets_f_iff_embedded"] = bool(np.all(meets == embedded))
     report["vertex_embedding_ok"], report["edge_embedding_ok"] = \
         _embedding_checks(nested)

@@ -78,6 +78,15 @@ class SmoothnessParams:
     def replace(self, **kw) -> "SmoothnessParams":
         return dataclasses.replace(self, **kw)
 
+    def to_dict(self) -> dict:
+        """The exponents as JSON values; an infinite one is ``"inf"``,
+        which canonical JSON can write and the CLI reads back."""
+        def num(x):
+            return "inf" if np.isinf(x) else x
+
+        return {"s": self.s, "p": num(self.p), "q": num(self.q),
+                "kind": self.kind}
+
 
 @dataclass(frozen=True)
 class NormVariant:
@@ -190,16 +199,13 @@ def _edge_span(filling: Filling, levels: range) -> tuple[int, int]:
 
 
 def _edge_window(filling: Filling,
-                 level_window: tuple[int, int] | None,
-                 floor: int | None = None) -> range:
+                 level_window: tuple[int, int] | None) -> range:
     lo, hi = filling.level_lo, filling.level_hi
     if level_window is not None:
         wl, wh = int(level_window[0]), int(level_window[1])
         if wl > wh:
             raise ConfigError("empty level window (%d, %d)" % (wl, wh))
         lo, hi = max(lo, wl), min(hi, wh)
-    if floor is not None:
-        lo = max(lo, floor)
     if lo > hi:
         raise ConfigError("level window misses the filling entirely")
     return range(lo, hi + 1)

@@ -158,9 +158,6 @@ class FiniteMetricMeasureSpace:
         return near[_rowwise_dist(self.points[near], center,
                                   self.metric_kind) < radius]
 
-    def ball_mass(self, center_index: int, radius: float) -> float:
-        return float(self.weights[self.ball_indices(center_index, radius)].sum())
-
     def measured_diam(self) -> float:
         """Exact diameter of the cloud (chunked; O(n^2) distances)."""
         if self.metric_kind == "sup":
@@ -204,10 +201,6 @@ class SubsetMask:
     @property
     def member_indices(self) -> np.ndarray:
         return np.flatnonzero(self.member_flags)
-
-    @property
-    def n_members(self) -> int:
-        return int(self.member_flags.sum())
 
     def validate_against(self, space: FiniteMetricMeasureSpace):
         if self.member_flags.shape[0] != space.n_points:
@@ -649,11 +642,15 @@ def _rowwise_dist(pts_a, pts_b, metric_kind):
     return np.sqrt((diff * diff).sum(axis=1))
 
 
-def metric_spot_check(space: FiniteMetricMeasureSpace, *, trials: int = 200,
+# Random point triples drawn by `metric_spot_check`.
+_SPOT_CHECK_TRIALS = 200
+
+
+def metric_spot_check(space: FiniteMetricMeasureSpace, *,
                       seed: int = 0) -> float:
     """Largest triangle-inequality violation over random point triples."""
     rng = np.random.default_rng(seed)
-    idx = rng.integers(0, space.n_points, size=(trials, 3))
+    idx = rng.integers(0, space.n_points, size=(_SPOT_CHECK_TRIALS, 3))
     a, b, c = (space.points[idx[:, k]] for k in range(3))
     d_ab = _rowwise_dist(a, b, space.metric_kind)
     d_bc = _rowwise_dist(b, c, space.metric_kind)
@@ -687,13 +684,13 @@ def _space_from_descriptor(desc, point_budget):
     kind = desc.pop("kind")
     mask = None
     if kind == "cube":
-        _require_keys(desc, {"dim", "depth"}, {"metric"})
+        _check_keys(desc, {"dim", "depth"}, {"metric"}, "descriptor")
         space = unit_cube_space(int(desc["dim"]), int(desc["depth"]),
                                 metric=desc.get("metric", "sup"),
                                 point_budget=point_budget)
     elif kind == "ifs":
-        _require_keys(desc, {"maps", "depth"},
-                      {"metric", "declared_Q", "declared_lambda"})
+        _check_keys(desc, {"maps", "depth"},
+                    {"metric", "declared_Q", "declared_lambda"}, "descriptor")
         maps = [IfsMap(ratio=float(m["ratio"]),
                        offset=tuple(float(v) for v in m["offset"]),
                        rotation_deg=float(m.get("rotation_deg", 0.0)))
@@ -701,7 +698,8 @@ def _space_from_descriptor(desc, point_budget):
         system = IfsSystem(maps=maps, depth=int(desc["depth"]))
         submaps = None
         if subset_desc is not None and "submaps" in subset_desc:
-            _require_keys(subset_desc, {"submaps"}, {"lambda"})
+            _check_keys(subset_desc, {"submaps"}, {"lambda"},
+                        "descriptor")
             submaps = subset_desc["submaps"]
         space, mask = ifs_attractor(
             system, submaps=submaps, metric=desc.get("metric", "euclidean"),
@@ -710,8 +708,8 @@ def _space_from_descriptor(desc, point_budget):
             point_budget=point_budget)
         subset_desc = None if submaps is not None else subset_desc
     elif kind == "pointset":
-        _require_keys(desc, {"points", "weights", "metric", "resolution",
-                             "declared_Q", "declared_diam"}, set())
+        _check_keys(desc, {"points", "weights", "metric", "resolution",
+                           "declared_Q", "declared_diam"}, set(), "descriptor")
         space = FiniteMetricMeasureSpace(
             points=np.asarray(desc["points"], dtype=np.float64),
             weights=np.asarray(desc["weights"], dtype=np.float64),
@@ -748,11 +746,11 @@ def _mask_from_descriptor(space, desc):
     if not isinstance(desc, dict):
         raise ConfigError("subset descriptor must be a dict")
     if "cantor_depth" in desc:
-        _require_keys(dict(desc), {"cantor_depth"}, set())
+        _check_keys(desc, {"cantor_depth"}, set(), "descriptor")
         return cantor_mask(space, int(desc["cantor_depth"]))
     if "indices" not in desc or "lambda" not in desc:
         raise ConfigError("subset descriptor needs 'indices' and 'lambda'")
-    _require_keys(dict(desc), {"indices", "lambda"}, {"weights"})
+    _check_keys(desc, {"indices", "lambda"}, {"weights"}, "descriptor")
     indices = np.asarray(desc["indices"], dtype=np.int64)
     if indices.size == 0 or indices.min() < 0 or indices.max() >= space.n_points:
         raise ConfigError("subset indices out of range")
@@ -794,11 +792,13 @@ def space_to_descriptor(space: FiniteMetricMeasureSpace) -> dict:
     }
 
 
-def _require_keys(desc: dict, required: set, optional: set):
-    keys = set(desc)
+def _check_keys(doc: dict, required: set, optional: set, where: str) -> None:
+    """Raise `ConfigError` naming ``where`` when ``doc`` lacks a required
+    key or has a key that is neither required nor optional."""
+    keys = set(doc)
     missing = required - keys
     if missing:
-        raise ConfigError(f"descriptor missing keys: {sorted(missing)}")
-    unknown = keys - required - optional - {"subset", "kind"}
+        raise ConfigError(f"{where} missing keys: {sorted(missing)}")
+    unknown = keys - required - optional
     if unknown:
-        raise ConfigError(f"descriptor has unknown keys: {sorted(unknown)}")
+        raise ConfigError(f"{where} has unknown keys: {sorted(unknown)}")

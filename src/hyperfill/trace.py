@@ -41,6 +41,8 @@ __all__ = [
 
 # Pair budget for the pointwise-gradient certificate of an extension.
 _CERT_PAIR_CAP = 2_000_000
+# Seed of the certificate's pair draws once the budget is exceeded.
+_CERT_PAIR_SEED = 0
 # Pairs checked per block; bounds the certificate's per-call scratch.
 _CERT_BLOCK = 1 << 18
 
@@ -310,29 +312,27 @@ def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return ii[keep], jj[keep]
 
 
-def _cert_pair_plan(nested: NestedFilling, pair_seed: int):
+def _cert_pair_plan(nested: NestedFilling):
     """The certificate's pairs ``ii``, ``jj`` (int32) and their distances.
 
-    They depend only on the ambient space and the seed, so they are drawn
-    and measured once per nested filling and seed, then kept on it.
+    They depend only on the ambient space, so they are drawn and measured
+    once per nested filling, then kept on it.
     """
-    plan = nested._cert_plans.get(pair_seed)
-    if plan is None:
+    if not nested._cert_plan:
         space = nested.ambient.space
         ii, jj = _pair_sample(space.n_points, _CERT_PAIR_CAP,
-                              np.random.default_rng(pair_seed))
+                              np.random.default_rng(_CERT_PAIR_SEED))
         ii, jj = ii.astype(np.int32), jj.astype(np.int32)
         d = np.empty(ii.size)
         for lo in range(0, ii.size, _CERT_BLOCK):
             blk = slice(lo, lo + _CERT_BLOCK)
             d[blk] = _rowwise_dist(space.points[ii[blk]],
                                    space.points[jj[blk]], space.metric_kind)
-        plan = nested._cert_plans[pair_seed] = (ii, jj, d)
-    return plan
+        nested._cert_plan = (ii, jj, d)
+    return nested._cert_plan
 
 
-def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
-                   pair_seed: int = 0) -> ExtensionResult:
+def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     """Extend a subset function with an explicit gradient certificate.
 
     The candidate gradient is the level-weighted edge superposition
@@ -343,10 +343,10 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     must have equal values (the extension is locally constant there); a
     violation raises ``NumericalError``.  The pairs are every pair of
     ambient points, or, once there are more than 2,000,000, that many
-    draws seeded by ``pair_seed`` with the self-pairs dropped.  The pair
-    sample and its distances are drawn once per nested filling and seed;
-    each call gathers only the extension and its gradient over them,
-    block by block.
+    draws from a fixed seed with the self-pairs dropped.  The pair sample
+    and its distances are drawn once per nested filling; each call
+    gathers only the extension and its gradient over them, block by
+    block.
 
     Parameters
     ----------
@@ -356,8 +356,6 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
     p : float
         Integrability of the target Sobolev class, inside the window
         ``max(Q/(lambda+1), Q-lambda) < p < inf``.
-    pair_seed : int
-        Seed for pair subsampling when the cloud is large.
 
     Returns
     -------
@@ -374,7 +372,7 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float, *,
 
     base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb),
                           amb.levels).sum(axis=0)
-    ii, jj, d = _cert_pair_plan(nested, pair_seed)
+    ii, jj, d = _cert_pair_plan(nested)
     scale = float(np.abs(extended).max()) or 1.0
     blind, blind_max, quotient_max = False, [], []
     for lo in range(0, ii.size, _CERT_BLOCK):

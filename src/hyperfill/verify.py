@@ -180,7 +180,7 @@ def audit_norm_variants(filling: Filling,
                 "substitute_band_bounded": s_w <= band_threshold}
     return ExperimentReport(
         experiment_id="norm_variants",
-        config={"params": _params_dict(params), "trials": trials},
+        config={"params": params.to_dict(), "trials": trials},
         thresholds=thresholds, rows=rows, verdicts=verdicts, rng_seed=seed)
 
 
@@ -275,7 +275,7 @@ def audit_nonhom_split(filling: Filling,
                  "band_width": width})
     return ExperimentReport(
         experiment_id="nonhom_split",
-        config={"params": _params_dict(params), "trials": trials},
+        config={"params": params.to_dict(), "trials": trials},
         thresholds={"band_threshold": band_threshold}, rows=rows,
         verdicts={"band_bounded": width <= band_threshold},
         rng_seed=seed)
@@ -389,7 +389,7 @@ def audit_approx_density(filling: Filling,
                  "target_level": target_n})
     return ExperimentReport(
         experiment_id="approx_density",
-        config={"params": _params_dict(params), "trials": trials},
+        config={"params": params.to_dict(), "trials": trials},
         thresholds={"final_fraction": final_fraction, "slack": slack},
         rows=rows,
         verdicts={"tail_nonincreasing": nonincreasing,
@@ -399,12 +399,6 @@ def audit_approx_density(filling: Filling,
 
 def _qtag(q: float) -> str:
     return "inf" if np.isinf(q) else ("%g" % q)
-
-
-def _params_dict(params: SmoothnessParams) -> dict:
-    return {"s": params.s, "p": params.p,
-            "q": None if np.isinf(params.q) else params.q,
-            "kind": params.kind}
 
 
 def _normalize_grid(param_grid) -> list[dict]:

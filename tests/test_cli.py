@@ -305,6 +305,24 @@ def test_trace_run_below_level_zero(tmp_path):
         at_zero["roundtrip_sup_error"], rel=0.05)
 
 
+def test_trace_run_extends_a_constant_with_zero_norms(tmp_path):
+    # a constant extends to a constant: both norms are exactly 0, not
+    # rounding noise over 0, an infinite ratio canonical JSON refuses
+    cfg = write_cfg(tmp_path / "c.json", dict(
+        TRACE_CFG, space={"kind": "cube", "dim": 2, "depth": 5,
+                          "metric": "euclidean"},
+        subset={"indices": [32 * k for k in range(32)], "lambda": 1.0},
+        level_lo=-1, level_hi=2, direction="extend",
+        params={"s": 0.9, "p": 4.0, "q": 4.0, "kind": "besov"},
+        function={"kind": "constant", "value": 0.3}))
+    out = tmp_path / "c_out.json"
+    assert hf.cli.main(["trace", "run", "--config", cfg,
+                        "--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["target_norm"] == payload["source_norm"] == 0
+    assert payload["operator_ratio"] == 0
+
+
 def test_inadmissible_exponents_exit_3(tmp_path):
     cfg = write_cfg(tmp_path / "t.json",
                     dict(TRACE_CFG,
@@ -376,6 +394,22 @@ def test_porosity_audit_reports_with_its_default_q_list(tmp_path):
     assert hf.cli.main(["verify", "audit_porosity_qindependence",
                         "--config", cfg2, "--out", str(again)]) == 0
     assert again.read_bytes() == out.read_bytes()
+
+
+@pytest.mark.parametrize("audit, params", [
+    ("audit_norm_variants", {"s": 0.5, "p": "inf", "q": 2, "kind": "besov"}),
+    ("audit_nonhom_split",
+     {"s": 0.5, "p": 2, "q": "inf", "kind": "nonhom_besov"})])
+def test_verify_report_writes_an_infinite_exponent_as_inf(tmp_path, audit,
+                                                          params):
+    # as in every other payload, and as the config spells it
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 6}, "level_hi": 4,
+        "params": params, "trials": 2})
+    out = tmp_path / "r.json"
+    assert hf.cli.main(["verify", audit, "--config", cfg,
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["params"] == params
 
 
 def test_failed_audit_exits_4_but_reports(tmp_path):

@@ -4,12 +4,13 @@ import os
 
 import numpy as np
 import pytest
-from scipy import sparse
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
 from hyperfill.filling import (filling_from_dict, filling_to_dict,
                                nested_from_dict, nested_to_dict)
+
+from oracles import edge_ball_matrix
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -88,6 +89,33 @@ def test_overlap_bounds(plain6, pair8):
     assert max(hf.overlap_audit(pair8.trace).values()) == 5
 
 
+def test_overlap_audit_matches_the_vertex_loop(any_filling):
+    fil = any_filling
+    want = {}
+    for n in fil.levels:
+        counts = np.zeros(fil.space.n_points, dtype=np.int64)
+        for v in fil.vertices_at_level(n):
+            counts[fil.ball_member_list[v]] += 1
+        want[n] = int(counts.max()) if counts.size else 0
+    assert hf.overlap_audit(fil) == want
+
+
+@pytest.mark.parametrize("complement", [False, True])
+def test_nested_audit_meets_f_matches_the_ball_loop(pair8, complement):
+    # every ambient ball meets the complement of the subset, embedded or not
+    mask = pair8.mask
+    if complement:
+        flags = ~mask.member_flags
+        mask = hf.SubsetMask(flags, mask.declared_lambda, flags / flags.sum())
+    nested = dataclasses.replace(pair8, mask=mask)
+    meets = np.array([mask.member_flags[m].any()
+                      for m in nested.ambient.ball_member_list])
+    embedded = np.isin(np.arange(nested.ambient.n_vertices),
+                       nested.vertex_embedding)
+    got = hf.audit_nested(nested)["meets_f_iff_embedded"]
+    assert got == bool(np.all(meets == embedded)) == (not complement)
+
+
 def test_window_validation(interval8):
     with pytest.raises(hf.ConfigError):
         hf.build_filling(interval8, 1, 6)   # 2^-1 below the diameter
@@ -152,10 +180,9 @@ def test_vertex_membership_matches_ball_lists(plain6):
 
 def test_edge_ball_is_union(plain6):
     e = plain6.n_edges // 2
-    got = plain6.edge_ball_members(e)
     want = np.union1d(plain6.ball_member_list[plain6.tails[e]],
                       plain6.ball_member_list[plain6.heads[e]])
-    assert np.array_equal(got, want)
+    assert np.array_equal(plain6.edge_membership()[e].indices, want)
     mass = plain6.edge_ball_mass()
     assert mass[e] == pytest.approx(plain6.space.weights[want].sum())
 
@@ -196,18 +223,11 @@ def test_vertex_and_edge_accessors_validate(plain6):
         plain6.ball_members(10**6)
     with pytest.raises(hf.ConfigError):
         plain6.vertices_at_level(99)
-    with pytest.raises(hf.ConfigError):
-        plain6.edge_ball_members(-1)
 
 
 def test_edge_membership_matches_per_edge_unions(any_filling):
     fil = any_filling
-    rows = [fil.edge_ball_members(e) for e in range(fil.n_edges)]
-    indptr = np.zeros(fil.n_edges + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([r.size for r in rows])
-    indices = np.concatenate(rows)
-    want = sparse.csr_matrix((np.ones(indices.size), indices, indptr),
-                             shape=(fil.n_edges, fil.space.n_points))
+    want = edge_ball_matrix(fil)
     got = fil.edge_membership()
     assert got.has_sorted_indices
     for name in ("indptr", "indices", "data"):
@@ -245,7 +265,6 @@ def test_edge_ranges_are_contiguous_levels(any_filling):
         assert lo == stop
         assert np.array_equal(np.arange(lo, hi),
                               np.flatnonzero(fil.edge_levels == k))
-        assert np.array_equal(fil.edges_at_level(k), np.arange(lo, hi))
         stop = hi
     assert stop == fil.n_edges
     with pytest.raises(hf.ConfigError):

@@ -74,7 +74,7 @@ def test_lp_norm_validation(interval8):
 def test_one_hot_edge_closed_form(plain6):
     # a single active edge makes every variant collapse to
     # 2^{|e|s} * mass(B(e))^{1/p}
-    eid = int(plain6.edges_at_level(4)[7])
+    eid = plain6.edge_range(4)[0] + 7
     u = np.zeros(plain6.n_edges)
     u[eid] = 1.0
     want = 2.0 ** (4 * BESOV.s) * plain6.edge_ball_mass()[eid] ** 0.5
@@ -140,6 +140,13 @@ def test_constant_function_has_zero_norm(plain6):
     f = np.full(plain6.space.n_points, 2.5)
     assert besov_fn_norm(plain6, f, BESOV) == 0.0
     assert triebel_fn_norm(plain6, f, TRIEBEL) == 0.0
+    # on this square, unclipped ball means of 0.3 and 0.7 differ in the
+    # last bits, and the norms come out near 1e-12
+    square = hf.build_filling(hf.unit_cube_space(2, 5, "euclidean"), -1, 2)
+    params = SmoothnessParams(0.9, 4.0, 4.0, "besov")
+    for c in (0.3, 0.7):
+        f = np.full(square.space.n_points, c)
+        assert besov_fn_norm(square, f, params) == 0.0
 
 
 def test_nonhom_norm_split(plain6):
@@ -258,7 +265,7 @@ def test_half_ball_sets_match_per_edge_scan(any_filling):
         assert np.array_equal(got - block,
                               np.flatnonzero(d < 0.5 * fil.radii[vid]))
         assert got.size and np.all(np.isin(got - block,
-                                           fil.edge_ball_members(eid)))
+                                           fil.ball_members(vid)))
 
 
 def _oracle_matrix(fil, variant):

@@ -24,7 +24,7 @@ def tent(interval10):
 
 def test_trace_result_anatomy(pair8, tent):
     res = trace_besov(pair8, tent, BESOV)
-    assert res.samples.shape == (pair8.mask.n_members,)
+    assert res.samples.shape == (pair8.mask.member_indices.size,)
     assert res.operator_ratio == pytest.approx(res.trace_norm
                                                / res.source_norm, rel=1e-12)
     assert res.operator_ratio == pytest.approx(0.12350347748431624,
@@ -141,7 +141,7 @@ def test_codim_mass_band(pair8):
 
 def test_admissibility_gates(pair8):
     f = np.zeros(pair8.ambient.space.n_points)
-    fsub = np.zeros(pair8.mask.n_members)
+    fsub = np.zeros(pair8.mask.member_indices.size)
     with pytest.raises(hf.GateError):
         trace_besov(pair8, f, SmoothnessParams(0.5, 0.8, 2.0, "besov"))
     with pytest.raises(hf.GateError):
@@ -159,7 +159,7 @@ def test_porosity_gate(interval10):
         trace_triebel(nested, np.zeros(interval10.n_points),
                       SmoothnessParams(0.5, 2.0, 2.0, "triebel"))
     with pytest.raises(hf.GateError):
-        extend_sobolev(nested, np.zeros(full.n_members), 4.0)
+        extend_sobolev(nested, np.zeros(full.member_indices.size), 4.0)
 
 
 def test_input_length_checks(pair8):
@@ -174,26 +174,25 @@ def _cert_bytes(res):
     return cert.K, cert.pairs_checked, cert.g.tobytes(), res.samples.tobytes()
 
 
-@pytest.mark.parametrize("pair_seed", [0, 1])
 def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
-                                                  monkeypatch, pair_seed):
-    # a cap below the pair count makes the sample depend on the seed
+                                                  monkeypatch):
+    # a cap below the pair count makes the plan a seeded sample
     monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
     fsub = tent[cantor6.member_indices]
     warm = hf.build_nested_filling(interval10, cantor6, 0, 6)
-    other_seed = extend_sobolev(warm, fsub, 4.0, pair_seed=1 - pair_seed)
-    first = extend_sobolev(warm, fsub, 4.0, pair_seed=pair_seed)
-    again = extend_sobolev(warm, fsub, 4.0, pair_seed=pair_seed)
+    first = extend_sobolev(warm, fsub, 4.0)
+    plan = warm._cert_plan
+    again = extend_sobolev(warm, fsub, 4.0)
     fresh = extend_sobolev(hf.build_nested_filling(interval10, cantor6, 0, 6),
-                           fsub, 4.0, pair_seed=pair_seed)
+                           fsub, 4.0)
     assert _cert_bytes(first) == _cert_bytes(again) == _cert_bytes(fresh)
-    assert sorted(warm._cert_plans) == [0, 1]
-    plan, other_plan = warm._cert_plans[pair_seed], warm._cert_plans[
-        1 - pair_seed]
+    assert warm._cert_plan is plan
     assert plan[0].dtype == plan[1].dtype == np.int32
-    assert not np.array_equal(plan[0], other_plan[0])
+    # the plan is seed 0's draw
+    ii, jj = trace_mod._pair_sample(interval10.n_points, 50_000,
+                                    np.random.default_rng(0))
+    assert np.array_equal(plan[0], ii) and np.array_equal(plan[1], jj)
     assert first.certificate.pairs_checked == plan[0].size
-    assert other_seed.certificate.pairs_checked == other_plan[0].size
 
 
 def test_sobolev_certificate_blocks_do_not_change_it(pair8, tent,
@@ -201,7 +200,7 @@ def test_sobolev_certificate_blocks_do_not_change_it(pair8, tent,
     fsub = tent[pair8.mask.member_indices]
     whole = extend_sobolev(pair8, fsub, 4.0)
     monkeypatch.setattr(trace_mod, "_CERT_BLOCK", 997)
-    pair8._cert_plans.clear()
+    pair8._cert_plan = ()
     blocked = extend_sobolev(pair8, fsub, 4.0)
     assert _cert_bytes(blocked) == _cert_bytes(whole)
 
@@ -211,9 +210,9 @@ def test_certificate_plans_never_serve_another_filling(interval10, cantor6,
     fsub = tent[cantor6.member_indices]
     extend_sobolev(pair6, fsub, 4.0)
     other = hf.build_nested_filling(interval10, cantor6, 0, 5)
-    assert other._cert_plans == {}
+    assert other._cert_plan == ()
     extend_sobolev(other, fsub, 4.0)
-    assert other._cert_plans[0][0] is not pair6._cert_plans[0][0]
+    assert other._cert_plan[0] is not pair6._cert_plan[0]
     assert other.ambient._partition_cache is not \
         pair6.ambient._partition_cache
 
