@@ -174,10 +174,13 @@ def _cert_bytes(res):
     return cert.K, cert.pairs_checked, cert.g.tobytes(), res.samples.tobytes()
 
 
+# sampled = 1: a cap below the pair count makes the plan a seeded sample;
+# sampled = 0: under the default cap the plan lists every pair
+@pytest.mark.parametrize("sampled", [0, 1])
 def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
-                                                  monkeypatch):
-    # a cap below the pair count makes the plan a seeded sample
-    monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
+                                                  monkeypatch, sampled):
+    if sampled:
+        monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
     fsub = tent[cantor6.member_indices]
     warm = hf.build_nested_filling(interval10, cantor6, 0, 6)
     first = extend_sobolev(warm, fsub, 4.0)
@@ -189,9 +192,11 @@ def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
     assert warm._cert_plan is plan
     assert plan[0].dtype == plan[1].dtype == np.int32
     # the plan is seed 0's draw
-    ii, jj = trace_mod._pair_sample(interval10.n_points, 50_000,
+    n = interval10.n_points
+    ii, jj = trace_mod._pair_sample(n, trace_mod._CERT_PAIR_CAP,
                                     np.random.default_rng(0))
     assert np.array_equal(plan[0], ii) and np.array_equal(plan[1], jj)
+    assert (plan[0].size < n * (n - 1) // 2) == bool(sampled)
     assert first.certificate.pairs_checked == plan[0].size
 
 
