@@ -258,17 +258,15 @@ def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
 
 
 def telescoping_integral(filling: Filling, edge_values,
-                         level_window: tuple[int, int] | None = None,
-                         basepoint: int | None = None) -> np.ndarray:
-    """Sum edge blends over a level window, anchored at a basepoint.
+                         level_window: tuple[int, int] | None = None
+                         ) -> np.ndarray:
+    """Sum edge blends over a level window.
 
-    With ``u = dv`` this reproduces ``T_{hi+1} v - T_{lo} v`` exactly, so
-    for a filling rooted at level zero (single root ball covering the
-    cloud) the integral of a derivative recovers the function up to the
-    constant fixed by the basepoint.  Negative levels contribute their
-    blend minus its basepoint value, pinning the integrand of coarse
-    scales to zero at the basepoint.  Each level is one product with the
-    cross-edge matrix that `edge_blend` caches on the filling.
+    With ``u = dv`` this reproduces ``T_{hi+1} v - T_{lo} v`` exactly on
+    any window, negative levels included, so the integral of a derivative
+    recovers the function up to the coarsest blend.  Each level is one
+    product with the cross-edge matrix that `edge_blend` caches on the
+    filling.
 
     Parameters
     ----------
@@ -278,9 +276,6 @@ def telescoping_integral(filling: Filling, edge_values,
     level_window : (int, int), optional
         Inclusive window of tail levels to sum; defaults to every cross
         level in the filling.
-    basepoint : int, optional
-        Point index anchoring the negative-level correction.  Required
-        when the window reaches below level zero, ignored otherwise.
 
     Returns
     -------
@@ -296,15 +291,10 @@ def telescoping_integral(filling: Filling, edge_values,
         raise ConfigError(
             "window (%d, %d) leaves the cross levels [%d, %d]"
             % (lo, hi, filling.level_lo, filling.level_hi - 1))
-    if lo < 0 and basepoint is None:
-        raise ConfigError("window reaches below level 0; basepoint required")
     u = _check_edge_values(filling, edge_values)
     out = np.zeros(filling.space.n_points)
     for n in range(lo, hi + 1):
-        term = _cross_blend(filling, u, n)
-        if n < 0:
-            term = term - term[basepoint]
-        out += term
+        out += _cross_blend(filling, u, n)
     return out
 
 

@@ -79,13 +79,15 @@ class SmoothnessParams:
         return dataclasses.replace(self, **kw)
 
     def to_dict(self) -> dict:
-        """The exponents as JSON values; an infinite one is ``"inf"``,
-        which canonical JSON can write and the CLI reads back."""
-        def num(x):
-            return "inf" if np.isinf(x) else x
+        """The exponents as JSON values (see `_exponent_json`)."""
+        return {"s": self.s, "p": _exponent_json(self.p),
+                "q": _exponent_json(self.q), "kind": self.kind}
 
-        return {"s": self.s, "p": num(self.p), "q": num(self.q),
-                "kind": self.kind}
+
+def _exponent_json(x):
+    """An exponent as a JSON value; an infinite one is ``"inf"``, which
+    canonical JSON can write and the CLI reads back."""
+    return "inf" if np.isinf(x) else x
 
 
 @dataclass(frozen=True)

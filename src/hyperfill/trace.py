@@ -87,9 +87,9 @@ class SobolevCertificate:
     ``g`` is a Hajlasz gradient of the extended function: for every
     sampled pair, ``|u(x) - u(y)| <= d(x, y) (g(x) + g(y))``.  ``K`` is
     the factor by which the raw edge superposition was scaled to make
-    that hold, and ``pairs_checked`` counts the sampled pairs.  The pair
-    sample is drawn once per nested filling and pair seed, and reused by
-    every extension that filling certifies with that seed.
+    that hold, and ``pairs_checked`` counts the sampled pairs.  There is one
+    pair sample per nested filling, drawn with seed 0 and reused by every
+    extension that filling certifies.
     """
 
     g: np.ndarray = field(repr=False)
@@ -127,23 +127,22 @@ def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str):
 def _restrict(nested: NestedFilling, f):
     """The restriction of ``f`` to the subset, scale by scale.
 
-    Returns ``(integral, coarse, du, u_amb)``: the telescoping integral
-    on the subset of the restricted derivative and the coarse blend of
-    the restricted ambient ball means on the subset points (levels below
-    zero pinned at the first subset point, the subset side of
-    `_anchor`), the ambient derivative ``du``, and ``du`` zero off the
-    embedded subset edges.  The homogeneous trace is ``integral +
-    coarse[0]``, the inhomogeneous one ``integral + coarse``.
+    Returns ``(integral, coarse, du, u_amb)``: the telescoping integral on
+    the subset of the restricted derivative, the blend of the restricted
+    ambient ball means at the subset's lowest level on the subset points,
+    the ambient derivative ``du``, and ``du`` zero off the embedded subset
+    edges.  The homogeneous trace is ``integral + coarse[0]``, the
+    inhomogeneous one ``integral + coarse``.
     """
-    amb = nested.ambient
+    amb, tr = nested.ambient, nested.trace
     v = poisson_extension(amb, f)
     du = discrete_derivative(amb, v)
     u_sub = du[nested.edge_embedding]
     u_amb = np.zeros(amb.n_edges)
     u_amb[nested.edge_embedding] = u_sub
-    integral, coarse = _coarse_terms(nested.trace, u_sub,
-                                     v[nested.vertex_embedding], 0)
-    return integral, coarse, du, u_amb
+    return (telescoping_integral(tr, u_sub),
+            level_blend(tr, v[nested.vertex_embedding], tr.level_lo),
+            du, u_amb)
 
 
 def _anchor(nested: NestedFilling) -> int:
@@ -152,31 +151,10 @@ def _anchor(nested: NestedFilling) -> int:
     return int(nested.point_embedding[0])
 
 
-def _coarse_terms(filling, u, v, basepoint: int):
-    """Telescoping integral of ``u`` and the coarse blend of ``v`` at the
-    filling's lowest level, shifted by the constant the integral pins.
-
-    Levels below zero enter the integral minus their value at
-    ``basepoint``, which takes ``(T_0 v - T_lo v)[basepoint]`` off every
-    point (``T_k v`` the level-``k`` blend, ``hi`` the finest level).  The
-    coarse blend carries it back, so ``integral + coarse`` and ``integral
-    + coarse[basepoint]`` stay the exact telescopes ``T_hi v`` and ``T_hi
-    v - T_lo v + T_lo v[basepoint]``.  From level zero up nothing is
-    pinned or shifted.
-    """
-    lo = filling.level_lo
-    integral = telescoping_integral(filling, u, basepoint=basepoint)
-    coarse = level_blend(filling, v, lo)
-    if lo < 0:
-        coarse = coarse + (level_blend(filling, v, 0)[basepoint]
-                           - coarse[basepoint])
-    return integral, coarse
-
-
 def _extension_terms(nested: NestedFilling, f_sub):
     """Telescoping integral of the zero-extended subset derivative over the
     ambient, the coarse blend of the zero-extended subset ball means on the
-    ambient points, and that derivative."""
+    ambient points, that derivative and the subset derivative itself."""
     amb, tr = nested.ambient, nested.trace
     v_sub = poisson_extension(tr, f_sub)
     u_sub = discrete_derivative(tr, v_sub)
@@ -184,7 +162,8 @@ def _extension_terms(nested: NestedFilling, f_sub):
     u_amb[nested.edge_embedding] = u_sub
     v_amb = np.zeros(amb.n_vertices)
     v_amb[nested.vertex_embedding] = v_sub
-    return _coarse_terms(amb, u_amb, v_amb, _anchor(nested)) + (u_amb,)
+    return (telescoping_integral(amb, u_amb),
+            level_blend(amb, v_amb, amb.level_lo), u_amb, u_sub)
 
 
 def _nonhom_subset_params(nested: NestedFilling, params: SmoothnessParams
@@ -230,15 +209,14 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
     samples = integral + coarse[0]
     t_params = params.replace(s=adm.trace_smoothness)
     t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
-    s_norm = besov_fn_norm(nested.ambient, f, params, variant)
+    s_norm = besov_seq_norm(nested.ambient, du, params, variant)
     details = {
         "anchor_point": _anchor(nested),
         "trace_side_seq_norm": besov_seq_norm(
             nested.trace, u_amb[nested.edge_embedding], t_params, variant),
         "ambient_side_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
-        "source_seq_norm": besov_seq_norm(
-            nested.ambient, du, params, variant),
+        "source_seq_norm": s_norm,
     }
     return TraceResult(samples=samples, trace_norm=t_norm, source_norm=s_norm,
                        operator_ratio=_ratio(t_norm, s_norm),
@@ -254,11 +232,11 @@ def extend_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
     measured at the matching trace smoothness on the subset.
     """
     adm = _gate(nested, params, "besov")
-    integral, coarse, u_amb = _extension_terms(nested, f_sub)
+    integral, coarse, u_amb, u_sub = _extension_terms(nested, f_sub)
     extended = integral + coarse[_anchor(nested)]
     src_params = params.replace(s=adm.trace_smoothness)
     t_norm = besov_fn_norm(nested.ambient, extended, params, variant)
-    s_norm = besov_fn_norm(nested.trace, f_sub, src_params, variant)
+    s_norm = besov_seq_norm(nested.trace, u_sub, src_params, variant)
     details = {
         "zero_extended_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
@@ -367,7 +345,7 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     adm = _gate(nested, probe, "sobolev")
     amb = nested.ambient
     space = amb.space
-    integral, coarse, u_amb = _extension_terms(nested, f_sub)
+    integral, coarse, u_amb, u_sub = _extension_terms(nested, f_sub)
     extended = integral + coarse[_anchor(nested)]
 
     base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb),
@@ -396,7 +374,7 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     g_norm = lp_norm(space, g, p)
     src_params = SmoothnessParams(s=adm.trace_smoothness, p=p, q=p,
                                   kind="besov")
-    s_norm = besov_fn_norm(nested.trace, f_sub, src_params)
+    s_norm = besov_seq_norm(nested.trace, u_sub, src_params)
     details = {
         "seq_norm_q1": triebel_seq_norm(
             amb, u_amb, SmoothnessParams(s=1.0, p=p, q=1.0, kind="triebel")),
@@ -446,7 +424,7 @@ def nonhom_extend(nested: NestedFilling, f_sub, params: SmoothnessParams,
     """Extend a subset function between the inhomogeneous classes."""
     src_params = _nonhom_subset_params(nested, params)
     amb, tr = nested.ambient, nested.trace
-    integral, coarse, _ = _extension_terms(nested, f_sub)
+    integral, coarse, _, _ = _extension_terms(nested, f_sub)
     extended = integral + coarse
     t_lp, t_seq = nonhom_norm(amb, extended, params, variant)
     s_lp, s_seq = nonhom_norm(tr, f_sub, src_params, variant)

@@ -22,9 +22,9 @@ from ._version import __version__
 from .calculus import level_blend, poisson_extension
 from .errors import ConfigError, GateError
 from .filling import Filling, NestedFilling, build_nested_filling
-from .norms import (NormVariant, SmoothnessParams, admissibility,
-                    besov_seq_norm, half_ball_substitute, lp_norm,
-                    nonhom_norm, triebel_seq_norm)
+from .norms import (NormVariant, SmoothnessParams, _exponent_json,
+                    admissibility, besov_seq_norm, half_ball_substitute,
+                    lp_norm, nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
 from .trace import (_restrict, extend_besov, extend_sobolev, trace_besov,
                     trace_triebel)
@@ -234,7 +234,7 @@ def audit_porosity_qindependence(nested: NestedFilling, *, s: float = 0.5,
     return ExperimentReport(
         experiment_id="porosity_qindependence",
         config={"s": s, "p": p, "trials": trials,
-                "q_list": ["inf" if np.isinf(q) else q for q in q_list]},
+                "q_list": [_exponent_json(q) for q in q_list]},
         thresholds={}, rows=rows,
         verdicts={"subset_is_porous": porosity is not None},
         rng_seed=seed)
@@ -403,7 +403,8 @@ def _qtag(q: float) -> str:
 
 def _normalize_grid(param_grid) -> list[dict]:
     """Parameter cells from a dict of value lists or from a list of cells
-    with numeric s, p and q; anything else raises ConfigError."""
+    whose s, p and q are numbers or ``"inf"``; anything else raises
+    ConfigError."""
     try:
         if isinstance(param_grid, dict):
             return [{"s": float(s), "p": float(p), "q": float(q)}
@@ -412,8 +413,12 @@ def _normalize_grid(param_grid) -> list[dict]:
                     for q in param_grid.get("q", [2.0])]
         cells = [dict(c) for c in param_grid]
         for c in cells:
-            if not all(isinstance(c[k], (int, float)) for k in "spq"):
-                raise TypeError("cell values must be numbers: %r" % (c,))
+            for k in "spq":
+                if c[k] == "inf":
+                    c[k] = np.inf
+                elif not isinstance(c[k], (int, float)):
+                    raise TypeError(
+                        "cell values must be numbers or 'inf': %r" % (c,))
         return cells
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("malformed parameter grid: %s" % exc) from None
@@ -528,7 +533,9 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
     return ExperimentReport(
         experiment_id="theorem_suite",
         config={"space": space_desc, "subset": subset_desc,
-                "theorem": theorem, "grid": cells,
+                "theorem": theorem,
+                "grid": [{**c, **{k: _exponent_json(c[k]) for k in "spq"}}
+                         for c in cells],
                 "resolutions": resolutions, "trials": trials},
         thresholds={"widen_threshold": widen_threshold},
         rows=rows, verdicts=verdicts, rng_seed=seed)

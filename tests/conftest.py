@@ -1,7 +1,15 @@
+import os
+
 import numpy as np
 import pytest
 
 import hyperfill as hf
+
+# CLI tests start `python -m hyperfill` in subprocesses; let them import
+# the package these tests import, from a checkout as from an install.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    [os.path.dirname(os.path.dirname(hf.__file__))]
+    + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])
 
 # one line per acceptance criterion, echoed after the run so the verdicts
 # survive pytest's output capture

@@ -132,14 +132,28 @@ def test_telescoping_identity_exact(plain6):
     assert worst <= 1e-13
 
 
-def test_telescoping_sums_whole_window(plain6):
+@pytest.fixture(scope="module")
+def square5():
+    # a Euclidean square has diameter sqrt(2), so its root sits at level -1
+    return hf.build_filling(hf.unit_cube_space(2, 5, metric="euclidean"),
+                            -1, 3)
+
+
+@pytest.mark.parametrize("name, windows", [
+    ("plain6", [None]),
+    # negative levels are ordinary levels: no pin, no basepoint
+    ("square5", [None, (-1, -1), (-1, 1)])], ids=["plain6", "square5"])
+def test_telescoping_sums_whole_window(request, name, windows):
+    fil = request.getfixturevalue(name)
     rng = np.random.default_rng(1)
-    v = rng.standard_normal(plain6.n_vertices)
-    dv = discrete_derivative(plain6, v)
-    total = telescoping_integral(plain6, dv)
-    want = (level_blend(plain6, v, plain6.level_hi)
-            - level_blend(plain6, v, plain6.level_lo))
-    assert np.allclose(total, want, atol=1e-13)
+    v = rng.standard_normal(fil.n_vertices)
+    dv = discrete_derivative(fil, v)
+    for window in windows:
+        lo, hi = window or (fil.level_lo, fil.level_hi - 1)
+        total = telescoping_integral(fil, dv, level_window=window)
+        want = level_blend(fil, v, hi + 1) - level_blend(fil, v, lo)
+        assert np.allclose(total, want, atol=1e-13)
+        assert np.abs(total - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_integral_of_derivative_recovers_function(pair8):
@@ -167,7 +181,8 @@ def test_telescoping_window_validation(plain6):
 
 
 def test_negative_window_needs_basepoint(plain6):
-    # the rooted fixtures never dip below zero, so fabricate the request
+    # no basepoint pins the coarse levels any more; a window below zero
+    # needs a filling rooted there, and the rooted fixture has none
     dv = np.zeros(plain6.n_edges)
     with pytest.raises(hf.ConfigError):
         telescoping_integral(plain6, dv, level_window=(-2, 3))

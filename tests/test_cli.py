@@ -412,6 +412,23 @@ def test_verify_report_writes_an_infinite_exponent_as_inf(tmp_path, audit,
     assert json.loads(out.read_text())["config"]["params"] == params
 
 
+@pytest.mark.parametrize("grid", [
+    {"s": [0.5], "p": [2.0], "q": ["inf"]},
+    [{"s": 0.5, "p": 2.0, "q": "inf"}]])
+def test_theorem_suite_report_writes_an_infinite_grid_exponent_as_inf(
+        tmp_path, grid):
+    # both grid forms read "inf", and the report writes it back that way
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 8},
+        "subset": {"cantor_depth": 4}, "theorem": "besov",
+        "resolutions": [4, 5], "trials": 1, "grid": grid})
+    out = tmp_path / "r.json"
+    assert hf.cli.main(["verify", "audit_theorem_suite", "--config", cfg,
+                        "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"]["grid"] == [
+        {"s": 0.5, "p": 2.0, "q": "inf"}]
+
+
 def test_failed_audit_exits_4_but_reports(tmp_path):
     # a five-level filling cannot push the approximation tail under the
     # default cut, so the audit fails; the report must still land on disk

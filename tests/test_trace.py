@@ -351,15 +351,17 @@ def test_operators_below_level_zero_are_scale_invariant():
 
 
 def test_windows_from_level_zero_keep_their_bytes(pair8, tent):
-    # the basepoint pins only levels below zero; from level zero up the
-    # operators are the unanchored telescoping sums
+    # each operator is the plain telescoping sum plus the coarsest blend,
+    # and each source norm comes from the one lift the operator makes
     tr, amb = pair8.trace, pair8.ambient
     v = poisson_extension(amb, tent)
     u_sub = discrete_derivative(amb, v)[pair8.edge_embedding]
     expect = telescoping_integral(tr, u_sub) + level_blend(
         tr, v[pair8.vertex_embedding], tr.level_lo)[0]
-    assert trace_besov(pair8, tent, BESOV).samples.tobytes() == \
-        expect.tobytes()
+    res = trace_besov(pair8, tent, BESOV)
+    assert res.samples.tobytes() == expect.tobytes()
+    assert res.source_norm == res.details["source_seq_norm"] == \
+        besov_fn_norm(amb, tent, BESOV)
     f_sub = tent[pair8.mask.member_indices]
     v_sub = poisson_extension(tr, f_sub)
     u_amb = np.zeros(amb.n_edges)
@@ -369,5 +371,8 @@ def test_windows_from_level_zero_keep_their_bytes(pair8, tent):
     anchor = pair8.point_embedding[0]
     expect = telescoping_integral(amb, u_amb) + level_blend(
         amb, v_amb, amb.level_lo)[anchor]
-    assert extend_besov(pair8, f_sub, BESOV).samples.tobytes() == \
-        expect.tobytes()
+    ext = extend_besov(pair8, f_sub, BESOV)
+    assert ext.samples.tobytes() == expect.tobytes()
+    assert ext.source_norm == besov_fn_norm(tr, f_sub, ext.source_params)
+    sob = extend_sobolev(pair8, f_sub, 2.0)
+    assert sob.source_norm == besov_fn_norm(tr, f_sub, sob.source_params)
