@@ -65,7 +65,7 @@ def poisson_extension(filling: Filling, f) -> np.ndarray:
     ----------
     filling : Filling
     f : array_like
-        Values on the points of ``filling.space``, one per point.
+        Finite values on the points of ``filling.space``, one per point.
 
     Returns
     -------
@@ -78,6 +78,8 @@ def poisson_extension(filling: Filling, f) -> np.ndarray:
         raise ConfigError(
             "function has %s samples, space has %d points"
             % (f.shape, filling.space.n_points))
+    if not np.all(np.isfinite(f)):
+        raise ConfigError("function samples must be finite")
     w = filling.space.weights
     memb = filling.vertex_membership()
     means = (memb @ (w * f)) / filling.ball_weight_sums

@@ -33,7 +33,7 @@ from .space import (_check_keys, _dyadic_radii, ahlfors_fit,
                     space_to_descriptor, subspace)
 from .trace import (extend_besov, extend_sobolev, nonhom_extend, nonhom_trace,
                     trace_besov, trace_triebel)
-from .verify import AUDITS, random_tent_functions
+from .verify import AUDITS, _check_trials, random_tent_functions
 
 __all__ = ["main"]
 
@@ -298,6 +298,7 @@ def _cmd_check_telescoping(args) -> None:
     seed = _seed_of({}, args)
     rng = np.random.default_rng(seed)
     trials = args.trials
+    _check_trials(trials)
     worst = {}
     for _ in range(trials):
         v = rng.normal(size=filling.n_vertices)

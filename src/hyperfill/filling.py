@@ -187,7 +187,7 @@ class Filling:
         ``n_points`` per level of the window (L levels): row v of the
         first lists B(v) in the block of v's level, and row e of the
         second lists B(tail) ∩ B(head) in the block of e's edge level.
-        The first is returned transposed (CSC), as it is multiplied.
+        Both are returned transposed (CSC), as they are multiplied.
         Built once and kept; `_superpose` multiplies with both.
         """
         if self._level_balls is None:
@@ -204,10 +204,10 @@ class Filling:
             del cols
             for k, (a, b) in self._edge_range.items():
                 indices[indptr[a]:indptr[b]] += (k - lo) * n
-            overlaps = sparse.csr_matrix(
+            overlaps_t = sparse.csc_matrix(
                 (self._unit_data(indices.size), indices, indptr),
-                shape=(self.n_edges, len(self.levels) * n))
-            self._level_balls = (balls.T, overlaps)
+                shape=(len(self.levels) * n, self.n_edges))
+            self._level_balls = (balls.T, overlaps_t)
         return self._level_balls
 
     def _half_ball_levels(self) -> sparse.csc_matrix:
@@ -244,15 +244,16 @@ class Filling:
                     mat.data = self._ones[:mat.nnz]
         return self._ones[:size]
 
-    def _superpose(self, weights: np.ndarray, levels: range) -> np.ndarray:
+    def _superpose(self, w: np.ndarray) -> np.ndarray:
         """Level superpositions of edge weights over the edge balls.
 
-        Returns one row per level k of ``levels`` (a range inside the
-        window): ``G_k = sum_{|e|=k} w_e chi_B(e)`` on the cloud points,
-        for ``w`` = ``weights`` (one nonnegative entry per edge).  Since
-        ``B(e) = B(tail) ∪ B(head)``, ``G_k`` is each vertex ball weighted
-        by the sum of its incident level-k edge weights, less every
-        overlap ``B(tail) ∩ B(head)``, which that sum counts twice:
+        Returns one row per level k of the window: ``G_k = sum_{|e|=k}
+        w_e chi_B(e)`` on the cloud points, for edge weights ``w`` (one
+        nonnegative entry per edge).  A norm over part of the window
+        gives the other edges weight zero; their terms add exact zeros.
+        Since ``B(e) = B(tail) ∪ B(head)``, ``G_k`` is each vertex ball
+        weighted by the sum of its incident level-k edge weights, less
+        every overlap ``B(tail) ∩ B(head)``, which that sum counts twice:
         ``G = Tᵀ s - Pᵀ w``.  A point outside the balls of every
         positive-weight edge of level k adds only zeros and gets exactly
         0.0.  Elsewhere ``G_k`` is at least its largest term and the two
@@ -261,21 +262,16 @@ class Filling:
         every level.
         """
         n, V = self.space.n_points, self.n_vertices
-        balls_t, overlaps = self._ball_levels()
-        e0 = self._edge_range[levels[0]][0]
-        e1 = self._edge_range[levels[-1]][1]
-        w = weights[e0:e1]
-        tails, heads = self.tails[e0:e1], self.heads[e0:e1]
+        balls_t, overlaps_t = self._ball_levels()
         # The head of a cross edge is a level-(k+1) vertex, whose ball sits
         # in block k+1: its share is summed apart and moved back a block.
-        cross = self.vertex_levels[heads] != self.edge_levels[e0:e1]
-        g = balls_t @ (np.bincount(tails, w, V)
-                       + np.bincount(heads, np.where(cross, 0.0, w), V))
-        g[:-n] += (balls_t @ np.bincount(heads, np.where(cross, w, 0.0),
+        cross = self.vertex_levels[self.heads] != self.edge_levels
+        g = balls_t @ (np.bincount(self.tails, w, V)
+                       + np.bincount(self.heads, np.where(cross, 0.0, w), V))
+        g[:-n] += (balls_t @ np.bincount(self.heads, np.where(cross, w, 0.0),
                                          V))[n:]
-        g -= _rows_transpose_matvec(overlaps, e0, e1, w)
-        first = levels[0] - self.level_lo
-        return g.reshape(-1, n)[first:first + len(levels)]
+        g -= overlaps_t @ w
+        return g.reshape(-1, n)
 
 
 @dataclass
@@ -331,25 +327,6 @@ _BLOCK_NNZ = 1 << 18
 def _index_dtype(n_columns: int):
     """int32 for sparse column indices below 2^31, else int64."""
     return np.int32 if n_columns <= np.iinfo(np.int32).max else np.int64
-
-
-def _rows_transpose_matvec(mat: sparse.csr_matrix, start: int, stop: int,
-                           x: np.ndarray) -> np.ndarray:
-    """``mat[start:stop].T @ x`` without copying the rows.
-
-    The transpose of a CSR row block is a CSC matrix over slices of the
-    same ``indices`` and ``data``; only its column pointers are shifted to
-    start at 0.  The product adds each output entry's terms in ascending
-    row order, as ``mat[start:stop].T @ x`` does, so the sums are equal
-    bit for bit.  The arrays are assigned after an empty construction
-    because the constructor copies a slice much shorter than its base.
-    """
-    lo, hi = mat.indptr[start], mat.indptr[stop]
-    block = sparse.csc_matrix((mat.shape[1], stop - start), dtype=mat.dtype)
-    block.indptr = mat.indptr[start:stop + 1] - lo
-    block.indices = mat.indices[lo:hi]
-    block.data = mat.data[lo:hi]
-    return block @ x
 
 
 def _membership_matrix(rows, n_points):

@@ -389,7 +389,7 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     space : FiniteMetricMeasureSpace
         At most ``POINT_CAP`` points; subsample larger clouds first.
     f : array_like
-        Point samples of the function.
+        Point samples of the function, all finite.
     params : SmoothnessParams
         Must have kind ``hajlasz``; uses ``s`` and ``p`` (``p >= 1``).
 
@@ -412,16 +412,19 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     if f.shape != (n,):
         raise ConfigError(
             "function has %s samples, space has %d points" % (f.shape, n))
+    if not np.all(np.isfinite(f)):
+        raise ConfigError("function samples must be finite")
     if n > POINT_CAP:
         raise ConfigError(
             "%d points exceed the pairwise budget %d; subsample first"
             % (n, POINT_CAP))
     s, p = params.s, params.p
-    ii, jj, m = _pair_constraints(space, f, s)
+    with np.errstate(over="ignore"):
+        # a difference or quotient past the float range is inf, refused next
+        ii, jj, m = _pair_constraints(space, f, s)
     if not np.all(np.isfinite(m)):
-        raise ConfigError("pair quotients |f(x) - f(y)| / d(x, y)^s are not "
-                          "finite; the samples must be finite and well "
-                          "inside the float range")
+        raise ConfigError("pair quotients |f(x) - f(y)| / d(x, y)^s leave "
+                          "the float range")
     w = space.weights
 
     def pack(g, obj, dual, gap, iters):

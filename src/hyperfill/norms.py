@@ -156,37 +156,33 @@ def _power_sum_root(v: np.ndarray, p: float, weights=None) -> float:
     return float(total ** (1.0 / p))
 
 
-def _superpose(filling: Filling, variant: NormVariant, weights: np.ndarray,
-               levels: range) -> np.ndarray:
-    """``sum_{|e|=k} w_e chi_A(e)`` for each level k of ``levels``, one row
-    each, ``A(e)`` the variant's set of edge e: its ball for the
+def _superpose(filling: Filling, variant: NormVariant,
+               weights: np.ndarray) -> np.ndarray:
+    """``sum_{|e|=k} w_e chi_A(e)`` for each level k of the filling, one
+    row each, ``A(e)`` the variant's set of edge e: its ball for the
     indicator (`Filling._superpose`), else its tail's half ball, which
     takes the sum of the tail's edge weights."""
     if variant.kind == "indicator":
-        return filling._superpose(weights, levels)
-    e0, e1 = _edge_span(filling, levels)
+        return filling._superpose(weights)
     g = filling._half_ball_levels() @ np.bincount(
-        filling.tails[e0:e1], weights[e0:e1], filling.n_vertices)
-    first = levels[0] - filling.level_lo
-    return g.reshape(-1, filling.space.n_points)[first:first + len(levels)]
+        filling.tails, weights, filling.n_vertices)
+    return g.reshape(-1, filling.space.n_points)
 
 
 def _superpose_max(filling: Filling, variant: NormVariant,
-                   weights: np.ndarray, levels: range) -> np.ndarray:
-    """``max_e w_e chi_A(e)`` over the edges of ``levels``, exactly.
+                   weights: np.ndarray) -> np.ndarray:
+    """``max_e w_e chi_A(e)`` over every edge, exactly.
 
     The largest weight of each vertex's incident edges (its tail edges,
     for half balls) is spread over its ball (its half ball): a point's
     maximum over the balls holding it is its maximum over the edge balls
     ``B(tail) ∪ B(head)`` holding it.
     """
-    e0, e1 = _edge_span(filling, levels)
-    w = weights[e0:e1]
     top = np.zeros(filling.n_vertices)
-    np.maximum.at(top, filling.tails[e0:e1], w)
+    np.maximum.at(top, filling.tails, weights)
     if variant.kind == "indicator":
         rows = filling.vertex_membership()
-        np.maximum.at(top, filling.heads[e0:e1], w)
+        np.maximum.at(top, filling.heads, weights)
     else:
         rows = filling._half_ball_levels().T
     stack = np.zeros(rows.shape[1])
@@ -194,14 +190,16 @@ def _superpose_max(filling: Filling, variant: NormVariant,
     return stack.reshape(-1, filling.space.n_points).max(axis=0)
 
 
-def _edge_span(filling: Filling, levels: range) -> tuple[int, int]:
-    """Half-open edge id range of a run of consecutive levels."""
-    return (filling.edge_range(levels[0])[0],
-            filling.edge_range(levels[-1])[1])
-
-
-def _edge_window(filling: Filling,
-                 level_window: tuple[int, int] | None) -> range:
+def _window_u(filling: Filling, edge_values, level_window
+              ) -> tuple[np.ndarray, range]:
+    """``|u|`` over every edge, zero outside the level window, and the
+    window's levels: a norm over part of the window gives the other
+    edges weight zero."""
+    u = np.abs(np.ascontiguousarray(edge_values, dtype=np.float64))
+    if u.shape != (filling.n_edges,):
+        raise ConfigError(
+            "edge sequence has %s entries, filling has %d edges"
+            % (u.shape, filling.n_edges))
     lo, hi = filling.level_lo, filling.level_hi
     if level_window is not None:
         wl, wh = int(level_window[0]), int(level_window[1])
@@ -210,16 +208,9 @@ def _edge_window(filling: Filling,
         lo, hi = max(lo, wl), min(hi, wh)
     if lo > hi:
         raise ConfigError("level window misses the filling entirely")
-    return range(lo, hi + 1)
-
-
-def _check_u(filling: Filling, edge_values) -> np.ndarray:
-    u = np.abs(np.ascontiguousarray(edge_values, dtype=np.float64))
-    if u.shape != (filling.n_edges,):
-        raise ConfigError(
-            "edge sequence has %s entries, filling has %d edges"
-            % (u.shape, filling.n_edges))
-    return u
+    u[:filling.edge_range(lo)[0]] = 0.0
+    u[filling.edge_range(hi)[1]:] = 0.0
+    return u, range(lo, hi + 1)
 
 
 def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
@@ -251,15 +242,14 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
     """
     if variant is None:
         variant = NormVariant()
-    u = _check_u(filling, edge_values)
+    u, window = _window_u(filling, edge_values, level_window)
     space = filling.space
     s, p, q = params.s, params.p, params.q
-    window = _edge_window(filling, level_window)
     if variant.kind != "mass":
-        stacks = _superpose(filling, variant, u, window)
+        stacks = _superpose(filling, variant, u)
     level_norms = []
     scales = []
-    for j, k in enumerate(window):
+    for k in window:
         lo, hi = filling.edge_range(k)
         if lo == hi:
             continue
@@ -270,7 +260,7 @@ def besov_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
             else:
                 a = _power_sum_root(u[lo:hi], p, masses)
         else:
-            a = lp_norm(space, stacks[j], p)
+            a = lp_norm(space, stacks[k - filling.level_lo], p)
         level_norms.append(a)
         scales.append(2.0 ** (k * s))
     if not level_norms:
@@ -310,22 +300,16 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
         raise ConfigError(
             "mass variant is a per-level rearrangement; it does not "
             "define the pointwise level aggregation")
-    u = _check_u(filling, edge_values)
+    u, _ = _window_u(filling, edge_values, level_window)
     if np.isinf(params.p):
         raise ConfigError("p = inf undefined for the pointwise aggregation")
     s, p, q = params.s, params.p, params.q
-    window = _edge_window(filling, level_window)
-    e0, e1 = _edge_span(filling, window)
-    if e0 == e1:
-        return 0.0
-    # Weights over every edge, zero outside the window's edge range.
-    weights = np.zeros(filling.n_edges)
-    weights[e0:e1] = 2.0 ** (filling.edge_levels[e0:e1] * s) * u[e0:e1]
+    weights = 2.0 ** (filling.edge_levels * s) * u
     if np.isinf(q):
-        stack = _superpose_max(filling, variant, weights, window)
+        stack = _superpose_max(filling, variant, weights)
     else:
         def aggregate(w):
-            return _superpose(filling, variant, w ** q, window).sum(
+            return _superpose(filling, variant, w ** q).sum(
                 axis=0) ** (1.0 / q)
 
         # an overflowed weights ** q makes inf - inf = nan in the

@@ -348,8 +348,7 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     integral, coarse, u_amb, u_sub = _extension_terms(nested, f_sub)
     extended = integral + coarse[_anchor(nested)]
 
-    base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb),
-                          amb.levels).sum(axis=0)
+    base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb)).sum(axis=0)
     ii, jj, d = _cert_pair_plan(nested)
     scale = float(np.abs(extended).max()) or 1.0
     blind, blind_max, quotient_max = False, [], []

@@ -133,6 +133,11 @@ def random_noise_functions(space, count: int, rng) -> np.ndarray:
     return rng.normal(size=(count, space.n_points))
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ConfigError("trials must be at least 1, got %r" % (trials,))
+
+
 def _band(values) -> tuple[float, float, float]:
     arr = np.asarray(values, dtype=np.float64)
     lo, hi = float(arr.min()), float(arr.max())
@@ -151,6 +156,7 @@ def audit_norm_variants(filling: Filling,
     and the overall bands.  Verdicts require each band to stay inside
     ``band_threshold``.
     """
+    _check_trials(trials)
     if params is None:
         params = SmoothnessParams(s=0.5, p=2.0, q=2.0, kind="besov")
     rng = np.random.default_rng(seed)
@@ -198,6 +204,7 @@ def audit_porosity_qindependence(nested: NestedFilling, *, s: float = 0.5,
     recorded but never judged here).  The only verdict is the porosity
     of the subset, a hypothesis of the claim.
     """
+    _check_trials(trials)
     amb = nested.ambient
     rng = np.random.default_rng(seed)
     q_list = [float(q) for q in q_list]
@@ -250,6 +257,7 @@ def audit_nonhom_split(filling: Filling,
     by ``L^p + sequence part`` must sit in a band no wider than the
     declared threshold.  Constant and zero functions are pinned rows.
     """
+    _check_trials(trials)
     if params is None:
         params = SmoothnessParams(s=0.5, p=2.0, q=2.0, kind="nonhom_besov")
     rng = np.random.default_rng(seed)
@@ -293,8 +301,12 @@ def audit_small_p_embedding(filling: Filling, *, p: float = 0.8,
     blend plus the level sums of the lifted derivative over the
     ``sigma``-dilated ball, with the excess exponent ``eps`` read off
     from ``p = Q/(Q+eps)``.  The report records the worst constant per
-    dilation and the smallest dilation meeting the threshold.
+    dilation and the smallest dilation meeting the threshold (``"inf"``
+    when none does).  An empty ``sigma_grid`` raises `ConfigError`.
     """
+    _check_trials(trials)
+    if not sigma_grid:
+        raise ConfigError("sigma_grid names no dilation")
     if not 0.0 < p < 1.0:
         raise GateError("embedding constant is a sub-unit p claim; p=%g" % p)
     space = filling.space
@@ -309,7 +321,7 @@ def audit_small_p_embedding(filling: Filling, *, p: float = 0.8,
         v = poisson_extension(filling, f)
         du = np.abs(v[filling.heads] - v[filling.tails])
         coarse = level_blend(filling, v, 0)
-        stacks = dict(zip(levels, filling._superpose(du, levels)))
+        stacks = dict(zip(levels, filling._superpose(du)))
         for vid in vids:
             ball = filling.ball_members(vid)
             lhs = float(space.weights[ball] @ np.abs(f[ball])) ** p
@@ -329,7 +341,7 @@ def audit_small_p_embedding(filling: Filling, *, p: float = 0.8,
     rows = [{"cell": "sigma_%g" % sig, "max_constant": worst[sig]}
             for sig in sigma_grid]
     passing = [sig for sig in sigma_grid if worst[sig] <= const_threshold]
-    smallest = min(passing) if passing else float("inf")
+    smallest = _exponent_json(min(passing) if passing else np.inf)
     rows.append({"cell": "aggregate", "smallest_sigma": smallest})
     return ExperimentReport(
         experiment_id="small_p_embedding",
@@ -354,6 +366,7 @@ def audit_approx_density(filling: Filling,
     A noise batch is recorded without judgment: roughness only resolves
     at the last levels and that is expected.
     """
+    _check_trials(trials)
     if params is None:
         params = SmoothnessParams(s=0.5, p=2.0, q=2.0, kind="nonhom_besov")
     if np.isinf(params.q):
@@ -484,6 +497,7 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
     widens by less than ``widen_threshold`` across resolutions.
     Inadmissible cells are recorded as skipped with the gate's reasons.
     """
+    _check_trials(trials)
     cells = _normalize_grid(param_grid)
     try:
         resolutions = [int(r) for r in resolutions]

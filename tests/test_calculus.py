@@ -38,6 +38,15 @@ def test_poisson_extension_root_of_indicator(plain6):
         assert v[vid] == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_poisson_extension_rejects_non_finite_samples(plain6, bad):
+    f = np.zeros(plain6.space.n_points)
+    f[3] = bad
+    with pytest.raises(hf.ConfigError,
+                       match="^function samples must be finite$"):
+        poisson_extension(plain6, f)
+
+
 def test_discrete_derivative_orientation(plain6):
     v = np.arange(plain6.n_vertices, dtype=np.float64)
     dv = discrete_derivative(plain6, v)

@@ -112,6 +112,21 @@ def test_norm_eval_half_ball_frozen_value(tmp_path):
     assert json.loads(out.read_text())["value"] == 49.831736644494683
 
 
+@pytest.mark.parametrize("extra, want", [
+    ({}, 42.138350348811144),
+    ({"params": dict(NORM_CFG["params"], kind="triebel")}, 7.322110411927257),
+    ({"variant": "half_ball"}, 18.901802813627558),
+])
+def test_norm_eval_window_frozen_value(tmp_path, extra, want):
+    cfg = write_cfg(tmp_path / "n.json",
+                    dict(NORM_CFG, window=[1, 2], **extra))
+    out = tmp_path / "norm.json"
+    proc = run_cli("norm", "eval", "--config", cfg, "--seed", "5",
+                   "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(out.read_text())["value"] == want
+
+
 def test_norm_eval_reruns_byte_identical(tmp_path):
     cfg = write_cfg(tmp_path / "n.json", NORM_CFG)
     a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -459,6 +474,82 @@ def test_non_numeric_config_value_exits_2(tmp_path, patch, field):
     proc = run_cli("norm", "eval", "--config", cfg)
     assert proc.returncode == 2
     assert field in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("params, function", [
+    ({"s": 1.0, "p": "inf", "kind": "hajlasz"},
+     {"kind": "values", "values": ["nan"] + [0.0] * 15}),
+    ({"s": 0.5, "p": 2.0, "q": 2.0, "kind": "besov"},
+     {"kind": "values", "values": ["nan"] + [0.0] * 15}),
+    ({"s": 0.5, "p": 2.0, "q": 2.0, "kind": "triebel"},
+     {"kind": "constant", "value": "inf"}),
+])
+def test_non_finite_samples_exit_2(tmp_path, capsys, params, function):
+    cfg = write_cfg(tmp_path / "n.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 4}, "level_hi": 2,
+        "params": params, "function": function})
+    out = tmp_path / "n_out.json"
+    assert hf.cli.main(["norm", "eval", "--config", cfg,
+                        "--out", str(out)]) == 2
+    assert "function samples must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_CUBE6_CFG = {"space": {"kind": "cube", "dim": 1, "depth": 6}, "level_hi": 3}
+_TRIALS_ARGV = {
+    "audit_norm_variants": _CUBE6_CFG,
+    "audit_porosity_qindependence": dict(_CUBE6_CFG,
+                                         subset={"cantor_depth": 2}),
+    "audit_nonhom_split": _CUBE6_CFG,
+    "audit_small_p_embedding": dict(_CUBE6_CFG, p=0.8),
+    "audit_approx_density": _CUBE6_CFG,
+    "audit_theorem_suite": {"space": _CUBE6_CFG["space"],
+                            "subset": {"cantor_depth": 2},
+                            "theorem": "besov", "resolutions": [3]},
+}
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize("command", [*_TRIALS_ARGV, "check-telescoping"])
+def test_trials_below_one_exit_2(tmp_path, capsys, command, trials):
+    if command == "check-telescoping":
+        cfg = write_cfg(tmp_path / "c.json", _CUBE6_CFG)
+        argv = ["calculus", "check-telescoping", "--config", cfg,
+                "--trials", str(trials)]
+    else:
+        cfg = write_cfg(tmp_path / "c.json",
+                        dict(_TRIALS_ARGV[command], trials=trials))
+        argv = ["verify", command, "--config", cfg]
+    out = tmp_path / "out.json"
+    assert hf.cli.main([*argv, "--out", str(out)]) == 2
+    assert "trials must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_failed_small_p_audit_writes_its_report(tmp_path):
+    # no dilation meets the threshold: the smallest one is written "inf"
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 6}, "level_hi": 4,
+        "p": 0.8, "trials": 2, "const_threshold": 1e-9})
+    out, csv = tmp_path / "r.json", tmp_path / "r.csv"
+    proc = run_cli("verify", "audit_small_p_embedding", "--config", cfg,
+                   "--out", str(out), "--csv", str(csv))
+    assert proc.returncode == 4, proc.stderr
+    report = json.loads(out.read_text())
+    assert report["passed"] is False
+    assert report["rows"][-1] == {"cell": "aggregate",
+                                  "smallest_sigma": "inf"}
+    assert "small_p_embedding,aggregate,smallest_sigma,inf" in \
+        csv.read_text().splitlines()
+
+
+def test_small_p_audit_with_an_empty_sigma_grid_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 6}, "level_hi": 4,
+        "p": 0.8, "trials": 1, "sigma_grid": []})
+    assert hf.cli.main(["verify", "audit_small_p_embedding",
+                        "--config", cfg]) == 2
+    assert "sigma_grid" in capsys.readouterr().err
 
 
 def _edit_filling_file(tmp_path, edit):

@@ -271,6 +271,18 @@ def test_pairwise_budget_gate():
         hajlasz_norm(big, np.zeros(big.n_points), P1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, np.inf])
+def test_non_finite_samples_are_rejected(bad, p):
+    # a NaN sample once dropped out of every pair and left a converged norm
+    space = hf.unit_cube_space(1, 4)
+    f = np.linspace(0.0, 1.0, space.n_points)
+    f[3] = bad
+    with pytest.raises(hf.ConfigError,
+                       match="^function samples must be finite$"):
+        hajlasz_norm(space, f, SmoothnessParams(0.5, p, kind="hajlasz"))
+
+
 def test_samples_beyond_float_range_are_rejected():
     space = hf.unit_cube_space(1, 4)
     f = np.zeros(space.n_points)

@@ -95,6 +95,23 @@ def test_frozen_sequence_norms(plain6):
         == pytest.approx(248.99564216110375, rel=1e-12)
 
 
+@pytest.mark.parametrize("window, q, besov, triebel", [
+    ((2, 4), 2.0, 248.99564216110372, 39.912242761716506),
+    ((2, 4), np.inf, 196.53371795158336, 10.580474388609215),
+    ((3, 3), 2.0, 126.6175117188096, 20.783281864600372),
+    ((3, 3), np.inf, 126.6175117188096, 7.191836070028078),
+])
+def test_frozen_partial_window_norms(plain6, window, q, besov, triebel):
+    # bit for bit: a partial window scores the whole filling's
+    # superposition with the other edges weighted zero
+    u = _edge_noise(plain6)
+    assert besov_seq_norm(plain6, u, SmoothnessParams(0.5, 2.0, q),
+                          level_window=window) == besov
+    tparams = SmoothnessParams(0.5, 2.0, q, "triebel")
+    assert triebel_seq_norm(plain6, u, tparams,
+                            level_window=window) == triebel
+
+
 def test_triebel_qp_is_besov_mass(plain6, pair8):
     # with q = p the pointwise aggregation integrates edge by edge, which
     # is exactly the per-level mass rearrangement
@@ -361,15 +378,32 @@ def _sparse_weights(fil, seed=5):
     return w
 
 
+def _window_weights(fil, w, window):
+    """``w`` with every edge outside the level window set to zero."""
+    lo, hi = fil.edge_range(window[0])[0], fil.edge_range(window[1])[1]
+    masked = np.zeros_like(w)
+    masked[lo:hi] = w[lo:hi]
+    return masked
+
+
+def _check_outside_rows(fil, got, window):
+    """Rows of the levels outside the window are exactly zero."""
+    assert got.shape == (len(fil.levels), fil.space.n_points)
+    for row, k in zip(got, fil.levels):
+        if not window[0] <= k <= window[1]:
+            assert np.all(row == 0.0)
+
+
 def test_superposition_matches_edge_ball_product(any_filling):
     fil = any_filling
     w = _sparse_weights(fil)
     memb = edge_ball_matrix(fil)
     for window in [*_windows(fil), *((k, k) for k in fil.levels)]:
         levels = range(window[0], window[1] + 1)
-        got = fil._superpose(w, levels)
-        assert got.shape == (len(levels), fil.space.n_points)
-        for row, k in zip(got, levels):
+        got = fil._superpose(_window_weights(fil, w, window))
+        _check_outside_rows(fil, got, window)
+        for k in levels:
+            row = got[k - fil.level_lo]
             want = edge_superposition(memb, *fil.edge_range(k), w)
             np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
             # points outside every weighted edge ball are exactly zero,
@@ -385,13 +419,16 @@ def test_half_ball_superposition_matches_tail_half_balls(any_filling):
     w = _sparse_weights(fil)
     for window in _windows(fil):
         levels = range(window[0], window[1] + 1)
-        got = norms._superpose(fil, variant, w, levels)
-        for row, k in zip(got, levels):
+        masked = _window_weights(fil, w, window)
+        got = norms._superpose(fil, variant, masked)
+        _check_outside_rows(fil, got, window)
+        for k in levels:
+            row = got[k - fil.level_lo]
             want = edge_superposition(memb, *fil.edge_range(k), w)
             np.testing.assert_allclose(row, want, rtol=1e-13, atol=0.0)
             assert np.all(row[want == 0.0] == 0.0)
         lo, hi = fil.edge_range(window[0])[0], fil.edge_range(window[1])[1]
-        assert np.array_equal(norms._superpose_max(fil, variant, w, levels),
+        assert np.array_equal(norms._superpose_max(fil, variant, masked),
                               edge_superposition_max(memb, lo, hi, w))
 
 

@@ -103,9 +103,9 @@ def test_small_p_embedding_matches_row_gather(request, monkeypatch, name):
     # the same audit with each level's superposition taken from the E×n
     # product of that level's edges
     memb = edge_ball_matrix(filling)
-    monkeypatch.setattr(filling, "_superpose", lambda w, levels: np.array(
+    monkeypatch.setattr(filling, "_superpose", lambda w: np.array(
         [edge_superposition(memb, *filling.edge_range(k), w)
-         for k in levels]))
+         for k in filling.levels]))
     want = audit_small_p_embedding(filling, **kw).to_dict()
     assert got.keys() == want.keys()
     assert {k: got[k] for k in got if k != "rows"} == \
