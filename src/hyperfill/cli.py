@@ -9,6 +9,7 @@ configs with identical seeds write byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 
@@ -75,13 +76,22 @@ def _int(value, what: str) -> int:
                           % (what, value)) from None
 
 
-def _float(value, what: str) -> float:
-    """A config value as a float; malformed values are config errors."""
+def _raw_float(value, what: str) -> float:
+    """A config value as a float, not checked to be finite; malformed
+    values are config errors."""
     try:
         return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError("%s must be a number, got %r"
                           % (what, value)) from None
+
+
+def _float(value, what: str) -> float:
+    """A config value as a finite float."""
+    x = _raw_float(value, what)
+    if not math.isfinite(x):
+        raise ConfigError("%s must be finite, got %r" % (what, value))
+    return x
 
 
 def _list(value, what: str) -> list:
@@ -150,7 +160,7 @@ def _num(x, what: str) -> float:
         if x == "inf":
             return np.inf
         raise ConfigError("%s must be a number or 'inf', got %r" % (what, x))
-    return _float(x, what)
+    return _raw_float(x, what)
 
 
 def _variant_of(cfg: dict) -> NormVariant | None:
@@ -168,7 +178,7 @@ def _function_of(cfg: dict, space, seed: int) -> np.ndarray:
         raise ConfigError("config needs a 'function' object")
     kind = raw.get("kind")
     if kind == "values":
-        vals = [_float(v, "function.values")
+        vals = [_raw_float(v, "function.values")
                 for v in _list(raw.get("values"), "function.values")]
         if len(vals) != space.n_points:
             raise ConfigError("function values must list one number per "
@@ -176,7 +186,7 @@ def _function_of(cfg: dict, space, seed: int) -> np.ndarray:
         return np.array(vals)
     if kind == "constant":
         return np.full(space.n_points,
-                       _float(raw.get("value", 1.0), "function.value"))
+                       _raw_float(raw.get("value", 1.0), "function.value"))
     if kind == "random_tents":
         rng = np.random.default_rng(seed)
         return random_tent_functions(
@@ -520,6 +530,8 @@ def _cmd_verify(args) -> None:
     required, optional = _AUDIT_KEYS[name]
     _check_keys(cfg, required, optional, name + " config")
     seed = _seed_of(cfg, args)
+    kwargs = {key: convert(cfg[key], key)
+              for key, convert in _AUDIT_FIELDS.items() if key in cfg}
 
     if name == "audit_theorem_suite":
         sub = cfg.get("subset")
@@ -541,8 +553,6 @@ def _cmd_verify(args) -> None:
             targets = (build_nested_filling(space, mask, lo, hi),)
         else:
             targets = (build_filling(space, lo, hi),)
-    kwargs = {key: convert(cfg[key], key)
-              for key, convert in _AUDIT_FIELDS.items() if key in cfg}
     report = AUDITS[name](*targets, seed=seed, **kwargs)
 
     payload = report.to_dict()

@@ -110,12 +110,17 @@ class FiniteMetricMeasureSpace:
             metric=_METRICS[self.metric_kind],
         )
 
+    def _tree(self) -> cKDTree:
+        """The space's kd-tree, built on first use.  Its ``indices`` list
+        the points in leaf order, so runs of them are spatially compact."""
+        if self._kdtree is None:
+            self._kdtree = cKDTree(self.points)
+        return self._kdtree
+
     def _tree_candidates(self, coords, radii):
         """Tree proposals for the open balls B(coords, radii): every point
         within ``radii (1 + 1e-12)``, a superset of each open ball."""
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree.query_ball_point(
+        return self._tree().query_ball_point(
             coords, radii * (1.0 + _REL_EPS), p=_MINKOWSKI_P[self.metric_kind],
             return_sorted=True)
 

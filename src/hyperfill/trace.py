@@ -14,7 +14,9 @@ half ball, so the ``half_ball`` variant needs no restriction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -45,6 +47,9 @@ _CERT_PAIR_CAP = 2_000_000
 _CERT_PAIR_SEED = 0
 # Pairs checked per block; bounds the certificate's per-call scratch.
 _CERT_BLOCK = 1 << 18
+# Fewest points in a block of the certificate's cells.  Clouds above 64^2
+# points use blocks of ceil(sqrt(n)), so there are at most about n cells.
+_CERT_CELL = 64
 
 
 @dataclass(eq=False)
@@ -290,24 +295,113 @@ def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
     return ii[keep], jj[keep]
 
 
-def _cert_pair_plan(nested: NestedFilling):
-    """The certificate's pairs ``ii``, ``jj`` (int32) and their distances.
+class _CertPlan(NamedTuple):
+    """The certificate's pairs, grouped into cells of point blocks.
 
-    They depend only on the ambient space, so they are drawn and measured
-    once per nested filling, then kept on it.
+    A block is a run of ``block`` consecutive points in the kd-tree's
+    leaf ``order``.  Pair k lies in cell ``cell[k] = I * nb + J``, where
+    I and J are the blocks of ``ii[k]`` and ``jj[k]`` and nb is the
+    number of blocks.  ``dmin[I, J]`` is at most the distance of every
+    pair in cell (I, J), and ``diag`` lists the pairs inside one block.
+    """
+
+    ii: np.ndarray
+    jj: np.ndarray
+    cell: np.ndarray
+    diag: np.ndarray
+    order: np.ndarray
+    block: int
+    dmin: np.ndarray
+
+
+def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
+    """The certificate's pairs ``ii``, ``jj`` (int32) and their cells.
+
+    They depend only on the ambient space, so they are drawn and
+    grouped once per nested filling, then kept on it.
     """
     if not nested._cert_plan:
         space = nested.ambient.space
-        ii, jj = _pair_sample(space.n_points, _CERT_PAIR_CAP,
+        n = space.n_points
+        ii, jj = _pair_sample(n, _CERT_PAIR_CAP,
                               np.random.default_rng(_CERT_PAIR_SEED))
         ii, jj = ii.astype(np.int32), jj.astype(np.int32)
-        d = np.empty(ii.size)
-        for lo in range(0, ii.size, _CERT_BLOCK):
-            blk = slice(lo, lo + _CERT_BLOCK)
-            d[blk] = _rowwise_dist(space.points[ii[blk]],
-                                   space.points[jj[blk]], space.metric_kind)
-        nested._cert_plan = (ii, jj, d)
+        block = max(_CERT_CELL, math.isqrt(n - 1) + 1)
+        order = space._tree().indices
+        starts = np.arange(0, n, block)
+        nb = starts.size
+        of = np.empty(n, dtype=np.int32)
+        of[order] = np.arange(n, dtype=np.int32) // block
+        bi, bj = of[ii], of[jj]
+        diag = np.flatnonzero(bi == bj)
+        cell = (bi * nb + bj).astype(np.int16 if nb * nb <= 1 << 15
+                                     else np.int32)
+        # Box gaps round like the pair distances (rounding is monotone),
+        # so a sup gap never exceeds a pair's distance; the Euclidean sum
+        # may add in another order, which the relative 1e-12 covers.
+        pts = space.points[order]
+        lo = np.minimum.reduceat(pts, starts)
+        hi = np.maximum.reduceat(pts, starts)
+        gap = np.maximum(np.maximum(lo[None] - hi[:, None],
+                                    lo[:, None] - hi[None]), 0.0)
+        if space.metric_kind == "sup":
+            dmin = gap.max(axis=2)
+        else:
+            dmin = np.sqrt((gap * gap).sum(axis=2)) * (1.0 - 1e-12)
+        nested._cert_plan = _CertPlan(ii, jj, cell, diag, order, block, dmin)
     return nested._cert_plan
+
+
+def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
+    """Smallest ``K`` with ``|u_i - u_j| <= K d_ij (b_i + b_j)`` on the plan.
+
+    The pairs inside one block are scanned first; their largest quotient
+    is a lower bound on ``K``.  A cell's quotients are at most
+    ``max(u_hi(I) - u_lo(J), u_hi(J) - u_lo(I)) / (dmin (b_lo(I) +
+    b_lo(J)))`` over the block extrema, since rounding is monotone, so
+    only the cells whose bound reaches that lower bound are scanned: the
+    result equals the scan of every pair.  A cell holding a pair with
+    ``b_i + b_j = 0`` or ``d_ij = 0`` has an infinite or NaN bound and
+    is always scanned, so the dead-pair rule sees every pair.
+    """
+    scale = float(np.abs(extended).max()) or 1.0
+    blind, blind_max, quotient_max = False, [], []
+
+    def scan(pairs):
+        nonlocal blind
+        for lo in range(0, pairs.size, _CERT_BLOCK):
+            blk = pairs[lo:lo + _CERT_BLOCK]
+            i, j = plan.ii[blk], plan.jj[blk]
+            d_blk = _rowwise_dist(space.points[i], space.points[j],
+                                  space.metric_kind)
+            du_pair = np.abs(extended[i] - extended[j])
+            cap = d_blk * (base[i] + base[j])
+            dead = cap <= 0.0
+            live = ~dead & (d_blk > 0.0)
+            if dead.any():
+                blind |= bool(np.any(du_pair[dead] > 1e-9 * scale))
+                blind_max.append(du_pair[dead].max())
+            if live.any():
+                quotient_max.append((du_pair[live] / cap[live]).max())
+
+    scan(plan.diag)
+    k_lb = float(np.max(quotient_max)) if quotient_max else 0.0
+    starts = np.arange(0, space.n_points, plan.block)
+    u, b = extended[plan.order], base[plan.order]
+    u_lo, u_hi = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
+    b_lo = np.minimum.reduceat(b, starts)
+    rise = u_hi[:, None] - u_lo[None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bound = (np.maximum(rise, rise.T)
+                 / (plan.dmin * (b_lo[:, None] + b_lo[None])))
+    skip = bound < k_lb  # a NaN bound is never skipped
+    np.fill_diagonal(skip, True)
+    scan(np.flatnonzero(~skip.ravel()[plan.cell]))
+    if blind:
+        raise NumericalError(
+            "extension varies across a pair its gradient cannot see "
+            "(max %.3g)" % float(np.max(blind_max)))
+    return float(np.max(quotient_max)) if quotient_max else 0.0
 
 
 def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
@@ -321,10 +415,14 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     must have equal values (the extension is locally constant there); a
     violation raises ``NumericalError``.  The pairs are every pair of
     ambient points, or, once there are more than 2,000,000, that many
-    draws from a fixed seed with the self-pairs dropped.  The pair sample
-    and its distances are drawn once per nested filling; each call
-    gathers only the extension and its gradient over them, block by
-    block.
+    draws from a fixed seed with the self-pairs dropped.  The pair plan
+    is drawn once per nested filling and grouped into cells: pairs
+    between two blocks of consecutive points in the kd-tree's leaf
+    order.  Each call scans the pairs inside a block, bounds every other
+    cell's quotients by its blocks' extrema and distance gap, and scans
+    only the cells whose bound reaches the largest quotient found.  So
+    every plan pair is either scanned or bounded by its cell, and ``K``
+    is what a scan of every pair gives, bit for bit.
 
     Parameters
     ----------
@@ -349,26 +447,8 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     extended = integral + coarse[_anchor(nested)]
 
     base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb)).sum(axis=0)
-    ii, jj, d = _cert_pair_plan(nested)
-    scale = float(np.abs(extended).max()) or 1.0
-    blind, blind_max, quotient_max = False, [], []
-    for lo in range(0, ii.size, _CERT_BLOCK):
-        blk = slice(lo, lo + _CERT_BLOCK)
-        i, j, d_blk = ii[blk], jj[blk], d[blk]
-        du_pair = np.abs(extended[i] - extended[j])
-        cap = d_blk * (base[i] + base[j])
-        dead = cap <= 0.0
-        live = ~dead & (d_blk > 0.0)
-        if dead.any():
-            blind |= bool(np.any(du_pair[dead] > 1e-9 * scale))
-            blind_max.append(du_pair[dead].max())
-        if live.any():
-            quotient_max.append((du_pair[live] / cap[live]).max())
-    if blind:
-        raise NumericalError(
-            "extension varies across a pair its gradient cannot see "
-            "(max %.3g)" % float(np.max(blind_max)))
-    K = float(np.max(quotient_max)) if quotient_max else 0.0
+    plan = _cert_pair_plan(nested)
+    K = _certificate_constant(space, plan, extended, base)
     g = K * base
     g_norm = lp_norm(space, g, p)
     src_params = SmoothnessParams(s=adm.trace_smoothness, p=p, q=p,
@@ -379,7 +459,7 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
             amb, u_amb, SmoothnessParams(s=1.0, p=p, q=1.0, kind="triebel")),
     }
     cert = SobolevCertificate(g=g, K=K, norm=g_norm,
-                              pairs_checked=int(ii.size))
+                              pairs_checked=int(plan.ii.size))
     return ExtensionResult(
         samples=extended, target_norm=g_norm, source_norm=s_norm,
         operator_ratio=_ratio(g_norm, s_norm),

@@ -24,6 +24,23 @@ def pair_distances(points, metric="sup"):
     return out
 
 
+def certificate_constant(points, metric, ii, jj, values, gradient):
+    """Largest |u_i - u_j| / (d_ij (g_i + g_j)) over every listed pair.
+
+    One pass over the whole pair list, with the certificate's pair
+    arithmetic; pairs with d_ij (g_i + g_j) <= 0 or d_ij = 0 are skipped.
+    """
+    diff = np.abs(points[ii] - points[jj])
+    if metric == "sup":
+        d = diff.max(axis=1)
+    else:
+        d = np.sqrt((diff * diff).sum(axis=1))
+    du = np.abs(values[ii] - values[jj])
+    cap = d * (gradient[ii] + gradient[jj])
+    live = (cap > 0.0) & (d > 0.0)
+    return float((du[live] / cap[live]).max()) if live.any() else 0.0
+
+
 def lp_hajlasz_norm(dist, weights, values):
     """Exact p=1 Hajlasz functional via linear programming.
 

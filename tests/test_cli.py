@@ -552,6 +552,28 @@ def test_small_p_audit_with_an_empty_sigma_grid_exits_2(tmp_path, capsys):
     assert "sigma_grid" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("audit, field, value", [
+    ("audit_small_p_embedding", "sigma_grid", ["inf", 1.0]),
+    ("audit_small_p_embedding", "const_threshold", "inf"),
+    ("audit_norm_variants", "band_threshold", "inf"),
+])
+def test_non_finite_audit_settings_exit_2_before_any_work(
+        tmp_path, capsys, monkeypatch, audit, field, value):
+    def no_work(*args, **kwargs):
+        raise AssertionError("audit work started")
+
+    monkeypatch.setattr(hf.cli, "build_filling", no_work)
+    monkeypatch.setitem(hf.cli.AUDITS, audit, no_work)
+    cfg = dict(_CUBE6_CFG, p=0.8) if audit == "audit_small_p_embedding" \
+        else dict(_CUBE6_CFG)
+    cfg = write_cfg(tmp_path / "v.json", dict(cfg, **{field: value}))
+    out = tmp_path / "out.json"
+    assert hf.cli.main(["verify", audit, "--config", cfg,
+                        "--out", str(out)]) == 2
+    assert "%s must be finite" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edit_filling_file(tmp_path, edit):
     cfg = write_cfg(tmp_path / "f.json", {"space": CUBE8, "level_hi": 4})
     out = tmp_path / "filling.json"

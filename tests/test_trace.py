@@ -12,7 +12,7 @@ from hyperfill.trace import (codim_mass_band, extend_besov, extend_sobolev,
                              trace_triebel)
 from hyperfill.verify import random_tent_functions
 
-from oracles import lp_hajlasz_norm, pair_distances
+from oracles import certificate_constant, lp_hajlasz_norm, pair_distances
 
 BESOV = SmoothnessParams(0.5, 2.0, 2.0, "besov")
 
@@ -220,6 +220,77 @@ def test_certificate_plans_never_serve_another_filling(interval10, cantor6,
     assert other._cert_plan[0] is not pair6._cert_plan[0]
     assert other.ambient._partition_cache is not \
         pair6.ambient._partition_cache
+
+
+def _certify_with_spy(nested, fsub, monkeypatch):
+    """extend_sobolev's result, with the plan and gradient base that its
+    certificate constant was computed from."""
+    seen = []
+    constant = trace_mod._certificate_constant
+
+    def spy(space, plan, extended, base):
+        seen.append((plan, base))
+        return constant(space, plan, extended, base)
+
+    monkeypatch.setattr(trace_mod, "_certificate_constant", spy)
+    res = extend_sobolev(nested, fsub, 4.0)
+    (plan, base), = seen
+    return res, plan, base
+
+
+# full: pair8's plan lists every pair; sampled: a cap below the pair count
+# makes it a seeded sample; euclidean: box gaps under the square root
+@pytest.mark.parametrize("case", ["full", "sampled", "euclidean"])
+def test_pruned_certificate_equals_the_exhaustive_scan(
+        pair8, interval10, cantor6, tent, monkeypatch, case):
+    if case == "euclidean":
+        nested, rows = _bottom_edge_pair()
+        x = nested.ambient.space.points[rows]
+        fsub = np.sin(5.0 * x[:, 0]) + x[:, 0] ** 2
+    else:
+        nested = pair8
+        if case == "sampled":
+            monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
+            nested = hf.build_nested_filling(interval10, cantor6, 0, 6)
+        fsub = tent[cantor6.member_indices]
+    constant = trace_mod._certificate_constant
+    res, plan, base = _certify_with_spy(nested, fsub, monkeypatch)
+    space = nested.ambient.space
+    n = space.n_points
+    assert (plan.ii.size < n * (n - 1) // 2) == (case == "sampled")
+
+    def exhaustive(pairs, u, b):
+        return certificate_constant(space.points, space.metric_kind,
+                                    plan.ii[pairs], plan.jj[pairs], u, b)
+
+    every = slice(None)
+    K = exhaustive(every, res.samples, base)
+    assert K > 0.0
+    assert res.certificate.K == K
+    assert res.certificate.g.tobytes() == (K * base).tobytes()
+    # a step up or down out of the first leaf block, over a positive
+    # base, puts the largest quotient in a cell between two blocks
+    b = base + base.max()
+    for step in (1.0, -1.0):
+        u = res.samples.copy()
+        u[plan.order[:plan.block]] += step
+        K = exhaustive(every, u, b)
+        assert exhaustive(plan.diag, u, b) < K
+        assert constant(space, plan, u, b) == K
+
+
+def test_certificate_scan_measures_few_pairs(pair8, tent, monkeypatch):
+    # a silent fall-back to the full scan would measure every plan pair
+    measured = []
+    dist = trace_mod._rowwise_dist
+
+    def counting(a, b, kind):
+        measured.append(len(a))
+        return dist(a, b, kind)
+
+    monkeypatch.setattr(trace_mod, "_rowwise_dist", counting)
+    res = extend_sobolev(pair8, tent[pair8.mask.member_indices], 4.0)
+    assert 0 < sum(measured) <= res.certificate.pairs_checked / 3
 
 
 def test_sobolev_blind_pair_error(interval10, cantor6, tent, monkeypatch):
