@@ -17,11 +17,9 @@ import numpy as np
 from scipy import sparse
 
 from .errors import ConfigError, NumericalError
-from .filling import Filling
+from .filling import Filling, _row_pairs
 from .space import _rowwise_dist
 
-# Gathered tail-partition entries per block of a cross-matrix build.
-_CROSS_BLOCK_NNZ = 1 << 20
 # Points per vertex in the Lipschitz-quotient scan of a partition.
 _QUOTIENT_POINTS = 192
 
@@ -231,10 +229,10 @@ def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
     Row ``i`` belongs to the i-th edge of `Filling.cross_edges_at_level`
     and is the sparse entrywise product of its tail's partition row at
     ``level`` and its head's row at ``level + 1``.  The rows are
-    multiplied in blocks of edges, so the gathered tail rows, many
-    copies of each coarse row, never hold much more than
-    ``_CROSS_BLOCK_NNZ`` entries at once.  A level without cross edges
-    gets an empty matrix and builds no partition.
+    multiplied in the edge blocks of `hyperfill.filling._row_pairs`, so
+    the gathered tail rows, many copies of each coarse row, never pile
+    up at once.  A level without cross edges gets an empty matrix and
+    builds no partition.
     """
     key = ("cross", level)
     cached = filling._partition_cache.get(key)
@@ -246,15 +244,10 @@ def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
     else:
         lo = build_partition(filling, level)
         hi = build_partition(filling, level + 1)
-        t_local = filling.tails[eids] - lo.vertex_ids[0]
-        h_local = filling.heads[eids] - hi.vertex_ids[0]
-        tail_nnz = np.cumsum(np.diff(lo.psi.indptr)[t_local])
-        cuts = np.searchsorted(tail_nnz, np.arange(
-            _CROSS_BLOCK_NNZ, tail_nnz[-1], _CROSS_BLOCK_NNZ))
-        blocks = [lo.psi[t].multiply(hi.psi[h]).tocsr() for t, h in
-                  zip(np.split(t_local, cuts), np.split(h_local, cuts))]
-        cross = blocks[0] if len(blocks) == 1 else \
-            sparse.vstack(blocks, format="csr")
+        cross = sparse.vstack([both for _, _, both in _row_pairs(
+            lo.psi, filling.tails[eids] - lo.vertex_ids[0],
+            hi.psi, filling.heads[eids] - hi.vertex_ids[0],
+            lambda a, b: a.multiply(b))], format="csr")
     filling._partition_cache[key] = cross
     return cross
 

@@ -13,7 +13,8 @@ radius).  `build_nested_filling` produces a compatible pair for a marked
 subset F: ambient vertices are split into centers on F (radius four times
 the scale, so their restrictions to F still cover it) and centers far from
 F (plain radius), which makes the subset's own filling a subgraph of the
-ambient one.
+ambient one: it is built, and a loaded one checked, as the ambient filling
+cut to F (`_restrict_filling`).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from scipy import sparse
 
 from ._kernels import greedy_separated_subset
-from .errors import ConfigError, NumericalError
+from .errors import ConfigError
 from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
                     space_from_descriptor, space_to_descriptor, subspace,
                     mask_from_descriptor, mask_to_descriptor,
@@ -141,7 +142,9 @@ class Filling:
                       out=indptr[1:])
             indices = np.empty(indptr[-1], dtype=_index_dtype(
                 self.space.n_points))
-            for lo, hi, union in self._edge_blocks(np.add):
+            balls = self.vertex_membership().astype(bool)
+            for lo, hi, union in _row_pairs(balls, self.tails, balls,
+                                            self.heads, np.add):
                 union.sort_indices()
                 indices[indptr[lo]:indptr[hi]] = union.indices
             self._edge_membership = sparse.csr_matrix(
@@ -154,20 +157,6 @@ class Filling:
         if self._edge_ball_mass is None:
             self._edge_ball_mass = self.edge_membership() @ self.space.weights
         return self._edge_ball_mass
-
-    def _edge_blocks(self, combine):
-        """``(lo, hi, combine(T[tails[lo:hi]], T[heads[lo:hi]]))`` over
-        blocks of consecutive edges, T the boolean vertex-membership
-        matrix; a block's gathered tail rows hold about ``_BLOCK_NNZ``
-        entries."""
-        balls = self.vertex_membership().astype(bool)
-        tail_nnz = np.cumsum(np.diff(balls.indptr)[self.tails])
-        cuts = np.searchsorted(tail_nnz, np.arange(
-            _BLOCK_NNZ, tail_nnz[-1] if tail_nnz.size else 0, _BLOCK_NNZ))
-        bounds = [0, *cuts.tolist(), self.n_edges]
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            yield lo, hi, combine(balls[self.tails[lo:hi]],
-                                  balls[self.heads[lo:hi]])
 
     def _by_level(self, balls: sparse.csr_matrix) -> sparse.csr_matrix:
         """Row v of an (n_vertices, n_points) matrix moved into the block of
@@ -192,13 +181,15 @@ class Filling:
         """
         if self._level_balls is None:
             n, lo = self.space.n_points, self.level_lo
-            balls = self._by_level(self.vertex_membership())
+            memb = self.vertex_membership().astype(bool)
             cols, counts = [], []
-            for _, _, both in self._edge_blocks(lambda a, b: a.multiply(b)):
+            for _, _, both in _row_pairs(memb, self.tails, memb, self.heads,
+                                         lambda a, b: a.multiply(b)):
                 cols.append(both.indices)
                 counts.append(np.diff(both.indptr))
             indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
             np.cumsum(np.concatenate(counts), out=indptr[1:])
+            balls = self._by_level(self.vertex_membership())
             indices = np.concatenate(cols).astype(balls.indices.dtype,
                                                   copy=False)
             del cols
@@ -321,8 +312,21 @@ def _level_ranges(sorted_levels, levels) -> dict:
     return {int(n): (int(a), int(b)) for n, a, b in zip(levels, starts, stops)}
 
 
-# Gathered tail-ball entries per edge block of the edge-ball builds.
+# Gathered entries of the first matrix per block of `_row_pairs`.
 _BLOCK_NNZ = 1 << 18
+
+
+def _row_pairs(a, rows_a, b, rows_b, combine):
+    """``(lo, hi, combine(a[rows_a[lo:hi]], b[rows_b[lo:hi]]))`` over
+    blocks of consecutive row pairs of two CSR matrices; a block's
+    gathered rows of ``a`` hold about ``_BLOCK_NNZ`` entries, so the
+    gathered copies of a few wide rows never pile up at once."""
+    gathered = np.cumsum(np.diff(a.indptr)[rows_a])
+    cuts = np.searchsorted(gathered, np.arange(
+        _BLOCK_NNZ, gathered[-1] if gathered.size else 0, _BLOCK_NNZ))
+    bounds = [0, *cuts.tolist(), rows_a.size]
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        yield lo, hi, combine(a[rows_a[lo:hi]], b[rows_b[lo:hi]])
 
 
 def _index_dtype(n_columns: int):
@@ -341,24 +345,23 @@ def _membership_matrix(rows, n_points):
 def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
               level_vertex_radii):
     """Shared tail of the builders: ids, ball members, edges, orientation."""
-    centers, radii, levels = [], [], []
-    level_offset = {}
-    for n in range(level_lo, level_hi + 1):
-        level_offset[n] = len(centers)
-        centers.extend(level_vertex_centers[n])
-        radii.extend(level_vertex_radii[n])
-        levels.extend([n] * len(level_vertex_centers[n]))
-    centers = np.asarray(centers, dtype=np.int64)
-    radii = np.asarray(radii, dtype=np.float64)
-    levels = np.asarray(levels, dtype=np.int64)
+    window = range(level_lo, level_hi + 1)
+    counts = [len(level_vertex_centers[n]) for n in window]
+    level_offset = dict(zip(window, np.cumsum([0, *counts]).tolist()))
+    centers = np.concatenate([level_vertex_centers[n] for n in window]
+                             ).astype(np.int64)
+    radii = np.concatenate([level_vertex_radii[n] for n in window]
+                           ).astype(np.float64)
+    levels = np.repeat(np.arange(level_lo, level_hi + 1, dtype=np.int64),
+                       counts)
 
     # one batched query per level bounds the tree's candidate lists
-    members = [row for n in range(level_lo, level_hi + 1)
+    members = [row for n in window
                for row in space.ball_rows(level_vertex_centers[n],
                                           level_vertex_radii[n])]
     mats = {n: _membership_matrix(
-        [members[level_offset[n] + i] for i in range(len(level_vertex_centers[n]))],
-        space.n_points) for n in range(level_lo, level_hi + 1)}
+        members[level_offset[n]:level_offset[n] + k], space.n_points)
+        for n, k in zip(window, counts)}
 
     def overlapping_pairs(a, b, upper):
         """Ids of the intersecting ball pairs of levels a and b, sorted by
@@ -373,19 +376,17 @@ def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
                 level_offset[b] + cols[order].astype(np.int64))
 
     pairs = []
-    for n in range(level_lo, level_hi + 1):
+    for n in window:
         pairs.append(overlapping_pairs(n, n, True))
         if n < level_hi:
             pairs.append(overlapping_pairs(n, n + 1, False))
     tails = np.concatenate([t for t, _ in pairs])
     heads = np.concatenate([h for _, h in pairs])
-    edge_levels = np.minimum(levels[tails], levels[heads]) if tails.size else \
-        np.empty(0, dtype=np.int64)
-
     return Filling(space=space, flavor=flavor, level_lo=level_lo,
                    level_hi=level_hi, centers=centers, radii=radii,
                    vertex_levels=levels, tails=tails, heads=heads,
-                   edge_levels=edge_levels, ball_member_list=members)
+                   edge_levels=np.minimum(levels[tails], levels[heads]),
+                   ball_member_list=members)
 
 
 def build_filling(space: FiniteMetricMeasureSpace, level_lo: int,
@@ -417,58 +418,62 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
       at distance >= 2^-n from F, with plain radius 2^-n.
 
     Only the first group's balls meet F, and their restrictions to F are the
-    subset filling; its vertices and edges embed into the ambient ones.
+    subset filling (`_restrict_filling`); its vertices and edges embed into
+    the ambient ones.
     """
     mask.validate_against(space)
     _validate_window(space, level_lo, level_hi)
     dist_f = dist_to_subset(space, mask)
     members = mask.member_indices
 
-    level_centers, level_radii, on_counts = {}, {}, {}
+    level_centers, level_radii = {}, {}
     for n in range(level_lo, level_hi + 1):
         scale = 2.0 ** (-n)
         on_f = greedy_separated_subset(members, scale, space.ball_indices)
         far = np.flatnonzero(dist_f >= scale)
         off_f = greedy_separated_subset(far, scale / 2, space.ball_indices)
         level_centers[n] = np.concatenate([on_f, off_f])
-        level_radii[n] = np.concatenate([
-            np.full(on_f.shape[0], 4 * scale),
-            np.full(off_f.shape[0], scale),
-        ])
-        on_counts[n] = on_f.shape[0]
-    ambient = _assemble(space, "nested-ambient", level_lo, level_hi,
-                        level_centers, level_radii)
+        level_radii[n] = np.repeat([4 * scale, scale], [on_f.size, off_f.size])
+    return _restrict_filling(_assemble(space, "nested-ambient", level_lo,
+                                       level_hi, level_centers, level_radii),
+                             mask)
 
-    sub_space, point_embedding = subspace(space, mask)
-    amb_to_sub = np.full(space.n_points, -1, dtype=np.int64)
-    amb_to_sub[point_embedding] = np.arange(point_embedding.shape[0])
 
-    trace_centers, trace_radii = {}, {}
-    vertex_embedding = []
-    for n in range(level_lo, level_hi + 1):
-        lo, _ = ambient._level_start[n]
-        k = on_counts[n]
-        trace_centers[n] = amb_to_sub[ambient.centers[lo : lo + k]]
-        trace_radii[n] = ambient.radii[lo : lo + k]
-        vertex_embedding.extend(range(lo, lo + k))
-    trace = _assemble(sub_space, "trace", level_lo, level_hi, trace_centers,
-                      trace_radii)
-    vertex_embedding = np.asarray(vertex_embedding, dtype=np.int64)
+def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
+    """The subset filling as the ambient filling cut to F.
 
-    # Each trace edge's ambient id, looked up among the sorted (tail, head)
-    # keys of the ambient edges.
-    n_amb = ambient.n_vertices
-    amb_keys = ambient.tails * n_amb + ambient.heads
-    order = np.argsort(amb_keys, kind="stable")
-    sorted_keys = amb_keys[order]
-    want = (vertex_embedding[trace.tails] * n_amb
-            + vertex_embedding[trace.heads])
-    pos = np.searchsorted(sorted_keys, want)
-    if np.any(pos >= sorted_keys.size) or np.any(
-            sorted_keys[np.minimum(pos, sorted_keys.size - 1)] != want):
-        raise NumericalError("subset edge missing from the ambient filling")
-    edge_embedding = order[pos]
+    Its vertices are the ambient vertices of radius 4 * 2^-n, whose
+    centers must lie on F; its balls are theirs cut to F, and its edges
+    are the ambient edges whose cut balls still share a point of F.  Both
+    keep the ambient order, so the embeddings ascend.
+    """
+    sub_space, point_embedding = subspace(ambient.space, mask)
+    flags = mask.member_flags
+    to_sub = np.where(flags, np.cumsum(flags) - 1, -1)
+    on_f = ambient.radii == 4 * 2.0 ** -ambient.vertex_levels
+    vertex_embedding = np.flatnonzero(on_f)
+    centers = to_sub[ambient.centers[on_f]]
+    if np.any(centers < 0):
+        raise ConfigError("ambient vertices of radius 4 * 2^-n must be "
+                          "centered on the subset")
+    balls = [cut[cut >= 0] for cut in
+             (to_sub[ambient.ball_member_list[v]] for v in vertex_embedding)]
 
+    to_trace = np.where(on_f, np.cumsum(on_f) - 1, -1)
+    both = np.flatnonzero(on_f[ambient.tails] & on_f[ambient.heads])
+    tails, heads = to_trace[ambient.tails[both]], to_trace[ambient.heads[both]]
+    cut = _membership_matrix(balls, sub_space.n_points).astype(bool)
+    meets = np.concatenate([m for _, _, m in _row_pairs(
+        cut, tails, cut, heads, lambda a, b: np.diff(a.multiply(b).indptr) > 0)])
+    edge_embedding = both[meets]
+
+    trace = Filling(space=sub_space, flavor="trace",
+                    level_lo=ambient.level_lo, level_hi=ambient.level_hi,
+                    centers=centers, radii=ambient.radii[vertex_embedding],
+                    vertex_levels=ambient.vertex_levels[vertex_embedding],
+                    tails=tails[meets], heads=heads[meets],
+                    edge_levels=ambient.edge_levels[edge_embedding],
+                    ball_member_list=balls)
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
                          vertex_embedding=vertex_embedding,
@@ -614,20 +619,6 @@ def audit_filling(filling: Filling) -> dict:
     return report
 
 
-def _embedding_checks(nested: NestedFilling) -> tuple[bool, bool]:
-    """(vertex embedding keeps level, radius and center; edge embedding
-    keeps both endpoints, hence the orientation)."""
-    amb, tr = nested.ambient, nested.trace
-    ve, ee = nested.vertex_embedding, nested.edge_embedding
-    vertex_ok = bool(
-        np.all(amb.vertex_levels[ve] == tr.vertex_levels)
-        and np.all(amb.radii[ve] == tr.radii)
-        and np.all(amb.centers[ve] == nested.point_embedding[tr.centers]))
-    edge_ok = bool(np.all(amb.tails[ee] == ve[tr.tails])
-                   and np.all(amb.heads[ee] == ve[tr.heads]))
-    return vertex_ok, edge_ok
-
-
 def audit_nested(nested: NestedFilling) -> dict:
     """Compatibility checks between the subset filling and the ambient one."""
     amb, tr = nested.ambient, nested.trace
@@ -638,9 +629,15 @@ def audit_nested(nested: NestedFilling) -> dict:
     embedded[nested.vertex_embedding] = True
     meets = amb.vertex_membership() @ member_flags > 0
     report["meets_f_iff_embedded"] = bool(np.all(meets == embedded))
-    report["vertex_embedding_ok"], report["edge_embedding_ok"] = \
-        _embedding_checks(nested)
-    ve = nested.vertex_embedding
+    ve, ee = nested.vertex_embedding, nested.edge_embedding
+    # the vertex embedding keeps level, radius and center; the edge
+    # embedding keeps both endpoints, hence the orientation
+    report["vertex_embedding_ok"] = bool(
+        np.all(amb.vertex_levels[ve] == tr.vertex_levels)
+        and np.all(amb.radii[ve] == tr.radii)
+        and np.all(amb.centers[ve] == nested.point_embedding[tr.centers]))
+    report["edge_embedding_ok"] = bool(np.all(amb.tails[ee] == ve[tr.tails])
+                                       and np.all(amb.heads[ee] == ve[tr.heads]))
     report["trace_ball_is_restriction"] = all(
         np.array_equal(
             nested.point_embedding[tr.ball_member_list[v]],
@@ -673,44 +670,55 @@ def filling_to_dict(filling: Filling) -> dict:
     }
 
 
+def _ids(values, what: str) -> np.ndarray:
+    """A document's integer ids; a float or a bool is refused, not cast."""
+    if any(type(v) is not int for v in values):
+        raise ConfigError(f"{what} must be integers")
+    return np.array(values, dtype=np.int64)
+
+
 def filling_from_dict(doc: dict) -> Filling:
-    """Filling from its document; the balls are recomputed from the space,
-    and edges out of level order or breaking the edge rule or the
-    orientation are rejected."""
+    """Filling from its document, validated as a built one: the window as
+    in `build_filling`, a vertex at every level, integer ids and a known
+    flavor.  The balls are recomputed from the space, and edges out of
+    level order or breaking the edge rule or the orientation are
+    rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
         if key not in doc:
             raise ConfigError(f"filling document missing {key!r}")
+    if doc["flavor"] not in ("plain", "nested-ambient", "trace"):
+        raise ConfigError(f"unknown filling flavor {doc['flavor']!r}")
     try:
         space, _ = space_from_descriptor(doc["space"])
-        level_lo, level_hi = int(doc["level_lo"]), int(doc["level_hi"])
-        centers = np.array([v["center"] for v in doc["vertices"]],
-                           dtype=np.int64)
+        level_lo, level_hi = _ids([doc["level_lo"], doc["level_hi"]],
+                                  "window levels").tolist()
+        centers = _ids([v["center"] for v in doc["vertices"]], "centers")
         radii = np.array([v["radius"] for v in doc["vertices"]],
                          dtype=np.float64)
-        levels = np.array([v["level"] for v in doc["vertices"]],
-                          dtype=np.int64)
-        tails = np.array([e["tail"] for e in doc["edges"]], dtype=np.int64)
-        heads = np.array([e["head"] for e in doc["edges"]], dtype=np.int64)
+        levels = _ids([v["level"] for v in doc["vertices"]], "levels")
+        tails = _ids([e["tail"] for e in doc["edges"]], "edge tails")
+        heads = _ids([e["head"] for e in doc["edges"]], "edge heads")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed filling document: {exc!r}") from None
+    _validate_window(space, level_lo, level_hi)
     if centers.size and (centers.min() < 0 or centers.max() >= space.n_points):
         raise ConfigError("vertex centers out of range")
     if levels.size and (levels.min() < level_lo or levels.max() > level_hi
                         or np.any(np.diff(levels) < 0)):
         raise ConfigError("vertex levels must ascend inside the window")
+    if np.unique(levels).size != level_hi - level_lo + 1:
+        raise ConfigError("every level of the window needs a vertex")
     if tails.size and (min(tails.min(), heads.min()) < 0
                        or max(tails.max(), heads.max()) >= centers.size):
         raise ConfigError("edge endpoints out of range")
-    edge_levels = (np.minimum(levels[tails], levels[heads]) if tails.size
-                   else np.empty(0, dtype=np.int64))
-    members = space.ball_rows(centers, radii)
     filling = Filling(space=space, flavor=doc["flavor"],
                       level_lo=level_lo, level_hi=level_hi,
                       centers=centers, radii=radii, vertex_levels=levels,
-                      tails=tails, heads=heads, edge_levels=edge_levels,
-                      ball_member_list=members)
+                      tails=tails, heads=heads,
+                      edge_levels=np.minimum(levels[tails], levels[heads]),
+                      ball_member_list=space.ball_rows(centers, radii))
     if not _edge_rule_ok(filling):
         raise ConfigError("filling edges are not the intersecting ball pairs "
                           "with levels within one")
@@ -732,36 +740,21 @@ def nested_to_dict(nested: NestedFilling) -> dict:
 
 
 def nested_from_dict(doc: dict) -> NestedFilling:
-    """Nested filling from its document; both fillings are checked as in
-    `filling_from_dict`, and the embeddings must keep endpoints, levels,
-    radii and centers."""
+    """Nested filling from its document.  The ambient half is checked as
+    in `filling_from_dict`; the trace half and the three embeddings must
+    equal those of its restriction to the subset (`_restrict_filling`),
+    exactly."""
     for key in ("ambient", "trace", "subset", "point_embedding",
                 "vertex_embedding", "edge_embedding"):
         if key not in doc:
             raise ConfigError(f"nested filling document missing {key!r}")
     ambient = filling_from_dict(doc["ambient"])
-    trace = filling_from_dict(doc["trace"])
-    mask = mask_from_descriptor(ambient.space, doc["subset"])
-    embeddings = []
-    for key, size, bound in (
-            ("point_embedding", trace.space.n_points, ambient.space.n_points),
-            ("vertex_embedding", trace.n_vertices, ambient.n_vertices),
-            ("edge_embedding", trace.n_edges, ambient.n_edges)):
-        try:
-            emb = np.asarray(doc[key], dtype=np.int64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"malformed {key}: {exc!r}") from None
-        if emb.shape != (size,) or (size and (emb.min() < 0
-                                              or emb.max() >= bound)):
-            raise ConfigError(f"{key} must map {size} ids into [0, {bound})")
-        embeddings.append(emb)
-    nested = NestedFilling(ambient=ambient, trace=trace, mask=mask,
-                           point_embedding=embeddings[0],
-                           vertex_embedding=embeddings[1],
-                           edge_embedding=embeddings[2])
-    if not np.array_equal(nested.point_embedding, mask.member_indices):
-        raise ConfigError("point_embedding is not the subset's point list")
-    if not all(_embedding_checks(nested)):
-        raise ConfigError("vertex or edge embedding does not keep endpoints, "
-                          "levels, radii and centers")
+    nested = _restrict_filling(
+        ambient, mask_from_descriptor(ambient.space, doc["subset"]))
+    if doc["trace"] != filling_to_dict(nested.trace):
+        raise ConfigError("trace filling is not the ambient filling cut to "
+                          "the subset")
+    for key in ("point_embedding", "vertex_embedding", "edge_embedding"):
+        if doc[key] != getattr(nested, key).tolist():
+            raise ConfigError(f"{key} is not the restriction's")
     return nested

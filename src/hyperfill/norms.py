@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calculus import discrete_derivative, level_blend, poisson_extension
-from .errors import ConfigError, GateError
+from .errors import ConfigError, GateError, NumericalError
 from .filling import Filling
 from .space import FiniteMetricMeasureSpace
 
@@ -140,20 +140,25 @@ def _power_sum_root(v: np.ndarray, p: float, weights=None) -> float:
 
     When the plain sum overflows or underflows to 0, ``v / max v`` is
     summed instead and the root scaled back by ``max v``; every other
-    result is the plain expression, bit for bit.
+    result is the plain expression, bit for bit.  A root that still
+    leaves the float range raises `NumericalError`.
     """
     def power_sum(x):
         return (x ** p).sum() if weights is None else weights @ x ** p
 
     with np.errstate(over="ignore"):
         total = power_sum(v)
-    if total == 0.0 or not np.isfinite(total):
-        # v ** p may have left the float range; the sum is homogeneous,
-        # so measure v / max v and scale back.
-        m = v.max()
-        if 0.0 < m < np.inf:
-            return float(m * power_sum(v / m) ** (1.0 / p))
-    return float(total ** (1.0 / p))
+        root = total ** (1.0 / p)
+        if total == 0.0 or not np.isfinite(total):
+            # v ** p may have left the float range; the sum is homogeneous,
+            # so measure v / max v and scale back.
+            m = v.max()
+            if 0.0 < m < np.inf:
+                root = m * power_sum(v / m) ** (1.0 / p)
+    if np.isinf(root):
+        raise NumericalError("(sum v^p)^(1/p) at p = %g leaves the float "
+                             "range" % p)
+    return float(root)
 
 
 def _superpose(filling: Filling, variant: NormVariant,
@@ -313,15 +318,16 @@ def triebel_seq_norm(filling: Filling, edge_values, params: SmoothnessParams,
                 axis=0) ** (1.0 / q)
 
         # an overflowed weights ** q makes inf - inf = nan in the
-        # superposition, which sends it to the scaled fallback below
+        # superposition, which sends it to the scaled fallback below; a
+        # root that still overflows reaches lp_norm, which raises
         with np.errstate(over="ignore", invalid="ignore"):
             stack = aggregate(weights)
-        m = weights.max()
-        if (not np.isfinite(stack).all() or not stack.any()) \
-                and 0.0 < m < np.inf:
-            # weights ** q left the float range; as in _power_sum_root,
-            # aggregate weights / max and scale back
-            stack = m * aggregate(weights / m)
+            m = weights.max()
+            if (not np.isfinite(stack).all() or not stack.any()) \
+                    and 0.0 < m < np.inf:
+                # weights ** q left the float range; as in _power_sum_root,
+                # aggregate weights / max and scale back
+                stack = m * aggregate(weights / m)
     return lp_norm(filling.space, stack, p)
 
 

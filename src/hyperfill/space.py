@@ -78,8 +78,8 @@ class FiniteMetricMeasureSpace:
             raise ConfigError("point coordinates must be finite")
         if self.weights.shape != (self.points.shape[0],):
             raise ConfigError("weights must be one per point")
-        if not np.all(self.weights > 0):
-            raise ConfigError("weights must be strictly positive")
+        if not np.all((self.weights > 0) & np.isfinite(self.weights)):
+            raise ConfigError("weights must be positive and finite")
         if self.metric_kind not in _METRICS:
             raise ConfigError(f"unknown metric {self.metric_kind!r}")
         if not (self.resolution > 0 and math.isfinite(self.resolution)):
@@ -165,13 +165,19 @@ class FiniteMetricMeasureSpace:
 
     def measured_diam(self) -> float:
         """Exact diameter of the cloud (chunked; O(n^2) distances)."""
-        if self.metric_kind == "sup":
-            return float((self.points.max(axis=0) - self.points.min(axis=0)).max())
-        best = 0.0
-        for lo in range(0, self.n_points, 2048):
-            block = self.points[lo : lo + 2048]
-            best = max(best, float(self.cross_dist(block, self.points).max()))
-        return best
+        return _measured_diam(self.points, self.metric_kind)
+
+
+def _measured_diam(points: np.ndarray, metric_kind: str) -> float:
+    """Exact diameter of points, known before a space is built on them."""
+    if metric_kind == "sup":
+        return float((points.max(axis=0) - points.min(axis=0)).max())
+    best = 0.0
+    for lo in range(0, points.shape[0], 2048):
+        block = points[lo : lo + 2048]
+        best = max(best, float(cdist(block, points,
+                                     metric=_METRICS[metric_kind]).max()))
+    return best
 
 
 @dataclass
@@ -200,8 +206,9 @@ class SubsetMask:
             raise ConfigError("declared_lambda must be positive")
         on = self.subset_weights[self.member_flags]
         off = self.subset_weights[~self.member_flags]
-        if not np.all(on > 0) or (off.size and np.any(off != 0)):
-            raise ConfigError("subset_weights must be positive exactly on members")
+        if not np.all((on > 0) & np.isfinite(on)) or np.any(off != 0):
+            raise ConfigError("subset_weights must be positive and finite "
+                              "exactly on members")
 
     @property
     def member_indices(self) -> np.ndarray:
@@ -333,19 +340,19 @@ def ifs_attractor(system: IfsSystem, submaps=None, metric: str = "euclidean",
         pts = np.concatenate([pts @ mats[i].T + offs[i] for i in range(k)], axis=0)
     weights = np.full(n_total, 1.0 / n_total)
 
+    if metric not in _METRICS:
+        raise ConfigError(f"unknown metric {metric!r}")
+    diam = _measured_diam(pts, metric)
+    if diam <= 0:
+        raise ConfigError("degenerate attractor: all points coincide")
     space = FiniteMetricMeasureSpace(
         points=pts,
         weights=weights,
         metric_kind=metric,
-        resolution=1.0,  # placeholder, fixed below with the measured diameter
+        resolution=max(ratios) ** system.depth * diam,
         declared_Q=declared_Q,
-        declared_diam=1.0,
+        declared_diam=diam,
     )
-    diam = space.measured_diam()
-    if diam <= 0:
-        raise ConfigError("degenerate attractor: all points coincide")
-    space.declared_diam = diam
-    space.resolution = max(ratios) ** system.depth * diam
 
     mask = None
     if submaps is not None:
@@ -451,9 +458,9 @@ def subspace(space: FiniteMetricMeasureSpace, mask: SubsetMask):
         metric_kind=space.metric_kind,
         resolution=space.resolution,
         declared_Q=mask.declared_lambda,
-        declared_diam=1.0,
+        declared_diam=(_measured_diam(pts, space.metric_kind)
+                       if len(members) > 1 else space.resolution),
     )
-    sub.declared_diam = sub.measured_diam() if len(members) > 1 else space.resolution
     return sub, members
 
 

@@ -288,9 +288,10 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
 def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
     total = n * (n - 1) // 2
     if total <= cap:
-        return np.triu_indices(n, k=1)
-    ii = rng.integers(0, n, size=cap)
-    jj = rng.integers(0, n, size=cap)
+        return tuple(a.astype(np.int32) for a in np.triu_indices(n, k=1))
+    # each draw is cast as it is made, so no two int64 draws are held
+    ii = rng.integers(0, n, size=cap).astype(np.int32)
+    jj = rng.integers(0, n, size=cap).astype(np.int32)
     keep = ii != jj
     return ii[keep], jj[keep]
 
@@ -325,7 +326,6 @@ def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
         n = space.n_points
         ii, jj = _pair_sample(n, _CERT_PAIR_CAP,
                               np.random.default_rng(_CERT_PAIR_SEED))
-        ii, jj = ii.astype(np.int32), jj.astype(np.int32)
         block = max(_CERT_CELL, math.isqrt(n - 1) + 1)
         order = space._tree().indices
         starts = np.arange(0, n, block)

@@ -5,7 +5,7 @@ import pytest
 from scipy import sparse
 
 import hyperfill as hf
-from hyperfill import calculus
+from hyperfill import filling as filling_mod
 from hyperfill.calculus import (_cross_blend_matrix, build_partition,
                                 discrete_derivative, edge_blend, level_blend,
                                 partition_lipschitz_quotient,
@@ -238,7 +238,7 @@ def test_cached_cross_matrix_equals_row_gather_product(request, monkeypatch,
     fil = getattr(fil, side) if side else fil
     if block_nnz is not None:
         # a fresh copy, built in many small edge blocks
-        monkeypatch.setattr(calculus, "_CROSS_BLOCK_NNZ", block_nnz)
+        monkeypatch.setattr(filling_mod, "_BLOCK_NNZ", block_nnz)
         fil = dataclasses.replace(fil)
     # the finest level has no cross edges
     assert fil.cross_edges_at_level(fil.level_hi).size == 0

@@ -946,3 +946,84 @@ def test_space_audit_with_an_unusable_declared_diameter_exits_2(tmp_path,
             "declared_Q": 1.7990602275940164, "declared_diam": diam}
     assert _space_audit(tmp_path, desc) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_ifs_space_whose_resolution_underflows_exits_2(tmp_path):
+    # (1e-100)^4 times the diameter is 0.0: the space must be refused when
+    # it is built, not patched afterwards; the audit's radius ladder once
+    # halved toward that 0.0 resolution forever
+    desc = write_cfg(tmp_path / "space.json", {
+        "kind": "ifs", "depth": 4,
+        "maps": [{"ratio": 1e-100, "offset": [0.0]},
+                 {"ratio": 1e-100, "offset": [1.0]}]})
+    for action, flag in (("build", "--out"), ("audit", "--report")):
+        out = tmp_path / (action + ".json")
+        proc = run_cli("space", action, desc, flag, str(out), timeout=60)
+        assert proc.returncode == 2, (action, proc.stderr)
+        assert "resolution" in proc.stderr
+        assert "Traceback" not in proc.stderr and not out.exists()
+
+
+_POINTSET = {"kind": "pointset", "metric": "sup",
+             "points": [[0.0], [0.5], [1.0]], "weights": [1.0, 1.0, 1.0],
+             "resolution": 0.125, "declared_Q": 1.0, "declared_diam": 1.0}
+
+
+@pytest.mark.parametrize("desc", [
+    dict(_POINTSET, weights=[1.0, "inf", 1.0]),
+    dict(_POINTSET, subset={"indices": [0, 1], "lambda": 0.5,
+                            "weights": [1.0, "inf"]}),
+], ids=["space", "subset"])
+def test_space_with_an_infinite_weight_exits_2(tmp_path, capsys, desc):
+    path = write_cfg(tmp_path / "space.json", desc)
+    out = tmp_path / "built.json"
+    assert hf.cli.main(["space", "build", path, "--out", str(out)]) == 2
+    assert "weights must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _set_vertex(i, key, value):
+    def edit(doc):
+        doc["vertices"][i][key] = value(doc["vertices"][i][key])
+    return edit
+
+
+def _set_edge(i, key, value):
+    def edit(doc):
+        doc["edges"][i][key] = value(doc["edges"][i][key])
+    return edit
+
+
+_BAD_FILLING_EDITS = {
+    "huge_level_hi": lambda doc: doc.update(level_hi=10**30),
+    "no_vertices": lambda doc: doc.update(vertices=[], edges=[]),
+    "unknown_flavor": lambda doc: doc.update(flavor="cubic"),
+    "float_center": _set_vertex(1, "center", lambda c: c + 0.5),
+    "bool_center": _set_vertex(0, "center", lambda c: bool(c)),
+    "float_level": _set_vertex(0, "level", float),
+    "float_level_lo": lambda doc: doc.update(level_lo=0.5),
+    "float_tail": _set_edge(0, "tail", float),
+    "bool_head": _set_edge(0, "head", lambda h: True),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(_BAD_FILLING_EDITS))
+def test_malformed_filling_document_exits_2(tmp_path, capsys, edit):
+    path = _edit_filling_file(tmp_path, _BAD_FILLING_EDITS[edit])
+    capsys.readouterr()
+    for argv in (["filling", "audit", "--filling", path],
+                 ["calculus", "check-telescoping", "--filling", path,
+                  "--trials", "1"]):
+        assert hf.cli.main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_norm_that_leaves_the_float_range_exits_4(tmp_path, capsys):
+    # (sum a_k^q)^(1/q) over several levels is far above the float range
+    cfg = write_cfg(tmp_path / "n.json", dict(
+        NORM_CFG, params=dict(NORM_CFG["params"], q=1e-300)))
+    out = tmp_path / "norm.json"
+    assert hf.cli.main(["norm", "eval", "--config", cfg,
+                        "--out", str(out)]) == 4
+    assert "float range" in capsys.readouterr().err
+    assert not out.exists()

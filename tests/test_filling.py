@@ -7,7 +7,7 @@ import pytest
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
-from hyperfill.filling import (filling_from_dict, filling_to_dict,
+from hyperfill.filling import (_assemble, filling_from_dict, filling_to_dict,
                                nested_from_dict, nested_to_dict)
 
 from oracles import edge_ball_matrix
@@ -479,3 +479,115 @@ def test_audit_in_one_vertex_blocks(request, name, monkeypatch):
     report = hf.audit_filling(_without_sole_cover(fil))
     assert report["levels"][fil.level_hi]["covering_ok"] is False
     assert report["ok"] is False
+
+
+# -- the subset filling is the ambient filling cut to F ----------------------
+
+def _row_mask(space, axis, lam):
+    """The points of smallest coordinate ``axis``: a row, or a face."""
+    idx = np.flatnonzero(space.points[:, axis] == space.points[:, axis].min())
+    return hf.mask_from_descriptor(space, {"indices": idx.tolist(),
+                                           "lambda": lam})
+
+
+def _cantor(depth, cantor_depth):
+    space = hf.unit_cube_space(1, depth)
+    return space, hf.cantor_mask(space, cantor_depth)
+
+
+def _cube_row(dim, metric, lam):
+    space = hf.unit_cube_space(dim, 5 if dim == 2 else 4, metric=metric)
+    return space, _row_mask(space, dim - 1, lam)
+
+
+RESTRICTION_SHAPES = {
+    "cantor_pair": (lambda: _cantor(12, 7), 0, 10),
+    "interval10_0_5": (lambda: _cantor(10, 6), 0, 5),
+    "interval10_0_6": (lambda: _cantor(10, 6), 0, 6),
+    "interval10_0_8": (lambda: _cantor(10, 6), 0, 8),
+    "interval10_-2_6": (lambda: _cantor(10, 6), -2, 6),
+    "interval8": (lambda: _cantor(8, 4), 0, 6),
+    "square_sup_row": (lambda: _cube_row(2, "sup", 1.0), 0, 3),
+    "square_euclidean_row": (lambda: _cube_row(2, "euclidean", 1.0), -1, 3),
+    "cube3_sup_face": (lambda: _cube_row(3, "sup", 2.0), 0, 2),
+    "gasket_base": (lambda: hf.ifs_attractor(hf.sierpinski_system(6),
+                                             submaps=[0, 1]), 0, 4),
+}
+
+
+def _independent_trace(nested):
+    """The subset filling assembled on its own space from the ambient
+    vertices of radius 4 * 2^-n, and its edges looked up by key among the
+    ambient edges."""
+    amb = nested.ambient
+    sub, emb = hf.subspace(amb.space, nested.mask)
+    to_sub = {int(p): i for i, p in enumerate(emb)}
+    centers, radii, ids = {}, {}, []
+    for n in amb.levels:
+        vids = [int(v) for v in amb.vertices_at_level(n)
+                if amb.radii[v] == 4 * 2.0 ** -n]
+        centers[n] = [to_sub[int(amb.centers[v])] for v in vids]
+        radii[n] = [float(amb.radii[v]) for v in vids]
+        ids.extend(vids)
+    trace = _assemble(sub, "trace", amb.level_lo, amb.level_hi, centers, radii)
+    key = {(int(t), int(h)): e
+           for e, (t, h) in enumerate(zip(amb.tails, amb.heads))}
+    edges = [key[ids[t], ids[h]] for t, h in zip(trace.tails, trace.heads)]
+    return trace, emb, np.array(ids), np.array(edges, dtype=np.int64)
+
+
+@pytest.mark.parametrize("shape", sorted(RESTRICTION_SHAPES))
+def test_trace_filling_equals_an_independent_assembly(shape):
+    make, lo, hi = RESTRICTION_SHAPES[shape]
+    space, mask = make()
+    nested = hf.build_nested_filling(space, mask, lo, hi)
+    want, points, vertices, edges = _independent_trace(nested)
+    got = nested.trace
+    for name in ("centers", "radii", "vertex_levels", "tails", "heads",
+                 "edge_levels"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert len(got.ball_member_list) == len(want.ball_member_list)
+    assert all(np.array_equal(a, b) for a, b in
+               zip(got.ball_member_list, want.ball_member_list))
+    assert canonical_dumps(filling_to_dict(got)) == \
+        canonical_dumps(filling_to_dict(want))
+    assert np.array_equal(nested.point_embedding, points)
+    assert np.array_equal(nested.vertex_embedding, vertices)
+    assert np.array_equal(nested.edge_embedding, edges)
+    assert hf.audit_nested(nested)["ok"] is True
+    assert hf.audit_filling(got)["ok"] is True
+
+
+def _drop_edge(doc):
+    del doc["trace"]["edges"][len(doc["trace"]["edges"]) // 2]
+
+
+def _swap_edges(doc):
+    edges = doc["trace"]["edges"]
+    edges[0], edges[1] = edges[1], edges[0]
+
+
+def _change_radius(doc):
+    doc["trace"]["vertices"][-1]["radius"] *= 2
+
+
+@pytest.mark.parametrize("edit", [_drop_edge, _swap_edges, _change_radius])
+def test_loaded_nested_refuses_a_trace_that_is_not_the_restriction(pair6,
+                                                                   edit):
+    doc = json.loads(canonical_dumps(nested_to_dict(pair6)))
+    edit(doc)
+    with pytest.raises(hf.ConfigError, match="trace"):
+        nested_from_dict(doc)
+
+
+def test_loaded_nested_refuses_subset_vertices_centered_off_the_subset(pair6):
+    # drop the center of the coarsest subset vertex from the subset: the
+    # ambient half stays a valid filling, but that vertex leaves F
+    doc = nested_to_dict(pair6)
+    center = int(pair6.ambient.centers[pair6.vertex_embedding[0]])
+    keep = [i for i, p in enumerate(doc["subset"]["indices"]) if p != center]
+    doc["subset"] = dict(doc["subset"],
+                         indices=[doc["subset"]["indices"][i] for i in keep],
+                         weights=[doc["subset"]["weights"][i] for i in keep])
+    with pytest.raises(hf.ConfigError, match="centered on the subset"):
+        nested_from_dict(doc)

@@ -444,3 +444,17 @@ def test_besov_seq_norm_does_not_copy_membership():
     finally:
         tracemalloc.stop()
     assert peak < 0.05 * (memb.data.nbytes + memb.indices.nbytes)
+
+
+@pytest.mark.parametrize("fn, kind", [(besov_fn_norm, "besov"),
+                                      (triebel_fn_norm, "triebel")])
+def test_norm_that_leaves_the_float_range_raises(fn, kind):
+    # (sum_k a_k^q)^(1/q) over four levels: at q = 1e-3 the root of a sum
+    # above one is far past the float range, even after scaling by max a_k
+    space = hf.unit_cube_space(1, 6)
+    fil = hf.build_filling(space, 0, 3)
+    f = np.sin(3.0 * space.points[:, 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(hf.NumericalError, match="float range"):
+            fn(fil, f, SmoothnessParams(0.5, 2.0, 1e-3, kind))

@@ -348,3 +348,13 @@ def test_tree_net_matches_pairwise_scan_on_euclidean_subset():
         scale = 2.0 ** -n
         _nets_agree(space, mask.member_indices, [scale])
         _nets_agree(space, np.flatnonzero(dist_f >= scale), [scale / 2])
+
+
+def test_subspace_of_coincident_points_is_refused():
+    # two members at one point have diameter 0, which the subspace's own
+    # constructor refuses
+    space = hf.FiniteMetricMeasureSpace(
+        np.array([[0.0], [0.0], [1.0]]), np.ones(3), "sup", 0.25, 1.0, 1.0)
+    mask = mask_from_descriptor(space, {"indices": [0, 1], "lambda": 0.5})
+    with pytest.raises(hf.ConfigError, match="declared_diam"):
+        hf.subspace(space, mask)

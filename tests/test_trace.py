@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -447,3 +449,26 @@ def test_windows_from_level_zero_keep_their_bytes(pair8, tent):
     assert ext.source_norm == besov_fn_norm(tr, f_sub, ext.source_params)
     sob = extend_sobolev(pair8, f_sub, 2.0)
     assert sob.source_norm == besov_fn_norm(tr, f_sub, sob.source_params)
+
+
+def test_sampled_certificate_plan_is_drawn_in_int32():
+    # 4,096 points have more pairs than the cap, so the plan is sampled
+    space = hf.unit_cube_space(1, 12)
+    nested = hf.build_nested_filling(space, hf.cantor_mask(space, 7), 0, 4)
+    space._tree()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        plan = trace_mod._cert_pair_plan(nested)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    rng = np.random.default_rng(trace_mod._CERT_PAIR_SEED)
+    ii = rng.integers(0, space.n_points, size=trace_mod._CERT_PAIR_CAP)
+    jj = rng.integers(0, space.n_points, size=trace_mod._CERT_PAIR_CAP)
+    keep = ii != jj
+    for got, want in ((plan.ii, ii[keep]), (plan.jj, jj[keep])):
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want.astype(np.int32))
+    size = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+    assert peak < 2.5 * size
