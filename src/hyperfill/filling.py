@@ -71,7 +71,6 @@ class Filling:
         self._level_balls = None
         self._half_balls = None
         self._edge_membership = None
-        self._ones = np.ones(0)
         self._edge_ball_mass = None
 
     # -- basic accessors ----------------------------------------------------
@@ -127,11 +126,13 @@ class Filling:
 
         Row e is the logical OR of the vertex-membership rows of its tail
         and head, so it lists the sorted cloud indices of B(e) with data
-        1.0.  Row e holds ``|B(tail)| + |B(head)| - |B(tail) ∩ B(head)|``
-        entries, counted from the overlaps of `_ball_levels`, so the index
-        array is allocated once at its final size and filled in edge
-        blocks of about ``_BLOCK_NNZ`` gathered entries.  Only
-        `edge_ball_mass` uses it; the norms superpose through
+        True (one byte an entry).  Row e holds ``|B(tail)| + |B(head)| -
+        |B(tail) ∩ B(head)|`` entries, counted from the overlaps of
+        `_ball_levels`, so the index array is allocated once at its final
+        size and filled in edge blocks of about ``_BLOCK_NNZ`` gathered
+        entries.  Each block also sums its rows' weights into
+        `edge_ball_mass`, since a product with the whole boolean matrix
+        would copy its data as floats.  The norms superpose through
         `_superpose`.
         """
         if self._edge_membership is None:
@@ -142,20 +143,25 @@ class Filling:
                       out=indptr[1:])
             indices = np.empty(indptr[-1], dtype=_index_dtype(
                 self.space.n_points))
+            mass = np.zeros(self.n_edges)
             balls = self.vertex_membership().astype(bool)
             for lo, hi, union in _row_pairs(balls, self.tails, balls,
                                             self.heads, np.add):
                 union.sort_indices()
                 indices[indptr[lo]:indptr[hi]] = union.indices
+                mass[lo:hi] = union @ self.space.weights
             self._edge_membership = sparse.csr_matrix(
-                (self._unit_data(indices.size), indices, indptr),
+                (np.ones(indices.size, dtype=bool), indices, indptr),
                 shape=(self.n_edges, self.space.n_points))
+            self._edge_ball_mass = mass
         return self._edge_membership
 
     def edge_ball_mass(self) -> np.ndarray:
-        """mu(B(e)) for every edge."""
+        """mu(B(e)) for every edge: each row of `edge_membership` summed
+        over the point weights in index order, while that matrix is
+        built."""
         if self._edge_ball_mass is None:
-            self._edge_ball_mass = self.edge_membership() @ self.space.weights
+            self.edge_membership()
         return self._edge_ball_mass
 
     def _by_level(self, balls: sparse.csr_matrix) -> sparse.csr_matrix:
@@ -195,8 +201,10 @@ class Filling:
             del cols
             for k, (a, b) in self._edge_range.items():
                 indices[indptr[a]:indptr[b]] += (k - lo) * n
+            ones = np.ones(indices.size)
+            ones.flags.writeable = False
             overlaps_t = sparse.csc_matrix(
-                (self._unit_data(indices.size), indices, indptr),
+                (ones, indices, indptr),
                 shape=(len(self.levels) * n, self.n_edges))
             self._level_balls = (balls.T, overlaps_t)
         return self._level_balls
@@ -215,25 +223,6 @@ class Filling:
             self._half_balls = self._by_level(
                 _membership_matrix(rows, self.space.n_points)).T
         return self._half_balls
-
-    def _unit_data(self, size: int) -> np.ndarray:
-        """``size`` ones, the data of a 0/1 matrix built here.
-
-        The overlaps and the edge-ball matrix read prefixes of one shared
-        read-only array of ones.  A longer request replaces it and moves
-        the matrices already built onto the new array, so the filling
-        holds its ones once, as long as its largest such matrix.
-        """
-        if self._ones.size < size:
-            self._ones = np.ones(size)
-            self._ones.flags.writeable = False
-            held = [self._edge_membership]
-            if self._level_balls is not None:
-                held.append(self._level_balls[1])
-            for mat in held:
-                if mat is not None:
-                    mat.data = self._ones[:mat.nnz]
-        return self._ones[:size]
 
     def _superpose(self, w: np.ndarray) -> np.ndarray:
         """Level superpositions of edge weights over the edge balls.

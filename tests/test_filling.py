@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -230,21 +231,59 @@ def test_edge_membership_matches_per_edge_unions(any_filling):
     want = edge_ball_matrix(fil)
     got = fil.edge_membership()
     assert got.has_sorted_indices
-    for name in ("indptr", "indices", "data"):
+    for name in ("indptr", "indices"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and np.array_equal(a, b), name
+    assert got.data.dtype == bool and got.data.size == got.nnz
+    assert np.all(got.data)
 
 
-def test_overlaps_and_edge_balls_share_one_array_of_ones():
+def _check_edge_ball_mass(fil):
+    """Both call orders give the oracle's product, bit for bit."""
+    want = edge_ball_matrix(fil) @ fil.space.weights
+    mass_first = dataclasses.replace(fil)
+    memb_first = dataclasses.replace(fil)
+    memb_first.edge_membership()
+    for got in (mass_first.edge_ball_mass(), memb_first.edge_ball_mass()):
+        assert np.array_equal(got, want)
+    assert np.array_equal(mass_first.edge_membership().indices,
+                          memb_first.edge_membership().indices)
+
+
+def test_edge_ball_mass_is_the_edge_ball_product(any_filling):
+    _check_edge_ball_mass(any_filling)
+
+
+def test_edge_ball_mass_with_random_weights():
+    space = hf.unit_cube_space(2, 5, metric="euclidean")
+    rng = np.random.default_rng(7)
+    space = dataclasses.replace(space,
+                                weights=rng.uniform(0.5, 2.0, space.n_points))
+    _check_edge_ball_mass(hf.build_filling(space, -1, 3))
+
+
+def test_overlaps_hold_float_ones_and_edge_balls_bools():
     fil = hf.build_filling(hf.unit_cube_space(1, 6), 0, 4)
     _, overlaps = fil._ball_levels()
-    memb = fil.edge_membership()
-    # the edge-ball matrix came second and longer: the overlaps moved onto
-    # its ones
-    assert np.shares_memory(overlaps.data, memb.data)
-    for mat in (overlaps, memb):
-        assert mat.data.size == mat.nnz and np.all(mat.data == 1.0)
-        assert not mat.data.flags.writeable
+    assert overlaps.data.dtype == np.float64
+    assert overlaps.data.size == overlaps.nnz
+    assert np.all(overlaps.data == 1.0)
+    assert not overlaps.data.flags.writeable
+    assert fil.edge_membership().data.dtype == bool
+
+
+def test_edge_membership_allocates_under_six_bytes_an_entry():
+    # an int32 index and a one-byte flag per entry, plus the per-block
+    # buffers of `_row_pairs`, which a filling this size amortises
+    fil = hf.build_filling(hf.unit_cube_space(2, 6), 0, 3)
+    fil._ball_levels()
+    tracemalloc.start()
+    try:
+        memb = fil.edge_membership()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * memb.nnz
 
 
 def _with_edges(fil, tails, heads):
