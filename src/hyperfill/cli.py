@@ -32,8 +32,7 @@ from .space import (_check_keys, _dyadic_radii, ahlfors_fit,
                     mask_from_descriptor, mask_to_descriptor,
                     metric_spot_check, porosity_scan, space_from_descriptor,
                     space_to_descriptor, subspace)
-from .trace import (extend_besov, extend_sobolev, nonhom_extend, nonhom_trace,
-                    trace_besov, trace_triebel)
+from .trace import _OPERATORS, _SOURCE_KINDS
 from .verify import AUDITS, _check_trials, random_tent_functions
 
 __all__ = ["main"]
@@ -143,7 +142,7 @@ def _mask_of(cfg: dict, space, inline_mask):
     return mask_from_descriptor(space, sub)
 
 
-def _params_of(raw, what: str) -> SmoothnessParams:
+def _params_of(raw, what: str, kind: str = "besov") -> SmoothnessParams:
     """Smoothness exponents from a config's params object."""
     if not isinstance(raw, dict):
         raise ConfigError("config needs a %r object" % what)
@@ -151,7 +150,7 @@ def _params_of(raw, what: str) -> SmoothnessParams:
     q = raw.get("q", "inf")
     return SmoothnessParams(
         s=_float(raw["s"], what + ".s"), p=_num(raw["p"], what + ".p"),
-        q=_num(q, what + ".q"), kind=raw.get("kind", "besov"))
+        q=_num(q, what + ".q"), kind=raw.get("kind", kind))
 
 
 def _num(x, what: str) -> float:
@@ -343,6 +342,9 @@ def _cmd_norm_eval(args) -> None:
     space, _ = _space_of(cfg)
     seed = _seed_of(cfg, args)
     params = _params_of(cfg.get("params"), "params")
+    if "window" in cfg and params.kind not in ("besov", "triebel"):
+        raise ConfigError("window applies to besov and triebel norms only, "
+                          "not to kind %r" % params.kind)
     f = _function_of(cfg, space, seed)
     payload = {"params": params.to_dict(), "seed": seed,
                "backend": BACKEND}
@@ -377,15 +379,6 @@ def _cmd_norm_eval(args) -> None:
 
 # ---------------------------------------------------------------- trace
 
-_TRACE_OPS = {
-    ("besov", "trace"): trace_besov,
-    ("besov", "extend"): extend_besov,
-    ("triebel", "trace"): trace_triebel,
-    ("nonhom", "trace"): nonhom_trace,
-    ("nonhom", "extend"): nonhom_extend,
-}
-
-
 def _cmd_trace_run(args) -> None:
     cfg = _load_cfg(args.config)
     _check_keys(cfg, {"space", "subset", "level_hi", "params", "theorem",
@@ -393,9 +386,13 @@ def _cmd_trace_run(args) -> None:
                 {"level_lo", "seed", "variant"}, "trace run config")
     theorem = cfg["theorem"]
     direction = cfg["direction"]
-    if theorem not in ("besov", "triebel", "sobolev", "nonhom") \
-            or direction not in ("trace", "extend", "roundtrip"):
-        raise ConfigError("unknown theorem %r or direction %r"
+    if theorem == "sobolev" and direction != "extend":
+        raise ConfigError("the sobolev pipeline is extension-only; "
+                          "its trace lands in a besov class")
+    op = (_OPERATORS.get((theorem, direction))
+          if isinstance(theorem, str) and isinstance(direction, str) else None)
+    if op is None:
+        raise ConfigError("no pipeline for theorem %r and direction %r"
                           % (theorem, direction))
     space, inline_mask = _space_of(cfg)
     mask = _mask_of(cfg, space, inline_mask)
@@ -404,46 +401,24 @@ def _cmd_trace_run(args) -> None:
     lo, hi = _window_of(cfg)
     nested = build_nested_filling(space, mask, lo, hi)
     seed = _seed_of(cfg, args)
-    params = _params_of(cfg.get("params"), "params")
+    params = _params_of(cfg.get("params"), "params",
+                        _SOURCE_KINDS[theorem][0])
     variant = _variant_of(cfg)
     payload = {"theorem": theorem, "direction": direction, "seed": seed,
                "params": params.to_dict(), "backend": BACKEND}
-
-    if theorem == "sobolev":
-        if direction != "extend":
-            raise ConfigError("the sobolev pipeline is extension-only; "
-                              "its trace lands in a besov class")
-        f = _function_of(cfg, nested.trace_space, seed)
-        res = extend_sobolev(nested, f, params.p)
-        payload.update(_ext_json(res))
-        payload["certificate"] = {"K": res.certificate.K,
-                                  "norm": res.certificate.norm,
-                                  "pairs_checked":
-                                      res.certificate.pairs_checked}
-        _echo(payload, args.out)
-        return
-
-    key = (theorem, direction)
+    f = _function_of(cfg, space if direction == "trace"
+                     else nested.trace_space, seed)
     if direction == "roundtrip":
-        f = _function_of(cfg, nested.trace_space, seed)
-        # the triebel trace lands in a besov class, so it extends as one
-        extend_op = _TRACE_OPS.get((theorem, "extend"), extend_besov)
-        ext = extend_op(nested, f, params, variant)
-        back = _TRACE_OPS[(theorem, "trace")](nested, ext.samples, params,
-                                              variant)
+        extend, trace = op
+        ext = extend(nested, f, params, variant)
+        back = trace(nested, ext.samples, params, variant)
         sup_err = float(np.abs(back.samples - f).max())
         payload.update(roundtrip_sup_error=sup_err,
                        extend=_ext_json(ext), trace=_trace_json(back))
-        _echo(payload, args.out)
-        return
-    if key not in _TRACE_OPS:
-        raise ConfigError("no %s pipeline for direction %r"
-                          % (theorem, direction))
-    domain = nested.trace_space if direction == "extend" else space
-    f = _function_of(cfg, domain, seed)
-    res = _TRACE_OPS[key](nested, f, params, variant)
-    payload.update(_trace_json(res) if direction == "trace"
-                   else _ext_json(res))
+    else:
+        res = op(nested, f, params, variant)
+        payload.update(_trace_json(res) if direction == "trace"
+                       else _ext_json(res))
     _echo(payload, args.out)
 
 
@@ -459,7 +434,7 @@ def _trace_json(res) -> dict:
 
 
 def _ext_json(res) -> dict:
-    return {
+    out = {
         "target_norm": res.target_norm,
         "source_norm": res.source_norm,
         "operator_ratio": res.operator_ratio,
@@ -468,6 +443,11 @@ def _ext_json(res) -> dict:
         "details": res.details,
         "samples": res.samples.tolist(),
     }
+    if res.certificate is not None:
+        out["certificate"] = {"K": res.certificate.K,
+                              "norm": res.certificate.norm,
+                              "pairs_checked": res.certificate.pairs_checked}
+    return out
 
 
 # --------------------------------------------------------------- verify

@@ -22,7 +22,7 @@ import numpy as np
 
 from .calculus import (discrete_derivative, level_blend, poisson_extension,
                        telescoping_integral)
-from .errors import GateError, NumericalError
+from .errors import ConfigError, GateError, NumericalError
 from .filling import NestedFilling
 from .norms import (NormVariant, SmoothnessParams, admissibility,
                     besov_fn_norm, besov_seq_norm, lp_norm, nonhom_norm,
@@ -109,14 +109,29 @@ def _ratio(num: float, den: float) -> float:
     return num / den
 
 
-def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str):
-    """Admissibility plus (when required) porosity, or GateError.
+# The source kinds each theorem takes, its default first.
+_SOURCE_KINDS = {"besov": ("besov",), "triebel": ("triebel",),
+                 "nonhom": ("nonhom_besov", "nonhom_triebel"),
+                 "sobolev": ("besov",)}
 
-    The porosity scan runs once per nested filling, with seed 0.
-    """
+
+def _subset_params(nested: NestedFilling, params: SmoothnessParams,
+                   theorem: str) -> SmoothnessParams:
+    """The subset-side exponents of a source, or ConfigError for a kind
+    the theorem does not take, or GateError outside its window or (where
+    required) on a subset that fails the porosity scan, run once per
+    nested filling with seed 0.  The subset side is Besov at ``s - (Q -
+    lambda)/p``, with the source ``q`` for Besov sources and ``q = p``
+    otherwise, and inhomogeneous for inhomogeneous sources."""
+    if params.kind not in _SOURCE_KINDS[theorem]:
+        raise ConfigError("the %s theorem takes params kind %s, not %r"
+                          % (theorem, " or ".join(_SOURCE_KINDS[theorem]),
+                             params.kind))
+    gate = ("sobolev" if theorem == "sobolev"
+            else params.kind.removeprefix("nonhom_"))
     space = nested.ambient.space
     adm = admissibility(space.declared_Q, nested.mask.declared_lambda,
-                        params, theorem)
+                        params, gate)
     if not adm.admissible:
         raise GateError("inadmissible exponents: " + "; ".join(adm.reasons))
     if adm.requires_porosity:
@@ -125,29 +140,11 @@ def _gate(nested: NestedFilling, params: SmoothnessParams, theorem: str):
         if nested._porosity[0] is None:
             raise GateError(
                 "subset failed the porosity scan; the %s window needs a "
-                "porous subset" % theorem)
-    return adm
-
-
-def _restrict(nested: NestedFilling, f):
-    """The restriction of ``f`` to the subset, scale by scale.
-
-    Returns ``(integral, coarse, du, u_amb)``: the telescoping integral on
-    the subset of the restricted derivative, the blend of the restricted
-    ambient ball means at the subset's lowest level on the subset points,
-    the ambient derivative ``du``, and ``du`` zero off the embedded subset
-    edges.  The homogeneous trace is ``integral + coarse[0]``, the
-    inhomogeneous one ``integral + coarse``.
-    """
-    amb, tr = nested.ambient, nested.trace
-    v = poisson_extension(amb, f)
-    du = discrete_derivative(amb, v)
-    u_sub = du[nested.edge_embedding]
-    u_amb = np.zeros(amb.n_edges)
-    u_amb[nested.edge_embedding] = u_sub
-    return (telescoping_integral(tr, u_sub),
-            level_blend(tr, v[nested.vertex_embedding], tr.level_lo),
-            du, u_amb)
+                "porous subset" % gate)
+    return SmoothnessParams(
+        s=adm.trace_smoothness, p=params.p,
+        q=params.q if gate == "besov" else params.p,
+        kind="nonhom_besov" if theorem == "nonhom" else "besov")
 
 
 def _anchor(nested: NestedFilling) -> int:
@@ -156,10 +153,36 @@ def _anchor(nested: NestedFilling) -> int:
     return int(nested.point_embedding[0])
 
 
-def _extension_terms(nested: NestedFilling, f_sub):
-    """Telescoping integral of the zero-extended subset derivative over the
-    ambient, the coarse blend of the zero-extended subset ball means on the
-    ambient points, that derivative and the subset derivative itself."""
+def _restrict(nested: NestedFilling, f, homogeneous: bool = True):
+    """The restriction of ``f`` to the subset, scale by scale.
+
+    Returns ``(samples, du, u_amb)``: the telescoping integral on the
+    subset of the restricted derivative plus the blend of the restricted
+    ball means at the subset's lowest level (its value at the first subset
+    point when ``homogeneous``), the ambient derivative ``du``, and ``du``
+    zero off the embedded subset edges.  The Sobolev class has no trace
+    operator; the theorem suite restricts its extensions with this map.
+    """
+    amb, tr = nested.ambient, nested.trace
+    v = poisson_extension(amb, f)
+    du = discrete_derivative(amb, v)
+    u_sub = du[nested.edge_embedding]
+    u_amb = np.zeros(amb.n_edges)
+    u_amb[nested.edge_embedding] = u_sub
+    coarse = level_blend(tr, v[nested.vertex_embedding], tr.level_lo)
+    samples = telescoping_integral(tr, u_sub)
+    return samples + (coarse[0] if homogeneous else coarse), du, u_amb
+
+
+def _extend(nested: NestedFilling, f_sub, homogeneous: bool = True):
+    """The extension of ``f_sub``, the inverse pipeline of `_restrict`.
+
+    Returns ``(extended, u_amb, u_sub)``: the telescoping integral over
+    the ambient of the zero-extended subset derivative plus the coarse
+    blend of the zero-extended subset ball means (its value at the first
+    subset point when ``homogeneous``), that derivative and the subset
+    derivative itself.
+    """
     amb, tr = nested.ambient, nested.trace
     v_sub = poisson_extension(tr, f_sub)
     u_sub = discrete_derivative(tr, v_sub)
@@ -167,24 +190,23 @@ def _extension_terms(nested: NestedFilling, f_sub):
     u_amb[nested.edge_embedding] = u_sub
     v_amb = np.zeros(amb.n_vertices)
     v_amb[nested.vertex_embedding] = v_sub
-    return (telescoping_integral(amb, u_amb),
-            level_blend(amb, v_amb, amb.level_lo), u_amb, u_sub)
+    coarse = level_blend(amb, v_amb, amb.level_lo)
+    extended = telescoping_integral(amb, u_amb)
+    return (extended + (coarse[_anchor(nested)] if homogeneous else coarse),
+            u_amb, u_sub)
 
 
-def _nonhom_subset_params(nested: NestedFilling, params: SmoothnessParams
-                          ) -> SmoothnessParams:
-    """Gate an inhomogeneous pair on its homogeneous theorem and return the
-    subset-side exponents: ``nonhom_besov`` at the trace smoothness, with
-    the source ``q`` for Besov and ``q = p`` for Triebel sources."""
-    theorem = "triebel" if params.kind == "nonhom_triebel" else "besov"
-    adm = _gate(nested, params.replace(kind=theorem), theorem)
-    return SmoothnessParams(s=adm.trace_smoothness, p=params.p,
-                            q=params.q if theorem == "besov" else params.p,
-                            kind="nonhom_besov")
+def _traced(samples, t_norm, s_norm, t_params, s_params,
+            details) -> TraceResult:
+    return TraceResult(samples, t_norm, s_norm, _ratio(t_norm, s_norm),
+                       t_params, s_params, details)
 
 
-def _sup_restriction_error(nested: NestedFilling, extended, f_sub) -> float:
-    return float(np.abs(extended[nested.point_embedding] - f_sub).max())
+def _extended(nested: NestedFilling, f_sub, extended, t_norm, s_norm,
+              t_params, s_params, details, cert=None) -> ExtensionResult:
+    sup_err = float(np.abs(extended[nested.point_embedding] - f_sub).max())
+    return ExtensionResult(extended, t_norm, s_norm, _ratio(t_norm, s_norm),
+                           t_params, s_params, sup_err, details, cert)
 
 
 def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
@@ -209,10 +231,8 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
         ``s - (Q - lambda)/p`` and the source norm, plus the restricted
         sequence norm measured on both sides of the equivalence.
     """
-    adm = _gate(nested, params, "besov")
-    integral, coarse, du, u_amb = _restrict(nested, f)
-    samples = integral + coarse[0]
-    t_params = params.replace(s=adm.trace_smoothness)
+    t_params = _subset_params(nested, params, "besov")
+    samples, du, u_amb = _restrict(nested, f)
     t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
     s_norm = besov_seq_norm(nested.ambient, du, params, variant)
     details = {
@@ -223,53 +243,41 @@ def trace_besov(nested: NestedFilling, f, params: SmoothnessParams,
             nested.ambient, u_amb, params, variant),
         "source_seq_norm": s_norm,
     }
-    return TraceResult(samples=samples, trace_norm=t_norm, source_norm=s_norm,
-                       operator_ratio=_ratio(t_norm, s_norm),
-                       trace_params=t_params, source_params=params,
-                       details=details)
+    return _traced(samples, t_norm, s_norm, t_params, params, details)
 
 
 def extend_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
                  variant: NormVariant | None = None) -> ExtensionResult:
     """Extend a subset function into the ambient Besov class.
 
-    ``params`` carries the ambient target exponents; the source norm is
-    measured at the matching trace smoothness on the subset.
+    ``params`` carries the ambient target exponents, with kind ``besov``;
+    the source norm is measured at the matching trace smoothness on the
+    subset.
     """
-    adm = _gate(nested, params, "besov")
-    integral, coarse, u_amb, u_sub = _extension_terms(nested, f_sub)
-    extended = integral + coarse[_anchor(nested)]
-    src_params = params.replace(s=adm.trace_smoothness)
+    src_params = _subset_params(nested, params, "besov")
+    extended, u_amb, u_sub = _extend(nested, f_sub)
     t_norm = besov_fn_norm(nested.ambient, extended, params, variant)
     s_norm = besov_seq_norm(nested.trace, u_sub, src_params, variant)
     details = {
         "zero_extended_seq_norm": besov_seq_norm(
             nested.ambient, u_amb, params, variant),
     }
-    return ExtensionResult(
-        samples=extended, target_norm=t_norm, source_norm=s_norm,
-        operator_ratio=_ratio(t_norm, s_norm), target_params=params,
-        source_params=src_params,
-        restriction_sup_error=_sup_restriction_error(nested, extended, f_sub),
-        details=details)
+    return _extended(nested, f_sub, extended, t_norm, s_norm, params,
+                     src_params, details)
 
 
 def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
                   variant: NormVariant | None = None) -> TraceResult:
     """Restrict a Triebel-class function; the target is a Besov class.
 
-    The trace lands in the Besov family with ``q = p`` regardless of the
-    source ``q``; the details record the sequence norm of the restricted
-    derivative at the source ``q`` and at ``q = p`` so the advertised
-    ``q``-independence is visible per run.
+    ``params`` must have kind ``triebel``; any other kind raises
+    `ConfigError`.  The trace lands in the Besov family with ``q = p``
+    regardless of the source ``q``; the details record the sequence norm
+    of the restricted derivative at the source ``q`` and at ``q = p`` so
+    the advertised ``q``-independence is visible per run.
     """
-    if params.kind != "triebel":
-        params = params.replace(kind="triebel")
-    adm = _gate(nested, params, "triebel")
-    integral, coarse, _, u_amb = _restrict(nested, f)
-    samples = integral + coarse[0]
-    t_params = SmoothnessParams(s=adm.trace_smoothness, p=params.p,
-                                q=params.p, kind="besov")
+    t_params = _subset_params(nested, params, "triebel")
+    samples, _, u_amb = _restrict(nested, f)
     t_norm = besov_fn_norm(nested.trace, samples, t_params, variant)
     s_norm = triebel_fn_norm(nested.ambient, f, params, variant)
     details = {
@@ -279,10 +287,7 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
         "restricted_at_q_eq_p": triebel_seq_norm(
             nested.ambient, u_amb, params.replace(q=params.p), variant),
     }
-    return TraceResult(samples=samples, trace_norm=t_norm, source_norm=s_norm,
-                       operator_ratio=_ratio(t_norm, s_norm),
-                       trace_params=t_params, source_params=params,
-                       details=details)
+    return _traced(samples, t_norm, s_norm, t_params, params, details)
 
 
 def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
@@ -407,7 +412,8 @@ def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
 def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     """Extend a subset function with an explicit gradient certificate.
 
-    The candidate gradient is the level-weighted edge superposition
+    The extended samples are `extend_besov`'s.  The candidate gradient is
+    the level-weighted edge superposition
     ``base(xi) = sum_e 2^{|e|} |u_e| chi_B(e)(xi)`` of the zero-extended
     derivative; the certificate constant ``K`` is the smallest scaling
     for which ``K base`` dominates every sampled difference quotient of
@@ -439,20 +445,25 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
         With a ``SobolevCertificate``; the source norm is the subset
         Besov norm at smoothness ``1 - (Q - lambda)/p`` with ``q = p``.
     """
-    probe = SmoothnessParams(s=1.0, p=p, q=p, kind="besov")
-    adm = _gate(nested, probe, "sobolev")
+    return _extend_sobolev(nested, f_sub,
+                           SmoothnessParams(s=1.0, p=p, q=p, kind="besov"))
+
+
+def _extend_sobolev(nested: NestedFilling, f_sub, params: SmoothnessParams,
+                    variant: NormVariant | None = None) -> ExtensionResult:
+    """`extend_sobolev` at ``params.p``, which must have kind ``besov``;
+    the other exponents and ``variant`` are not read."""
+    src_params = _subset_params(nested, params, "sobolev")
+    p = params.p
     amb = nested.ambient
     space = amb.space
-    integral, coarse, u_amb, u_sub = _extension_terms(nested, f_sub)
-    extended = integral + coarse[_anchor(nested)]
+    extended, u_amb, u_sub = _extend(nested, f_sub)
 
     base = amb._superpose(2.0 ** amb.edge_levels * np.abs(u_amb)).sum(axis=0)
     plan = _cert_pair_plan(nested)
     K = _certificate_constant(space, plan, extended, base)
     g = K * base
     g_norm = lp_norm(space, g, p)
-    src_params = SmoothnessParams(s=adm.trace_smoothness, p=p, q=p,
-                                  kind="besov")
     s_norm = besov_seq_norm(nested.trace, u_sub, src_params)
     details = {
         "seq_norm_q1": triebel_seq_norm(
@@ -460,13 +471,9 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     }
     cert = SobolevCertificate(g=g, K=K, norm=g_norm,
                               pairs_checked=int(plan.ii.size))
-    return ExtensionResult(
-        samples=extended, target_norm=g_norm, source_norm=s_norm,
-        operator_ratio=_ratio(g_norm, s_norm),
-        target_params=SmoothnessParams(s=1.0, p=p, q=p, kind="hajlasz"),
-        source_params=src_params,
-        restriction_sup_error=_sup_restriction_error(nested, extended, f_sub),
-        details=details, certificate=cert)
+    return _extended(nested, f_sub, extended, g_norm, s_norm,
+                     SmoothnessParams(s=1.0, p=p, q=p, kind="hajlasz"),
+                     src_params, details, cert)
 
 
 def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
@@ -479,9 +486,8 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
     the per-edge codimension band comparing subset and ambient masses of
     the shared edge balls.
     """
-    t_params = _nonhom_subset_params(nested, params)
-    integral, coarse, _, _ = _restrict(nested, f)
-    samples = integral + coarse
+    t_params = _subset_params(nested, params, "nonhom")
+    samples, _, _ = _restrict(nested, f, homogeneous=False)
     t_lp, t_seq = nonhom_norm(nested.trace, samples, t_params, variant)
     s_lp, s_seq = nonhom_norm(nested.ambient, f, params, variant)
     gamma = nested.ambient.space.declared_Q - nested.mask.declared_lambda
@@ -491,33 +497,48 @@ def nonhom_trace(nested: NestedFilling, f, params: SmoothnessParams,
         "source_lp_part": s_lp, "source_seq_part": s_seq,
         "codim_band_lo": band[0], "codim_band_hi": band[1],
     }
-    t_norm, s_norm = t_lp + t_seq, s_lp + s_seq
-    return TraceResult(samples=samples, trace_norm=t_norm, source_norm=s_norm,
-                       operator_ratio=_ratio(t_norm, s_norm),
-                       trace_params=t_params, source_params=params,
-                       details=details)
+    return _traced(samples, t_lp + t_seq, s_lp + s_seq, t_params, params,
+                   details)
 
 
 def nonhom_extend(nested: NestedFilling, f_sub, params: SmoothnessParams,
                   variant: NormVariant | None = None) -> ExtensionResult:
     """Extend a subset function between the inhomogeneous classes."""
-    src_params = _nonhom_subset_params(nested, params)
-    amb, tr = nested.ambient, nested.trace
-    integral, coarse, _, _ = _extension_terms(nested, f_sub)
-    extended = integral + coarse
-    t_lp, t_seq = nonhom_norm(amb, extended, params, variant)
-    s_lp, s_seq = nonhom_norm(tr, f_sub, src_params, variant)
-    t_norm, s_norm = t_lp + t_seq, s_lp + s_seq
+    src_params = _subset_params(nested, params, "nonhom")
+    extended, _, _ = _extend(nested, f_sub, homogeneous=False)
+    t_lp, t_seq = nonhom_norm(nested.ambient, extended, params, variant)
+    s_lp, s_seq = nonhom_norm(nested.trace, f_sub, src_params, variant)
     details = {
         "target_lp_part": t_lp, "target_seq_part": t_seq,
         "source_lp_part": s_lp, "source_seq_part": s_seq,
     }
-    return ExtensionResult(
-        samples=extended, target_norm=t_norm, source_norm=s_norm,
-        operator_ratio=_ratio(t_norm, s_norm), target_params=params,
-        source_params=src_params,
-        restriction_sup_error=_sup_restriction_error(nested, extended, f_sub),
-        details=details)
+    return _extended(nested, f_sub, extended, t_lp + t_seq, s_lp + s_seq,
+                     params, src_params, details)
+
+
+def _extend_as_besov(nested: NestedFilling, f_sub, params: SmoothnessParams,
+                     variant: NormVariant | None = None) -> ExtensionResult:
+    """The Triebel trace lands in a Besov class, so the Triebel round trip
+    extends as one."""
+    return extend_besov(nested, f_sub, params.replace(kind="besov"), variant)
+
+
+# The operator of each (theorem, direction) pipeline, called as
+# ``op(nested, f, params, variant)``.  A round trip maps to its (extend,
+# trace) pair.  The Sobolev class has no trace operator: `trace run`
+# refuses its round trip, and the theorem suite restricts with `_restrict`.
+_OPERATORS = {
+    ("besov", "trace"): trace_besov,
+    ("besov", "extend"): extend_besov,
+    ("besov", "roundtrip"): (extend_besov, trace_besov),
+    ("triebel", "trace"): trace_triebel,
+    ("triebel", "roundtrip"): (_extend_as_besov, trace_triebel),
+    ("sobolev", "extend"): _extend_sobolev,
+    ("sobolev", "roundtrip"): (_extend_sobolev, None),
+    ("nonhom", "trace"): nonhom_trace,
+    ("nonhom", "extend"): nonhom_extend,
+    ("nonhom", "roundtrip"): (nonhom_extend, nonhom_trace),
+}
 
 
 def codim_mass_band(nested: NestedFilling, gamma: float

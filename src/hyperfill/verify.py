@@ -26,8 +26,7 @@ from .norms import (NormVariant, SmoothnessParams, _exponent_json,
                     admissibility, besov_seq_norm, half_ball_substitute,
                     lp_norm, nonhom_norm, triebel_seq_norm)
 from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
-from .trace import (_restrict, extend_besov, extend_sobolev, trace_besov,
-                    trace_triebel)
+from .trace import _OPERATORS, _SOURCE_KINDS, _restrict
 
 __all__ = [
     "ExperimentReport",
@@ -453,22 +452,19 @@ def _suite_cell(nested, theorem, cell, trials, seed, cell_index):
                 "reason": "; ".join(adm.reasons)}
     rng = np.random.default_rng([seed, cell_index])
     batch = random_tent_functions(nested.trace_space, trials, rng)
+    # admissible, so p is finite and fits every source kind
+    params = params.replace(kind=_SOURCE_KINDS[theorem][0])
+    extend, trace = _OPERATORS[(theorem, "roundtrip")]
     sup_errs, ext_ratios, tr_ratios = [], [], []
     for f_sub in batch:
         try:
-            if theorem == "sobolev":
-                ext = extend_sobolev(nested, f_sub, cell["p"])
-            else:
-                ext = extend_besov(nested, f_sub, params)
+            ext = extend(nested, f_sub, params)
         except GateError as exc:
             return {"cell": label, "status": "skipped", "reason": str(exc)}
-        if theorem == "sobolev":
-            # no Sobolev trace operator: restrict the extension by hand
-            integral, coarse, _, _ = _restrict(nested, ext.samples)
-            back = integral + coarse[0]
+        if trace is None:
+            back = _restrict(nested, ext.samples)[0]
         else:
-            trace_op = trace_besov if theorem == "besov" else trace_triebel
-            tr = trace_op(nested, ext.samples, params)
+            tr = trace(nested, ext.samples, params)
             tr_ratios.append(tr.operator_ratio)
             back = tr.samples
         denom = float(np.abs(f_sub).max()) or 1.0

@@ -5,12 +5,14 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import hyperfill as hf
 import hyperfill.cli
+from hyperfill.verify import random_tent_functions
 
 CUBE8 = {"kind": "cube", "dim": 1, "depth": 8}
 
@@ -125,6 +127,20 @@ def test_norm_eval_window_frozen_value(tmp_path, extra, want):
                    "--out", str(out))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(out.read_text())["value"] == want
+
+
+@pytest.mark.parametrize("kind", ["nonhom_besov", "nonhom_triebel",
+                                  "hajlasz"])
+def test_norm_eval_refuses_a_window_the_kind_cannot_use(tmp_path, capsys,
+                                                        kind):
+    cfg = write_cfg(tmp_path / "n.json", dict(
+        NORM_CFG, space={"kind": "cube", "dim": 1, "depth": 4}, level_hi=2,
+        window=[1, 2], params=dict(NORM_CFG["params"], kind=kind)))
+    out = tmp_path / "norm.json"
+    assert hf.cli.main(["norm", "eval", "--config", cfg,
+                        "--out", str(out)]) == 2
+    assert "window" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_norm_eval_reruns_byte_identical(tmp_path):
@@ -357,6 +373,68 @@ def test_sobolev_trace_direction_rejected(tmp_path):
     proc = run_cli("trace", "run", "--config", cfg)
     assert proc.returncode == 2
     assert "extension-only" in proc.stderr
+
+
+def _trace_run(tmp_path, theorem, direction, kind, seed="7"):
+    """(exit code, payload or None) of an in-process `trace run` over
+    TRACE_CFG with the given pipeline and params kind."""
+    cfg = write_cfg(tmp_path / "t.json", dict(
+        TRACE_CFG, theorem=theorem, direction=direction,
+        params=dict(TRACE_CFG["params"], kind=kind)))
+    out = tmp_path / "t_out.json"
+    code = hf.cli.main(["trace", "run", "--config", cfg, "--seed", seed,
+                        "--out", str(out)])
+    return code, json.loads(out.read_text()) if out.exists() else None
+
+
+@pytest.mark.parametrize("theorem, direction, kind", [
+    ("besov", "trace", "triebel"),
+    ("besov", "trace", "hajlasz"),
+    ("besov", "extend", "nonhom_triebel"),
+    ("triebel", "trace", "nonhom_triebel"),
+    ("triebel", "roundtrip", "triebel"),
+])
+def test_trace_run_labels_each_class_by_its_own_kind(tmp_path, capsys,
+                                                     theorem, direction,
+                                                     kind):
+    # a kind the theorem does not take is refused, never relabelled or
+    # silently replaced; the Triebel round trip's extension is a Besov
+    # one and says so
+    code, payload = _trace_run(tmp_path, theorem, direction, kind)
+    if kind == theorem:
+        assert code == 0
+        assert payload["extend"]["source_params"]["kind"] == "besov"
+        assert payload["trace"]["trace_params"]["kind"] == "besov"
+    else:
+        assert code == 2 and payload is None
+        err = capsys.readouterr().err
+        assert repr(kind) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("theorem, direction, kind, get, want", [
+    ("triebel", "roundtrip", "triebel",
+     lambda p: p["roundtrip_sup_error"], 0.6315832184681704),
+    ("nonhom", "extend", "nonhom_besov",
+     lambda p: p["restriction_sup_error"], 0.33707555254071186),
+    ("nonhom", "trace", "nonhom_triebel",
+     lambda p: p["trace_norm"], 32.00538059766902),
+])
+def test_trace_run_pipeline_frozen_values(tmp_path, theorem, direction, kind,
+                                          get, want):
+    code, payload = _trace_run(tmp_path, theorem, direction, kind)
+    assert code == 0
+    assert get(payload) == pytest.approx(want, rel=1e-9)
+
+
+def test_sobolev_trace_run_reports_the_extension_certificate(tmp_path,
+                                                             pair6):
+    code, payload = _trace_run(tmp_path, "sobolev", "extend", "besov")
+    assert code == 0
+    f_sub = random_tent_functions(pair6.trace_space, 1,
+                                  np.random.default_rng(7), n_tents=6)[0]
+    cert = hf.extend_sobolev(pair6, f_sub, 2.0).certificate
+    assert payload["certificate"] == {"K": cert.K, "norm": cert.norm,
+                                      "pairs_checked": cert.pairs_checked}
 
 
 def test_verify_writes_report_and_csv(tmp_path):
@@ -746,7 +824,10 @@ _PARAMS = st.fixed_dictionaries({
 _PIPELINES = [("besov", "trace", "besov"), ("besov", "extend", "besov"),
               ("besov", "roundtrip", "besov"),
               ("triebel", "trace", "triebel"),
+              ("triebel", "roundtrip", "triebel"),
               ("nonhom", "trace", "nonhom_besov"),
+              ("nonhom", "trace", "nonhom_triebel"),
+              ("nonhom", "extend", "nonhom_besov"),
               ("nonhom", "roundtrip", "nonhom_besov"),
               ("sobolev", "extend", "besov")]
 

@@ -83,6 +83,17 @@ def test_triebel_trace(pair8, tent):
     assert res.trace_params.kind == "besov"
 
 
+@pytest.mark.parametrize("op, kind", [
+    (trace_triebel, "besov"), (trace_besov, "triebel"),
+    (extend_besov, "nonhom_besov"), (nonhom_trace, "besov"),
+])
+def test_operator_refuses_a_source_kind_its_theorem_does_not_take(
+        pair6, op, kind):
+    f = np.zeros(pair6.ambient.space.n_points)
+    with pytest.raises(hf.ConfigError, match="'%s'" % kind):
+        op(pair6, f, BESOV.replace(kind=kind))
+
+
 def test_sobolev_certificate(pair8, tent):
     fsub = tent[pair8.mask.member_indices]
     res = extend_sobolev(pair8, fsub, 4.0)
