@@ -67,12 +67,11 @@ def _read(path: str):
 
 
 def _int(value, what: str) -> int:
-    """A config value as an int; malformed values are config errors."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s must be an integer, got %r"
-                          % (what, value)) from None
+    """A config value that must be a JSON integer; a float, a bool or a
+    string is refused, not cast."""
+    if type(value) is not int:
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    return value
 
 
 def _raw_float(value, what: str) -> float:
@@ -111,7 +110,12 @@ def _seed_of(cfg: dict, args) -> int:
     """Effective seed: env var beats config beats flag default."""
     env = os.environ.get("HYPERFILL_SEED")
     if env is not None:
-        seed, what = _int(env, "HYPERFILL_SEED"), "HYPERFILL_SEED"
+        what = "HYPERFILL_SEED"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ConfigError("%s must be an integer, got %r"
+                              % (what, env)) from None
     elif "seed" in cfg:
         seed, what = _int(cfg["seed"], "seed"), "seed"
     else:

@@ -264,8 +264,8 @@ class NestedFilling:
     point_embedding: np.ndarray   # trace space point index -> ambient point index
     vertex_embedding: np.ndarray  # trace vertex id -> ambient vertex id
     edge_embedding: np.ndarray    # trace edge id -> ambient edge id
-    # extend_sobolev's certificate pairs and their cells of point blocks,
-    # a trace._CertPlan (ii, jj, cell, ...) once drawn
+    # extend_sobolev's certificate pairs grouped by cells of point blocks,
+    # a trace._CertPlan (two offsets a pair, cell starts, ...) once drawn
     _cert_plan: tuple = field(default=(), init=False, repr=False,
                               compare=False)
     # the trace gate's porosity_scan result, (constant or None,) once run

@@ -293,35 +293,46 @@ def trace_triebel(nested: NestedFilling, f, params: SmoothnessParams,
 def _pair_sample(n: int, cap: int, rng) -> tuple[np.ndarray, np.ndarray]:
     total = n * (n - 1) // 2
     if total <= cap:
-        return tuple(a.astype(np.int32) for a in np.triu_indices(n, k=1))
+        # np.triu_indices(n, k=1) built in int32: row i holds (i, i+1..n-1)
+        rows = np.arange(n, dtype=np.int32)
+        size = n - 1 - rows
+        ii = np.repeat(rows, size)
+        jj = np.arange(total, dtype=np.int32)
+        jj -= np.repeat((np.cumsum(size) - size - rows - 1).astype(np.int32),
+                        size)
+        return ii, jj
     # each draw is cast as it is made, so no two int64 draws are held
     ii = rng.integers(0, n, size=cap).astype(np.int32)
     jj = rng.integers(0, n, size=cap).astype(np.int32)
+    # filtered one at a time, so no more than three pair arrays are held
     keep = ii != jj
-    return ii[keep], jj[keep]
+    ii = ii[keep]
+    return ii, jj[keep]
 
 
 class _CertPlan(NamedTuple):
     """The certificate's pairs, grouped into cells of point blocks.
 
     A block is a run of ``block`` consecutive points in the kd-tree's
-    leaf ``order``.  Pair k lies in cell ``cell[k] = I * nb + J``, where
-    I and J are the blocks of ``ii[k]`` and ``jj[k]`` and nb is the
-    number of blocks.  ``dmin[I, J]`` is at most the distance of every
-    pair in cell (I, J), and ``diag`` lists the pairs inside one block.
+    leaf ``order``.  With nb blocks, cell ``I * nb + J`` holds the pairs
+    whose first point lies in block I and whose second lies in block J:
+    they are ``starts[c]:starts[c + 1]``, each stored as the offsets
+    ``first`` and ``second`` of its points inside their blocks (uint8
+    while a block holds at most 256 points).  `_cell_pairs` turns cells
+    back into point pairs.  ``dmin[I, J]`` is at most the distance of
+    every pair in cell (I, J).
     """
 
-    ii: np.ndarray
-    jj: np.ndarray
-    cell: np.ndarray
-    diag: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    starts: np.ndarray
     order: np.ndarray
     block: int
     dmin: np.ndarray
 
 
 def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
-    """The certificate's pairs ``ii``, ``jj`` (int32) and their cells.
+    """The certificate's pairs, grouped by cell.
 
     They depend only on the ambient space, so they are drawn and
     grouped once per nested filling, then kept on it.
@@ -333,28 +344,57 @@ def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
                               np.random.default_rng(_CERT_PAIR_SEED))
         block = max(_CERT_CELL, math.isqrt(n - 1) + 1)
         order = space._tree().indices
-        starts = np.arange(0, n, block)
-        nb = starts.size
-        of = np.empty(n, dtype=np.int32)
-        of[order] = np.arange(n, dtype=np.int32) // block
-        bi, bj = of[ii], of[jj]
-        diag = np.flatnonzero(bi == bj)
-        cell = (bi * nb + bj).astype(np.int16 if nb * nb <= 1 << 15
-                                     else np.int32)
+        firsts = np.arange(0, n, block)
+        nb = firsts.size
+        # A pair's cell-major key (I nb + J) block^2 + a block + b, with
+        # a and b its offsets, is a sum of one term of each point, added
+        # while the draws are let go; one in-place sort of the keys groups
+        # the pairs by cell.
+        span = nb * block
+        key_t = np.int32 if span * span < 1 << 31 else np.int64
+        pos = np.empty(n, dtype=key_t)
+        pos[order] = np.arange(n, dtype=key_t)
+        blk, off = np.divmod(pos, block)
+        key = ((blk * span + off) * block)[ii]
+        del ii
+        key += (blk * block * block + off)[jj]
+        del jj
+        key.sort()
+        starts = np.searchsorted(
+            key, np.arange(nb * nb + 1, dtype=key_t) * (block * block))
+        off_t = np.uint8 if block <= 256 else np.uint16
+        second = (key % block).astype(off_t)
+        key //= block
+        key %= block
+        first = key.astype(off_t)
+        del key
         # Box gaps round like the pair distances (rounding is monotone),
         # so a sup gap never exceeds a pair's distance; the Euclidean sum
         # may add in another order, which the relative 1e-12 covers.
         pts = space.points[order]
-        lo = np.minimum.reduceat(pts, starts)
-        hi = np.maximum.reduceat(pts, starts)
+        lo = np.minimum.reduceat(pts, firsts)
+        hi = np.maximum.reduceat(pts, firsts)
         gap = np.maximum(np.maximum(lo[None] - hi[:, None],
                                     lo[:, None] - hi[None]), 0.0)
         if space.metric_kind == "sup":
             dmin = gap.max(axis=2)
         else:
             dmin = np.sqrt((gap * gap).sum(axis=2)) * (1.0 - 1e-12)
-        nested._cert_plan = _CertPlan(ii, jj, cell, diag, order, block, dmin)
+        nested._cert_plan = _CertPlan(first, second, starts, order, block,
+                                      dmin)
     return nested._cert_plan
+
+
+def _cell_pairs(plan: _CertPlan, cells: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Point indices ``i``, ``j`` of the plan's pairs in ``cells``."""
+    lo = plan.starts[cells]
+    size = plan.starts[cells + 1] - lo
+    at = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    nb = plan.dmin.shape[0]
+    i = np.repeat(cells // nb * plan.block, size) + plan.first[at]
+    j = np.repeat(cells % nb * plan.block, size) + plan.second[at]
+    return plan.order[i], plan.order[j]
 
 
 def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
@@ -372,11 +412,11 @@ def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
     scale = float(np.abs(extended).max()) or 1.0
     blind, blind_max, quotient_max = False, [], []
 
-    def scan(pairs):
+    def scan(cells):
         nonlocal blind
-        for lo in range(0, pairs.size, _CERT_BLOCK):
-            blk = pairs[lo:lo + _CERT_BLOCK]
-            i, j = plan.ii[blk], plan.jj[blk]
+        ii, jj = _cell_pairs(plan, cells)
+        for lo in range(0, ii.size, _CERT_BLOCK):
+            i, j = ii[lo:lo + _CERT_BLOCK], jj[lo:lo + _CERT_BLOCK]
             d_blk = _rowwise_dist(space.points[i], space.points[j],
                                   space.metric_kind)
             du_pair = np.abs(extended[i] - extended[j])
@@ -389,19 +429,20 @@ def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
             if live.any():
                 quotient_max.append((du_pair[live] / cap[live]).max())
 
-    scan(plan.diag)
+    nb = plan.dmin.shape[0]
+    scan(np.arange(nb) * (nb + 1))
     k_lb = float(np.max(quotient_max)) if quotient_max else 0.0
-    starts = np.arange(0, space.n_points, plan.block)
+    firsts = np.arange(0, space.n_points, plan.block)
     u, b = extended[plan.order], base[plan.order]
-    u_lo, u_hi = np.minimum.reduceat(u, starts), np.maximum.reduceat(u, starts)
-    b_lo = np.minimum.reduceat(b, starts)
+    u_lo, u_hi = np.minimum.reduceat(u, firsts), np.maximum.reduceat(u, firsts)
+    b_lo = np.minimum.reduceat(b, firsts)
     rise = u_hi[:, None] - u_lo[None]
     with np.errstate(divide="ignore", invalid="ignore"):
         bound = (np.maximum(rise, rise.T)
                  / (plan.dmin * (b_lo[:, None] + b_lo[None])))
     skip = bound < k_lb  # a NaN bound is never skipped
     np.fill_diagonal(skip, True)
-    scan(np.flatnonzero(~skip.ravel()[plan.cell]))
+    scan(np.flatnonzero(~skip))
     if blind:
         raise NumericalError(
             "extension varies across a pair its gradient cannot see "
@@ -424,11 +465,13 @@ def extend_sobolev(nested: NestedFilling, f_sub, p: float) -> ExtensionResult:
     draws from a fixed seed with the self-pairs dropped.  The pair plan
     is drawn once per nested filling and grouped into cells: pairs
     between two blocks of consecutive points in the kd-tree's leaf
-    order.  Each call scans the pairs inside a block, bounds every other
-    cell's quotients by its blocks' extrema and distance gap, and scans
-    only the cells whose bound reaches the largest quotient found.  So
-    every plan pair is either scanned or bounded by its cell, and ``K``
-    is what a scan of every pair gives, bit for bit.
+    order, each pair kept as its two offsets inside its blocks.  Each
+    call scans the pairs inside a block, bounds every other cell's
+    quotients by its blocks' extrema and distance gap, and decodes and
+    scans only the cells whose bound reaches the largest quotient found,
+    so its work follows the pairs it scans.  Every plan pair is either
+    scanned or bounded by its cell, and ``K`` is what a scan of every
+    pair gives, bit for bit.
 
     Parameters
     ----------
@@ -470,7 +513,7 @@ def _extend_sobolev(nested: NestedFilling, f_sub, params: SmoothnessParams,
             amb, u_amb, SmoothnessParams(s=1.0, p=p, q=1.0, kind="triebel")),
     }
     cert = SobolevCertificate(g=g, K=K, norm=g_norm,
-                              pairs_checked=int(plan.ii.size))
+                              pairs_checked=int(plan.starts[-1]))
     return _extended(nested, f_sub, extended, g_norm, s_norm,
                      SmoothnessParams(s=1.0, p=p, q=p, kind="hajlasz"),
                      src_params, details, cert)

@@ -485,8 +485,9 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
                         widen_threshold: float = 2.0) -> ExperimentReport:
     """Trace/extension round trips over a parameter and resolution grid.
 
-    Builds one nested filling per requested resolution (``level_hi``),
-    each rooted at the largest level n with ``2^-n`` at least the
+    Builds one nested filling per requested resolution (``level_hi``;
+    strictly ascending integers, so each cell's first and last ok rows
+    are its coarsest and finest), each rooted at the largest level n with ``2^-n`` at least the
     declared diameter, runs every grid cell through the extension and
     trace operators, and judges two claims: round-trip sup error does not
     grow under refinement, and operator ratios stay inside a band that
@@ -495,12 +496,18 @@ def audit_theorem_suite(space_desc: dict, subset_desc: dict | None,
     """
     _check_trials(trials)
     cells = _normalize_grid(param_grid)
-    try:
-        resolutions = [int(r) for r in resolutions]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError("resolutions must list levels: %s" % exc) from None
+    if not (isinstance(resolutions, (list, tuple, np.ndarray))
+            and all(isinstance(r, (int, np.integer))
+                    and not isinstance(r, bool) for r in resolutions)):
+        raise ConfigError("resolutions must list integer levels, got %r"
+                          % (resolutions,))
+    resolutions = [int(r) for r in resolutions]
     if not resolutions:
         raise ConfigError("theorem suite needs at least one resolution")
+    # the verdicts compare each cell's first and last ok resolution
+    if any(b <= a for a, b in zip(resolutions, resolutions[1:])):
+        raise ConfigError("resolutions must ascend strictly, got %r"
+                          % (resolutions,))
     if theorem not in ("besov", "triebel", "sobolev"):
         raise ConfigError("unknown theorem %r" % (theorem,))
     space, mask = space_from_descriptor(space_desc)

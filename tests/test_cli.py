@@ -242,6 +242,47 @@ def test_non_integer_config_value_exits_2(tmp_path, key):
     assert key in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("patch, field", [
+    ({"level_hi": 3.7}, "level_hi"),
+    ({"level_hi": True}, "level_hi"),
+    ({"seed": True}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"window": [0.5, 2]}, "window"),
+])
+def test_integer_config_field_refuses_a_float_a_bool_or_a_string(
+        tmp_path, capsys, monkeypatch, patch, field):
+    # each of these once ran, cast to 3, 1, 1, 7 and (0, 2)
+    monkeypatch.delenv("HYPERFILL_SEED", raising=False)
+    cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, **patch))
+    out = tmp_path / "norm.json"
+    assert hf.cli.main(["norm", "eval", "--config", cfg,
+                        "--out", str(out)]) == 2
+    assert "%s must be an integer" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the verdicts take each cell's first and last ok row as its coarse and
+# fine one, so [6, 5] once read unstable and [6, 6] stable from one level
+@pytest.mark.parametrize("resolutions, code", [
+    ([5, 6], 0), ([6.5], 2), ([True], 2), (5, 2), ([6, 5], 2), ([6, 6], 2)])
+def test_theorem_suite_takes_strictly_ascending_integer_resolutions(
+        tmp_path, capsys, resolutions, code):
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 9},
+        "subset": {"cantor_depth": 5}, "theorem": "besov",
+        "resolutions": resolutions, "trials": 2,
+        "grid": {"s": [0.5], "p": [2.0], "q": [2.0]}})
+    out = tmp_path / "r.json"
+    assert hf.cli.main(["verify", "audit_theorem_suite", "--config", cfg,
+                        "--out", str(out)]) == code
+    if code:
+        assert "resolutions must" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert json.loads(out.read_text())["verdicts"] == {
+            "roundtrip_stable": True, "ratios_stable": True}
+
+
 def test_unknown_config_key_exits_2(tmp_path):
     cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, typo=1))
     proc = run_cli("norm", "eval", "--config", cfg)

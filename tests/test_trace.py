@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +188,19 @@ def _cert_bytes(res):
     return cert.K, cert.pairs_checked, cert.g.tobytes(), res.samples.tobytes()
 
 
+def _plan_cells(plan):
+    """Every cell of a certificate plan, in the plan's order."""
+    return np.arange(plan.dmin.shape[0] ** 2)
+
+
+def _holds_exactly(plan, ii, jj, n):
+    """Whether the plan's pairs are the pairs (ii[k], jj[k]), as a
+    multiset of ordered pairs."""
+    got_i, got_j = trace_mod._cell_pairs(plan, _plan_cells(plan))
+    got = np.sort(got_i.astype(np.int64) * n + got_j)
+    return np.array_equal(got, np.sort(ii.astype(np.int64) * n + jj))
+
+
 # sampled = 1: a cap below the pair count makes the plan a seeded sample;
 # sampled = 0: under the default cap the plan lists every pair
 @pytest.mark.parametrize("sampled", [0, 1])
@@ -203,14 +217,13 @@ def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
                            fsub, 4.0)
     assert _cert_bytes(first) == _cert_bytes(again) == _cert_bytes(fresh)
     assert warm._cert_plan is plan
-    assert plan[0].dtype == plan[1].dtype == np.int32
-    # the plan is seed 0's draw
+    # the plan holds seed 0's draw, grouped by cell
     n = interval10.n_points
     ii, jj = trace_mod._pair_sample(n, trace_mod._CERT_PAIR_CAP,
                                     np.random.default_rng(0))
-    assert np.array_equal(plan[0], ii) and np.array_equal(plan[1], jj)
-    assert (plan[0].size < n * (n - 1) // 2) == bool(sampled)
-    assert first.certificate.pairs_checked == plan[0].size
+    assert _holds_exactly(plan, ii, jj, n)
+    assert (ii.size < n * (n - 1) // 2) == bool(sampled)
+    assert first.certificate.pairs_checked == ii.size == plan.starts[-1]
 
 
 def test_sobolev_certificate_blocks_do_not_change_it(pair8, tent,
@@ -270,13 +283,14 @@ def test_pruned_certificate_equals_the_exhaustive_scan(
     res, plan, base = _certify_with_spy(nested, fsub, monkeypatch)
     space = nested.ambient.space
     n = space.n_points
-    assert (plan.ii.size < n * (n - 1) // 2) == (case == "sampled")
+    assert (plan.starts[-1] < n * (n - 1) // 2) == (case == "sampled")
 
-    def exhaustive(pairs, u, b):
+    def exhaustive(cells, u, b):
         return certificate_constant(space.points, space.metric_kind,
-                                    plan.ii[pairs], plan.jj[pairs], u, b)
+                                    *trace_mod._cell_pairs(plan, cells), u, b)
 
-    every = slice(None)
+    every = _plan_cells(plan)
+    nb = plan.dmin.shape[0]
     K = exhaustive(every, res.samples, base)
     assert K > 0.0
     assert res.certificate.K == K
@@ -288,7 +302,7 @@ def test_pruned_certificate_equals_the_exhaustive_scan(
         u = res.samples.copy()
         u[plan.order[:plan.block]] += step
         K = exhaustive(every, u, b)
-        assert exhaustive(plan.diag, u, b) < K
+        assert exhaustive(np.arange(nb) * (nb + 1), u, b) < K
         assert constant(space, plan, u, b) == K
 
 
@@ -462,11 +476,10 @@ def test_windows_from_level_zero_keep_their_bytes(pair8, tent):
     assert sob.source_norm == besov_fn_norm(tr, f_sub, sob.source_params)
 
 
-def test_sampled_certificate_plan_is_drawn_in_int32():
-    # 4,096 points have more pairs than the cap, so the plan is sampled
-    space = hf.unit_cube_space(1, 12)
-    nested = hf.build_nested_filling(space, hf.cantor_mask(space, 7), 0, 4)
-    space._tree()
+def _traced_plan(nested):
+    """The nested filling's certificate plan, with the tracemalloc peak
+    of building it."""
+    nested.ambient.space._tree()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
@@ -474,12 +487,85 @@ def test_sampled_certificate_plan_is_drawn_in_int32():
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    return plan, peak
+
+
+def _stored_bytes(plan):
+    return sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
+
+
+def test_sampled_certificate_plan_is_drawn_in_int32():
+    # 4,096 points have more pairs than the cap, so the plan is sampled
+    space = hf.unit_cube_space(1, 12)
+    nested = hf.build_nested_filling(space, hf.cantor_mask(space, 7), 0, 4)
+    plan, peak = _traced_plan(nested)
     rng = np.random.default_rng(trace_mod._CERT_PAIR_SEED)
-    ii = rng.integers(0, space.n_points, size=trace_mod._CERT_PAIR_CAP)
-    jj = rng.integers(0, space.n_points, size=trace_mod._CERT_PAIR_CAP)
+    cap = trace_mod._CERT_PAIR_CAP
+    ii = rng.integers(0, space.n_points, size=cap)
+    jj = rng.integers(0, space.n_points, size=cap)
     keep = ii != jj
-    for got, want in ((plan.ii, ii[keep]), (plan.jj, jj[keep])):
-        assert got.dtype == np.int32
-        assert np.array_equal(got, want.astype(np.int32))
-    size = sum(a.nbytes for a in plan if isinstance(a, np.ndarray))
-    assert peak < 2.5 * size
+    assert _holds_exactly(plan, ii[keep], jj[keep], space.n_points)
+    # two one-byte offsets a pair; the build holds no int64 pair array
+    assert plan.first.dtype == plan.second.dtype == np.uint8
+    assert _stored_bytes(plan) <= 2.2 * keep.sum()
+    assert peak <= 17 * cap
+
+
+def test_full_certificate_plan_is_built_without_int64_pairs(interval10,
+                                                            cantor6):
+    # 1,024 points have fewer pairs than the cap: the plan lists each once
+    nested = hf.build_nested_filling(interval10, cantor6, 0, 3)
+    plan, peak = _traced_plan(nested)
+    n = interval10.n_points
+    ii, jj = np.triu_indices(n, k=1)
+    assert _holds_exactly(plan, ii, jj, n)
+    assert _stored_bytes(plan) <= 2.2 * ii.size
+    assert peak <= 17 * ii.size
+
+
+def _blocks_hold_their_pairs(plan, n):
+    nb = plan.dmin.shape[0]
+    starts = plan.starts
+    # the cell starts cover the plan exactly once, in cell order
+    assert starts.size == nb * nb + 1 and starts[0] == 0
+    assert np.all(np.diff(starts) >= 0)
+    assert starts[-1] == plan.first.size == plan.second.size
+    cells = _plan_cells(plan)
+    i, j = trace_mod._cell_pairs(plan, cells)
+    pos = np.empty(n, dtype=np.int64)
+    pos[plan.order] = np.arange(n)
+    cell = np.repeat(cells, np.diff(starts))
+    assert np.array_equal(pos[i] // plan.block, cell // nb)
+    assert np.array_equal(pos[j] // plan.block, cell % nb)
+    assert np.all(i != j)
+
+
+# full: every pair of 1,024 points; sampled: a cap below the pair count;
+# wide: blocks of 300 points need two-byte offsets
+@pytest.mark.parametrize("case", ["full", "sampled", "wide"])
+def test_certificate_plan_cells_hold_their_pairs(interval10, cantor6,
+                                                 monkeypatch, case):
+    if case == "sampled":
+        monkeypatch.setattr(trace_mod, "_CERT_PAIR_CAP", 50_000)
+    if case == "wide":
+        monkeypatch.setattr(trace_mod, "_CERT_CELL", 300)
+    nested = hf.build_nested_filling(interval10, cantor6, 0, 3)
+    plan = trace_mod._cert_pair_plan(nested)
+    assert plan.first.dtype == (np.uint16 if case == "wide" else np.uint8)
+    _blocks_hold_their_pairs(plan, interval10.n_points)
+
+
+def test_certificate_plan_keys_widen_past_int32():
+    # 65,536 points in blocks of 256: the cell-major keys reach 2^32
+    space = hf.unit_cube_space(2, 8)
+    nested = SimpleNamespace(ambient=SimpleNamespace(space=space),
+                             _cert_plan=())
+    plan = trace_mod._cert_pair_plan(nested)
+    assert plan.block == 256 and plan.first.dtype == np.uint8
+    _blocks_hold_their_pairs(plan, space.n_points)
+    rng = np.random.default_rng(trace_mod._CERT_PAIR_SEED)
+    cap = trace_mod._CERT_PAIR_CAP
+    ii = rng.integers(0, space.n_points, size=cap)
+    jj = rng.integers(0, space.n_points, size=cap)
+    keep = ii != jj
+    assert _holds_exactly(plan, ii[keep], jj[keep], space.n_points)
