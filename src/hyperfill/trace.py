@@ -349,9 +349,11 @@ def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
         # A pair's cell-major key (I nb + J) block^2 + a block + b, with
         # a and b its offsets, is a sum of one term of each point, added
         # while the draws are let go; one in-place sort of the keys groups
-        # the pairs by cell.
+        # the pairs by cell.  The keys stay below span^2, so they are four
+        # bytes up to 65,536 points; the end of the last cell, span^2,
+        # may not fit and is the pair count.
         span = nb * block
-        key_t = np.int32 if span * span < 1 << 31 else np.int64
+        key_t = np.uint32 if span * span <= 1 << 32 else np.int64
         pos = np.empty(n, dtype=key_t)
         pos[order] = np.arange(n, dtype=key_t)
         blk, off = np.divmod(pos, block)
@@ -360,8 +362,9 @@ def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
         key += (blk * block * block + off)[jj]
         del jj
         key.sort()
-        starts = np.searchsorted(
-            key, np.arange(nb * nb + 1, dtype=key_t) * (block * block))
+        starts = np.append(np.searchsorted(
+            key, np.arange(nb * nb, dtype=key_t) * (block * block)),
+            key.size)
         off_t = np.uint8 if block <= 256 else np.uint16
         second = (key % block).astype(off_t)
         key //= block

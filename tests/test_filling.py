@@ -262,21 +262,82 @@ def test_edge_ball_mass_with_random_weights():
     _check_edge_ball_mass(hf.build_filling(space, -1, 3))
 
 
-def test_overlaps_hold_float_ones_and_edge_balls_bools():
-    fil = hf.build_filling(hf.unit_cube_space(1, 6), 0, 4)
-    _, overlaps = fil._ball_levels()
-    assert overlaps.data.dtype == np.float64
-    assert overlaps.data.size == overlaps.nnz
-    assert np.all(overlaps.data == 1.0)
-    assert not overlaps.data.flags.writeable
-    assert fil.edge_membership().data.dtype == bool
+def test_q_rows_are_the_shorter_of_overlap_and_difference(any_filling):
+    # each edge keeps O_e = B(t) ∩ B(h) (sign -1, both ends counted) or
+    # D_e = B(e) \ B(big) (sign +1, the larger end counted), the shorter
+    fil = any_filling
+    edge_balls = edge_ball_matrix(fil)
+    balls = fil.ball_member_list
+    _, q_t, at_tail, at_head = fil._ball_levels()
+    assert q_t.data.dtype == np.float64 and not q_t.data.flags.writeable
+    assert np.all(np.abs(q_t.data) == 1.0)
+    assert q_t.has_sorted_indices
+    # a built filling keeps its build's counts; a copy recounts them
+    overlap = fil._overlaps()
+    assert overlap.dtype == np.int32
+    assert np.array_equal(dataclasses.replace(fil)._overlaps(), overlap)
+    kinds = set()
+    for e, (t, h) in enumerate(zip(fil.tails, fil.heads)):
+        b_e = edge_balls.indices[edge_balls.indptr[e]:edge_balls.indptr[e + 1]]
+        o_e = np.intersect1d(balls[t], balls[h])
+        assert overlap[e] == o_e.size == balls[t].size + balls[h].size \
+            - b_e.size
+        big = t if balls[t].size >= balls[h].size else h
+        d_e = np.setdiff1d(b_e, balls[big])
+        lo, hi = q_t.indptr[e], q_t.indptr[e + 1]
+        row = q_t.indices[lo:hi] - (fil.edge_levels[e] - fil.level_lo) \
+            * fil.space.n_points
+        assert row.size == min(o_e.size, d_e.size)
+        if at_tail[e] and at_head[e]:
+            assert np.array_equal(row, o_e) and np.all(q_t.data[lo:hi] < 0)
+            kinds.add("overlap")
+        else:
+            counted = t if at_tail[e] else h
+            assert at_tail[e] != at_head[e]
+            assert balls[counted].size == balls[big].size
+            assert np.array_equal(row, np.setdiff1d(b_e, balls[counted]))
+            assert np.all(q_t.data[lo:hi] > 0)
+            kinds.add("nested" if row.size == 0 else
+                      "tail larger" if at_tail[e] else "head larger")
+    assert kinds == {"overlap", "tail larger", "head larger", "nested"}
+
+
+def test_ball_levels_allocate_under_sixteen_bytes_a_q_entry():
+    # an int32 index and a float sign per entry of Q, plus the balls, the
+    # count products and the per-block buffers of `_row_pairs`; the
+    # overlap matrix it replaced held 2.5 times Q's entries here
+    fil = hf.build_filling(hf.unit_cube_space(2, 6), 0, 3)
+    fil.vertex_membership()
+    tracemalloc.start()
+    try:
+        q_t = fil._ball_levels()[1]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * q_t.nnz
+
+
+def test_warm_superpose_allocates_only_vectors():
+    # a few float vectors of length L * n, E and V; never a copy of Q
+    fil = hf.build_filling(hf.unit_cube_space(2, 5), 0, 3)
+    w = np.random.default_rng(3).random(fil.n_edges)
+    fil._superpose(w)                   # builds and caches the matrices
+    tracemalloc.start()
+    try:
+        fil._superpose(w)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    lengths = len(fil.levels) * fil.space.n_points + fil.n_edges \
+        + fil.n_vertices
+    assert peak <= 3 * 8 * lengths
 
 
 def test_edge_membership_allocates_under_six_bytes_an_entry():
     # an int32 index and a one-byte flag per entry, plus the per-block
     # buffers of `_row_pairs`, which a filling this size amortises
     fil = hf.build_filling(hf.unit_cube_space(2, 6), 0, 3)
-    fil._ball_levels()
+    fil._overlaps()
     tracemalloc.start()
     try:
         memb = fil.edge_membership()

@@ -555,13 +555,12 @@ def test_certificate_plan_cells_hold_their_pairs(interval10, cantor6,
     _blocks_hold_their_pairs(plan, interval10.n_points)
 
 
-def test_certificate_plan_keys_widen_past_int32():
-    # 65,536 points in blocks of 256: the cell-major keys reach 2^32
-    space = hf.unit_cube_space(2, 8)
+def _check_wide_plan(space, block, off_t):
+    """Check a plan over a large space; return its build's peak."""
     nested = SimpleNamespace(ambient=SimpleNamespace(space=space),
                              _cert_plan=())
-    plan = trace_mod._cert_pair_plan(nested)
-    assert plan.block == 256 and plan.first.dtype == np.uint8
+    plan, peak = _traced_plan(nested)
+    assert plan.block == block and plan.first.dtype == off_t
     _blocks_hold_their_pairs(plan, space.n_points)
     rng = np.random.default_rng(trace_mod._CERT_PAIR_SEED)
     cap = trace_mod._CERT_PAIR_CAP
@@ -569,3 +568,17 @@ def test_certificate_plan_keys_widen_past_int32():
     jj = rng.integers(0, space.n_points, size=cap)
     keep = ii != jj
     assert _holds_exactly(plan, ii[keep], jj[keep], space.n_points)
+    return peak
+
+
+def test_certificate_plan_keys_widen_past_int32():
+    # 65,536 points in blocks of 256: the cell-major keys reach 2^32 - 1,
+    # past int32 but inside uint32, so the build still holds four bytes
+    # a key (it held eight, 21 bytes a drawn pair, with int64 keys)
+    peak = _check_wide_plan(hf.unit_cube_space(2, 8), 256, np.uint8)
+    assert peak <= 17 * trace_mod._CERT_PAIR_CAP
+
+
+def test_certificate_plan_keys_widen_past_uint32():
+    # 262,144 points in blocks of 512: the keys need int64
+    _check_wide_plan(hf.unit_cube_space(2, 9), 512, np.uint16)

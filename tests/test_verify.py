@@ -39,7 +39,7 @@ def test_report_csv_schema(variants_report):
     assert all(parts[0] == "norm_variants" for parts in body)
     # floats carry full precision
     row0 = {p[2]: p[3] for p in body if p[1] == "trial_000"}
-    assert row0["indicator"] == "393.18559930418735"
+    assert row0["indicator"] == "393.18559930418741"
     # metrics within a cell come out sorted, so reruns diff cleanly
     metrics = [p[2] for p in body if p[1] == "trial_000"]
     assert metrics == sorted(metrics)
