@@ -178,22 +178,15 @@ class Filling:
     def _overlaps(self) -> np.ndarray:
         """|B(tail) ∩ B(head)| for every edge, as int32.
 
-        A built filling keeps the counts of the products that found its
-        edges (`_assemble`); any other reads them from one count product
-        ``T_k [T_k; T_{k+1}]ᵀ`` of ball rows per edge level k, whose
-        heads lie at level k or k + 1.
+        Each constructor keeps the counts it holds (the build's products,
+        the cut's meet test, the loader's edge-rule check); any other
+        filling reads them from `_edge_overlaps`, or raises `ConfigError`.
         """
         if self._overlap is None:
-            memb = self.vertex_membership()
-            self._overlap = np.zeros(self.n_edges, dtype=np.int32)
-            for k, (a, b) in self._edge_range.items():
-                r0, r1 = self._level_start[k]
-                stop = self._level_start[min(k + 1, self.level_hi)][1]
-                rows = memb[r0:stop]
-                counts = rows[:r1 - r0] @ rows.T
-                counts.sort_indices()
-                self._overlap[a:b] = counts[self.tails[a:b] - r0,
-                                            self.heads[a:b] - r0]
+            self._overlap = _edge_overlaps(self)
+            if self._overlap is None:
+                raise ConfigError("filling edges are not the intersecting "
+                                  "ball pairs with levels within one")
         return self._overlap
 
     def _ball_levels(self):
@@ -513,8 +506,9 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
     both = np.flatnonzero(on_f[ambient.tails] & on_f[ambient.heads])
     tails, heads = to_trace[ambient.tails[both]], to_trace[ambient.heads[both]]
     cut = _membership_matrix(balls, sub_space.n_points).astype(bool)
-    meets = np.concatenate([m for _, _, m in _row_pairs(
-        cut, tails, cut, heads, lambda a, b: np.diff(a.multiply(b).indptr) > 0)])
+    shared = np.concatenate([m for _, _, m in _row_pairs(
+        cut, tails, cut, heads, lambda a, b: np.diff(a.multiply(b).indptr))])
+    meets = shared > 0
     edge_embedding = both[meets]
 
     trace = Filling(space=sub_space, flavor="trace",
@@ -524,6 +518,7 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
                     tails=tails[meets], heads=heads[meets],
                     edge_levels=ambient.edge_levels[edge_embedding],
                     ball_member_list=balls)
+    trace._overlap = shared[meets].astype(np.int32)
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
                          vertex_embedding=vertex_embedding,
@@ -545,25 +540,30 @@ def overlap_audit(filling: Filling) -> dict:
     return out
 
 
-def _edge_rule_ok(filling: Filling) -> bool:
-    """Whether the undirected edge set is exactly the pairs of vertices with
-    levels within one whose balls share a cloud point.
+def _edge_overlaps(filling: Filling):
+    """|B(tail) ∩ B(head)| for every edge, as int32, or None unless the
+    edges are, once each, the pairs of vertices with levels within one
+    whose balls share a cloud point.
 
-    The intersecting pairs are recounted from one global sparse product
-    M M^T of the vertex-membership matrix, independent of the per-level
-    products the build uses.
+    The pairs and counts come from one global sparse product M M^T of
+    the vertex-membership matrix, independent of the per-level products
+    the build uses, matched one to one to the edges by sorted keys.
     """
     memb = filling.vertex_membership()
     shared = sparse.triu(memb @ memb.T, k=1).tocoo()
     levels = filling.vertex_levels
     near = np.abs(levels[shared.row] - levels[shared.col]) <= 1
     n = filling.n_vertices
-    expected = np.unique(shared.row[near].astype(np.int64) * n
-                         + shared.col[near])
-    lo = np.minimum(filling.tails, filling.heads)
-    hi = np.maximum(filling.tails, filling.heads)
-    actual = np.unique(lo * n + hi)
-    return bool(np.array_equal(expected, actual))
+    expected = shared.row[near].astype(np.int64) * n + shared.col[near]
+    order = np.argsort(expected)
+    keys = (np.minimum(filling.tails, filling.heads) * n
+            + np.maximum(filling.tails, filling.heads))
+    at = np.argsort(keys)
+    if not np.array_equal(keys[at], expected[order]):
+        return None
+    counts = np.empty(filling.n_edges, dtype=np.int32)
+    counts[at] = shared.data[near][order]
+    return counts
 
 
 def _balls_ok(memb: sparse.csr_matrix, lo: int, hi: int,
@@ -599,10 +599,8 @@ def audit_filling(filling: Filling) -> dict:
     radius law for the filling's flavor: each vertex has its flavor's
     radius, and its ball lists exactly the cloud points closer than that
     radius to its center.  Over the whole graph it verifies the edge rule
-    (edge iff levels within one and balls sharing a point) and edge
-    orientation.  The edge rule is recounted from one global sparse
-    product of the vertex-membership matrix with its transpose,
-    independent of the per-level products the build takes edges from.
+    (edge iff levels within one and balls sharing a point, listed once)
+    and edge orientation, the rule recounted by `_edge_overlaps`.
     Separation, covering and balls are judged on brute-force distance
     matrices, not through the kd-tree query the build uses; the matrices
     are computed in blocks of vertices under a fixed byte budget, so the
@@ -658,7 +656,7 @@ def audit_filling(filling: Filling) -> dict:
             "radius_law_ok": radius_ok,
         }
 
-    report["edge_rule_ok"] = _edge_rule_ok(filling)
+    report["edge_rule_ok"] = _edge_overlaps(filling) is not None
     report["n_edges"] = filling.n_edges
     report["orientation_ok"] = _orientation_ok(filling)
     report["overlap"] = overlap_audit(filling)
@@ -769,9 +767,7 @@ def filling_from_dict(doc: dict) -> Filling:
                       tails=tails, heads=heads,
                       edge_levels=np.minimum(levels[tails], levels[heads]),
                       ball_member_list=space.ball_rows(centers, radii))
-    if not _edge_rule_ok(filling):
-        raise ConfigError("filling edges are not the intersecting ball pairs "
-                          "with levels within one")
+    filling._overlaps()          # the edge rule, whose counts it keeps
     if not _orientation_ok(filling):
         raise ConfigError("filling edges are not oriented toward the deeper "
                           "or larger-id endpoint")

@@ -11,7 +11,9 @@ d(i,j)^s`` over all point pairs.  Each exponent has one exact route:
   working set of pairs that grows by each point's most violated pair
   until none is violated; the working-set matrix holds ``(n + 1) |S|``
   float64 entries for ``n`` points and ``|S|`` pairs in the set, and a
-  set whose matrix would pass 256 MiB raises ``NumericalError``;
+  set whose matrix would pass 256 MiB raises ``NumericalError``.  NNLS
+  can stop off its own optimality conditions: an answer that misses the
+  gap target warm-starts the dual route below, and the better one counts;
 * every other ``p > 1`` has a smooth Lagrange dual over multipliers
   ``y >= 0``, maximised by L-BFGS-B and then polished by Newton steps on
   the KKT system of the active pairs;
@@ -77,7 +79,8 @@ class HajlaszGradient:
     exceeds the true infimum by at most roughly ``gap / p``.
     ``iterations`` counts the inner solver's iterations: HiGHS at
     ``p = 1``, working-set rounds (one NNLS solve each) at ``p = 2``, and
-    L-BFGS-B plus Newton polish steps at every other ``p > 1``.
+    L-BFGS-B plus Newton polish steps at every other ``p > 1`` (and at
+    ``p = 2`` too, after the rounds, when that fallback runs).
     """
 
     norm: float
@@ -401,8 +404,8 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     ------
     NumericalError
         If the inner solver fails, or its answer does not certify the
-        relative gap target 1e-7: at ``p = 2`` once no pair is violated,
-        at every other finite ``p`` within 100,000 inner iterations.  Also
+        relative gap target 1e-7: at ``p = 2`` after NNLS and its dual
+        fallback, at every other finite ``p`` within 100,000 iterations.  Also
         if the ``p = 2`` working-set matrix would pass 256 MiB.
     """
     if params.kind != "hajlasz":
@@ -452,14 +455,15 @@ def hajlasz_norm(space: FiniteMetricMeasureSpace, f,
     if p == 1.0:
         g, y, iters = _solve_lp(ii, jj, unit, w)
         g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
-    elif p == 2.0:
-        g, y, iters = _solve_ldp(ii, jj, unit, w)
-        g, obj, dual, gap = _certify([(g, y)], top, ii, jj, m, w, p)
     else:
+        y, iters, candidates, gap = np.zeros(m.size), 0, [], np.inf
+        if p == 2.0:
+            g, y, iters = _solve_ldp(ii, jj, unit, w)
+            candidates.append((g, y))
+            g, obj, dual, gap = _certify(candidates, top, ii, jj, m, w, p)
         # Each round: dual ascent, then a Newton polish whose multipliers
-        # warm-start the next round.
-        y, iters, candidates = np.zeros(m.size), 0, []
-        for _ in range(_ROUNDS):
+        # warm-start the next round; at p = 2 only if NNLS's answer misses.
+        for _ in range(_ROUNDS if gap > _GAP_TOL else 0):
             y, nit = _solve_dual(y, ii, jj, unit, w, p, _MAX_ITER - iters)
             iters += nit
             candidates.append((_primal_of_dual(y, ii, jj, w, p), y))

@@ -77,10 +77,18 @@ def tent_batch(space, count, seed):
     return random_tent_functions(space, count, rng)
 
 
-@pytest.fixture(params=["tiny_filling", "plain6", "pair8.ambient",
+@pytest.fixture(scope="session")
+def loaded6(plain6):
+    from hyperfill.filling import filling_from_dict, filling_to_dict
+    return filling_from_dict(filling_to_dict(plain6))
+
+
+@pytest.fixture(params=["tiny_filling", "plain6", "loaded6", "pair8.ambient",
                         "pair8.trace"])
 def any_filling(request):
-    """Each plain fixture filling and both sides of the nested pair."""
+    """Each plain fixture filling, plain6 as loaded from its document (with
+    the counts of the loader's edge-rule check), and both sides of the
+    nested pair."""
     name, _, side = request.param.partition(".")
     value = request.getfixturevalue(name)
     return getattr(value, side) if side else value

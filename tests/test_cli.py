@@ -710,6 +710,13 @@ def test_loaded_filling_with_dropped_edge_exits_2(tmp_path, capsys):
     assert "edge" in capsys.readouterr().err
 
 
+def test_loaded_filling_with_repeated_edge_exits_2(tmp_path, capsys):
+    path = _edit_filling_file(
+        tmp_path, lambda doc: doc["edges"].insert(7, dict(doc["edges"][7])))
+    assert hf.cli.main(["filling", "audit", "--filling", path]) == 2
+    assert "intersecting" in capsys.readouterr().err
+
+
 def test_loaded_filling_with_reversed_edge_exits_2(tmp_path, capsys):
     def reverse_same_level(doc):
         levels = [v["level"] for v in doc["vertices"]]

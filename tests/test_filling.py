@@ -149,6 +149,15 @@ def test_nested_embeddings_exact(pair8):
     assert rep["ok"], rep
 
 
+def test_cut_trace_keeps_the_counts_of_its_meet_test(pair8):
+    trace = pair8.trace
+    balls = trace.ball_member_list
+    assert trace._overlap.dtype == np.int32
+    assert trace._overlap.tolist() == [
+        np.intersect1d(balls[t], balls[h]).size
+        for t, h in zip(trace.tails, trace.heads)]
+
+
 def test_trace_filling_frozen_shape(pair8):
     # frozen from the build probe on (interval N=10, depth-6 mask, levels 0..8)
     assert pair8.ambient.n_vertices == 745
@@ -381,6 +390,21 @@ def test_audit_recount_flags_dropped_edge(any_filling):
     assert report["ok"] is False
 
 
+def test_audit_recount_flags_repeated_edge(any_filling):
+    # the same edge set, one edge listed twice: a copy can neither pass
+    # the audit nor read counts off its edges
+    fil = any_filling
+    e = fil.n_edges // 2
+    twice = _with_edges(fil, np.insert(fil.tails, e, fil.tails[e]),
+                        np.insert(fil.heads, e, fil.heads[e]))
+    report = hf.audit_filling(twice)
+    assert report["edge_rule_ok"] is False
+    assert report["orientation_ok"] is True
+    assert report["ok"] is False
+    with pytest.raises(hf.ConfigError, match="intersecting"):
+        twice._overlaps()
+
+
 def test_audit_recount_flags_pair_two_levels_apart(any_filling):
     fil = any_filling
     # a root vertex and a level-2 vertex inside its ball share points
@@ -410,6 +434,19 @@ def test_loaded_filling_rejects_dropped_edge(tiny_filling):
     del doc["edges"][3]
     with pytest.raises(hf.ConfigError, match="intersecting"):
         filling_from_dict(doc)
+
+
+def test_loaded_filling_rejects_repeated_edge(tiny_filling):
+    doc = filling_to_dict(tiny_filling)
+    doc["edges"].insert(3, dict(doc["edges"][3]))
+    with pytest.raises(hf.ConfigError, match="intersecting"):
+        filling_from_dict(doc)
+
+
+def test_loaded_filling_keeps_the_counts_of_its_edge_rule_check(plain6):
+    loaded = filling_from_dict(filling_to_dict(plain6))
+    assert loaded._overlap is not None
+    assert np.array_equal(loaded._overlap, plain6._overlaps())
 
 
 def test_loaded_filling_rejects_extra_disjoint_pair(tiny_filling):

@@ -10,6 +10,7 @@ import hyperfill as hf
 from hyperfill import hajlasz
 from hyperfill.hajlasz import hajlasz_norm
 from hyperfill.norms import SmoothnessParams
+from hyperfill.verify import random_tent_functions
 
 from oracles import (ldp_hajlasz_norm, lp_hajlasz_norm, pair_distances,
                      qp_hajlasz_norm, slsqp_hajlasz_norm)
@@ -158,6 +159,35 @@ def test_p2_never_runs_the_dual_ascent(monkeypatch):
     got = hajlasz_norm(space, f, SmoothnessParams(0.5, 2.0, kind="hajlasz"))
     assert got.converged and got.gap <= 1e-12
     assert 1 <= got.iterations <= space.n_points
+
+
+def test_p2_falls_back_to_the_dual_route_when_nnls_misses(monkeypatch):
+    # NNLS stops off its own optimality conditions here and certifies only
+    # gap 0.00965; the dual route, warm-started from its multipliers,
+    # closes the gap
+    space = hf.unit_cube_space(1, 7)
+    f = random_tent_functions(space, 3, np.random.default_rng(27))[2]
+    seen = {}
+    ldp, dual = hajlasz._solve_ldp, hajlasz._solve_dual
+
+    def spy_ldp(*args):
+        seen["ldp"] = ldp(*args)
+        return seen["ldp"]
+
+    def spy_dual(y0, *args):
+        seen.setdefault("y0", y0.copy())
+        return dual(y0, *args)
+
+    monkeypatch.setattr(hajlasz, "_solve_ldp", spy_ldp)
+    monkeypatch.setattr(hajlasz, "_solve_dual", spy_dual)
+    got = hajlasz_norm(space, f, P2)
+    assert got.converged and got.gap <= 1e-7
+    _, y_nnls, rounds = seen["ldp"]
+    assert np.array_equal(seen["y0"], y_nnls)
+    assert got.iterations > rounds
+    i, j = np.triu_indices(space.n_points, 1)
+    m = np.abs(f[i] - f[j]) / pair_distances(space.points)[i, j]
+    assert np.all(got.g[i] + got.g[j] >= m) and got.g.min() >= 0.0
 
 
 def test_p2_working_set_over_budget_raises(monkeypatch):

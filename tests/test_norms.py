@@ -23,6 +23,18 @@ def _edge_noise(filling, seed=3):
     return np.random.default_rng(seed).standard_normal(filling.n_edges)
 
 
+def test_triebel_at_s1_qinf_builds_no_q():
+    # F^1_{p,inf}, the filling's counterpart of M^{1,p}, takes each
+    # level's maximum over the vertex balls: no Q and no edge-ball matrix
+    fil = hf.build_filling(hf.unit_cube_space(1, 7), 0, 5)
+    f = np.abs(fil.space.points[:, 0] - 0.37)
+    for p in (1.0, 2.0, 4.0):
+        value = triebel_fn_norm(fil, f, SmoothnessParams(1.0, p, np.inf,
+                                                          "triebel"))
+        assert np.isfinite(value) and value > 0.0
+    assert fil._level_balls is None and fil._edge_membership is None
+
+
 def test_lp_norm_closed_forms(interval8):
     f = np.sin(5.0 * interval8.points[:, 0])
     w = interval8.weights
