@@ -16,24 +16,25 @@ def greedy_separated_subset(candidates, sep, ball):
 
     Candidates are scanned in the order given (ascending index by
     convention); a candidate is kept when it lies at distance >= sep from
-    every point kept so far.  Returns the kept indices in scan order.
-
-    ``ball(i, r)`` returns the indices of the points at distance < r from
-    point i (such as `FiniteMetricMeasureSpace.ball_indices`).  The scan is
-    driven by kept points: each kept point blocks its ``sep``-ball, and the
-    scan skips blocked candidates.
+    every point kept so far.  ``ball(i)`` returns the vertex ball of a
+    kept point i, of radius at least ``sep``, as ``(indices, distances)``
+    (such as `FiniteMetricMeasureSpace.ball_row`); the scan blocks its
+    points closer than ``sep`` and skips blocked candidates.  Returns
+    ``(kept, rows)``: the kept indices in scan order and the indices of
+    their balls, so each ball is queried once.
     """
     candidates = np.asarray(candidates, dtype=np.int64)
     # flags up to the largest candidate; ball members past it are never
     # scanned
     blocked = np.zeros(candidates.max(initial=-1) + 1, dtype=bool)
-    chosen = []
+    chosen, rows = [], []
     for idx in candidates.tolist():
         if not blocked[idx]:
+            row, dist = ball(idx)
             chosen.append(idx)
-            hits = ball(idx, sep)
-            blocked[hits[hits < blocked.size]] = True
-    return np.asarray(chosen, dtype=np.int64)
+            rows.append(row)
+            blocked[row[(dist < sep) & (row < blocked.size)]] = True
+    return np.asarray(chosen, dtype=np.int64), rows
 
 
 def pdhg_sweep(y, gap_ii, gap_jj, m, gbar, sigma, rowsum):

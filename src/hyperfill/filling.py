@@ -20,6 +20,7 @@ cut to F (`_restrict_filling`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 from scipy import sparse
@@ -40,7 +41,10 @@ class Filling:
     level's edges form one contiguous range, `edge_range(k)`, so a
     per-level quantity can read a slice of any per-edge array.  A
     filling whose `edge_levels` descend anywhere is rejected with
-    `ConfigError`.
+    `ConfigError`.  The balls are stored once, in the CSR matrix `balls`
+    (T, data 1.0): row v lists B(v) in ascending order, its center
+    included.  `vertex_membership()` returns T and `ball_members(v)` is a
+    read-only view of row v.
     """
 
     space: FiniteMetricMeasureSpace
@@ -53,7 +57,7 @@ class Filling:
     tails: np.ndarray            # (E,)
     heads: np.ndarray            # (E,)
     edge_levels: np.ndarray      # (E,) min of the endpoint levels
-    ball_member_list: list       # per vertex, sorted cloud indices in the ball
+    balls: sparse.csr_matrix     # (V, n_points) T, row v lists B(v)
 
     def __post_init__(self):
         if np.any(np.diff(self.edge_levels) < 0):
@@ -64,10 +68,11 @@ class Filling:
         for n, (lo, hi) in self._edge_range.items():
             at = np.arange(lo, hi)
             self._cross_at[n] = at[self.vertex_levels[self.heads[at]] != n]
+        indptr = self.balls.indptr.tolist()
         self.ball_weight_sums = np.array(
-            [self.space.weights[m].sum() for m in self.ball_member_list])
+            [self.space.weights[self.balls.indices[a:b]].sum()
+             for a, b in zip(indptr[:-1], indptr[1:])])
         self._partition_cache = {}
-        self._vertex_membership = None
         self._overlap = None
         self._level_balls = None
         self._half_balls = None
@@ -103,9 +108,18 @@ class Filling:
         return self._cross_at[n]
 
     def ball_members(self, vertex_id: int) -> np.ndarray:
+        """B(vertex_id) in ascending order, a read-only view of `balls`."""
         if not (0 <= vertex_id < self.n_vertices):
             raise ConfigError(f"vertex id {vertex_id} out of range")
-        return self.ball_member_list[vertex_id]
+        a, b = self.balls.indptr[vertex_id:vertex_id + 2]
+        row = self.balls.indices[a:b]
+        row.flags.writeable = False
+        return row
+
+    @property
+    def ball_member_list(self) -> list:
+        """`ball_members` of every vertex; the library does not read it."""
+        return [self.ball_members(v) for v in range(self.n_vertices)]
 
     def _require_level(self, n: int):
         if not (self.level_lo <= n <= self.level_hi):
@@ -117,10 +131,7 @@ class Filling:
 
     def vertex_membership(self) -> sparse.csr_matrix:
         """Sparse (n_vertices, n_points) indicator of the vertex balls."""
-        if self._vertex_membership is None:
-            self._vertex_membership = _membership_matrix(
-                self.ball_member_list, self.space.n_points)
-        return self._vertex_membership
+        return self.balls
 
     def edge_membership(self) -> sparse.csr_matrix:
         """Sparse (n_edges, n_points) indicator of the edge balls B(e).
@@ -137,7 +148,7 @@ class Filling:
         `_superpose`.
         """
         if self._edge_membership is None:
-            sizes = np.diff(self.vertex_membership().indptr)
+            sizes = np.diff(self.balls.indptr)
             shared = self._overlaps()
             indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
             np.cumsum(sizes[self.tails] + sizes[self.heads] - shared,
@@ -145,7 +156,7 @@ class Filling:
             indices = np.empty(indptr[-1], dtype=_index_dtype(
                 self.space.n_points))
             mass = np.zeros(self.n_edges)
-            balls = self.vertex_membership().astype(bool)
+            balls = self.balls.astype(bool)
             for lo, hi, union in _row_pairs(balls, self.tails, balls,
                                             self.heads, np.add):
                 union.sort_indices()
@@ -217,16 +228,15 @@ class Filling:
         """
         if self._level_balls is None:
             n, lo = self.space.n_points, self.level_lo
-            memb = self.vertex_membership()
             overlap = self._overlaps()
-            sizes = np.diff(memb.indptr)
+            sizes = np.diff(self.balls.indptr)
             head_big = sizes[self.heads] > sizes[self.tails]
             small = np.where(head_big, self.tails, self.heads)
             big = np.where(head_big, self.heads, self.tails)
             rest = sizes[small] - overlap
             keep_o = overlap <= rest
             lengths = np.where(keep_o, overlap, rest)
-            flags = memb.astype(bool)
+            flags = self.balls.astype(bool)
             # D blocks are cut by the larger ball's rows, which hold most
             # of a block's gathered entries
             found = []
@@ -239,7 +249,7 @@ class Filling:
                     _row_pairs(flags, a[at], flags, b[at], combine))]))
             indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
             np.cumsum(lengths, out=indptr[1:])
-            balls = self._by_level(memb)
+            balls = self._by_level(self.balls)
             indices = np.empty(indptr[-1], dtype=balls.indices.dtype)
             slots = np.repeat(keep_o, lengths)
             indices[slots] = found[0]
@@ -266,9 +276,8 @@ class Filling:
         level's half-ball superposition.
         """
         if self._half_balls is None:
-            rows = self.space.ball_rows(self.centers, 0.5 * self.radii)
             self._half_balls = self._by_level(
-                _membership_matrix(rows, self.space.n_points)).T
+                self.space.ball_rows(self.centers, 0.5 * self.radii)).T
         return self._half_balls
 
     def _superpose(self, w: np.ndarray) -> np.ndarray:
@@ -374,47 +383,36 @@ def _index_dtype(n_columns: int):
     return np.int32 if n_columns <= np.iinfo(np.int32).max else np.int64
 
 
-def _membership_matrix(rows, n_points):
-    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
-    indptr[1:] = np.cumsum([len(r) for r in rows])
-    indices = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    data = np.ones(indices.shape[0])
-    return sparse.csr_matrix((data, indices, indptr), shape=(len(rows), n_points))
-
-
 def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
-              level_vertex_radii):
-    """Shared tail of the builders: ids, ball members, edges, orientation."""
+              level_vertex_radii, level_rows):
+    """Shared tail of the builders: ids, balls, edges, orientation.  The
+    scans' rows, ``level_rows[n]``, are stacked as `Filling.balls`."""
     window = range(level_lo, level_hi + 1)
-    counts = [len(level_vertex_centers[n]) for n in window]
-    level_offset = dict(zip(window, np.cumsum([0, *counts]).tolist()))
     centers = np.concatenate([level_vertex_centers[n] for n in window]
                              ).astype(np.int64)
     radii = np.concatenate([level_vertex_radii[n] for n in window]
                            ).astype(np.float64)
-    levels = np.repeat(np.arange(level_lo, level_hi + 1, dtype=np.int64),
-                       counts)
-
-    # one batched query per level bounds the tree's candidate lists
-    members = [row for n in window
-               for row in space.ball_rows(level_vertex_centers[n],
-                                          level_vertex_radii[n])]
-    mats = {n: _membership_matrix(
-        members[level_offset[n]:level_offset[n] + k], space.n_points)
-        for n, k in zip(window, counts)}
+    levels = np.concatenate([np.full(len(level_vertex_centers[n]), n)
+                             for n in window]).astype(np.int64)
+    rows = [row for n in window for row in level_rows[n]]
+    indptr = np.cumsum([0, *map(len, rows)])
+    balls = sparse.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows),
+                               indptr), shape=(len(rows), space.n_points))
+    block = _level_ranges(levels, window)
 
     def overlapping_pairs(a, b, upper):
         """Ids of the intersecting ball pairs of levels a and b, sorted by
         (tail, head), and their shared point counts; with ``upper`` only
         pairs with tail < head."""
-        overlap = (mats[a] @ mats[b].T).tocoo()
+        (a0, a1), (b0, b1) = block[a], block[b]
+        overlap = (balls[a0:a1] @ balls[b0:b1].T).tocoo()
         rows, cols, shared = overlap.row, overlap.col, overlap.data
         if upper:
             keep = rows < cols
             rows, cols, shared = rows[keep], cols[keep], shared[keep]
         order = np.lexsort((cols, rows))
-        return (level_offset[a] + rows[order].astype(np.int64),
-                level_offset[b] + cols[order].astype(np.int64),
+        return (a0 + rows[order].astype(np.int64),
+                b0 + cols[order].astype(np.int64),
                 shared[order].astype(np.int32))
 
     pairs = []
@@ -427,7 +425,7 @@ def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
                       level_hi=level_hi, centers=centers, radii=radii,
                       vertex_levels=levels, tails=tails, heads=heads,
                       edge_levels=np.minimum(levels[tails], levels[heads]),
-                      ball_member_list=members)
+                      balls=balls)
     filling._overlap = shared
     return filling
 
@@ -436,17 +434,17 @@ def build_filling(space: FiniteMetricMeasureSpace, level_lo: int,
                   level_hi: int) -> Filling:
     """Plain filling: level n vertices are a greedy maximal 2^-(n+1)-separated
     subset of the cloud (scanned by ascending point index), with balls of
-    radius 2^-n."""
+    radius 2^-n, each the row the scan asked for."""
     _validate_window(space, level_lo, level_hi)
     all_idx = np.arange(space.n_points, dtype=np.int64)
-    level_centers, level_radii = {}, {}
+    level_centers, level_radii, level_rows = {}, {}, {}
     for n in range(level_lo, level_hi + 1):
-        sel = greedy_separated_subset(all_idx, 2.0 ** (-n - 1),
-                                      space.ball_indices)
-        level_centers[n] = sel
-        level_radii[n] = np.full(sel.shape[0], 2.0 ** (-n))
+        radius = 2.0 ** (-n)
+        level_centers[n], level_rows[n] = greedy_separated_subset(
+            all_idx, radius / 2, partial(space.ball_row, radius=radius))
+        level_radii[n] = np.full(level_centers[n].shape[0], radius)
     return _assemble(space, "plain", level_lo, level_hi, level_centers,
-                     level_radii)
+                     level_radii, level_rows)
 
 
 def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
@@ -469,16 +467,20 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
     dist_f = dist_to_subset(space, mask)
     members = mask.member_indices
 
-    level_centers, level_radii = {}, {}
+    level_centers, level_radii, level_rows = {}, {}, {}
     for n in range(level_lo, level_hi + 1):
         scale = 2.0 ** (-n)
-        on_f = greedy_separated_subset(members, scale, space.ball_indices)
+        on_f, on_rows = greedy_separated_subset(
+            members, scale, partial(space.ball_row, radius=4 * scale))
         far = np.flatnonzero(dist_f >= scale)
-        off_f = greedy_separated_subset(far, scale / 2, space.ball_indices)
+        off_f, off_rows = greedy_separated_subset(
+            far, scale / 2, partial(space.ball_row, radius=scale))
         level_centers[n] = np.concatenate([on_f, off_f])
         level_radii[n] = np.repeat([4 * scale, scale], [on_f.size, off_f.size])
+        level_rows[n] = on_rows + off_rows
     return _restrict_filling(_assemble(space, "nested-ambient", level_lo,
-                                       level_hi, level_centers, level_radii),
+                                       level_hi, level_centers, level_radii,
+                                       level_rows),
                              mask)
 
 
@@ -499,13 +501,13 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
     if np.any(centers < 0):
         raise ConfigError("ambient vertices of radius 4 * 2^-n must be "
                           "centered on the subset")
-    balls = [cut[cut >= 0] for cut in
-             (to_sub[ambient.ball_member_list[v]] for v in vertex_embedding)]
+    # F's columns, taken in ascending order, keep each cut row sorted
+    balls = ambient.balls[vertex_embedding][:, mask.member_indices]
 
     to_trace = np.where(on_f, np.cumsum(on_f) - 1, -1)
     both = np.flatnonzero(on_f[ambient.tails] & on_f[ambient.heads])
     tails, heads = to_trace[ambient.tails[both]], to_trace[ambient.heads[both]]
-    cut = _membership_matrix(balls, sub_space.n_points).astype(bool)
+    cut = balls.astype(bool)
     shared = np.concatenate([m for _, _, m in _row_pairs(
         cut, tails, cut, heads, lambda a, b: np.diff(a.multiply(b).indptr))])
     meets = shared > 0
@@ -517,7 +519,7 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
                     vertex_levels=ambient.vertex_levels[vertex_embedding],
                     tails=tails[meets], heads=heads[meets],
                     edge_levels=ambient.edge_levels[edge_embedding],
-                    ball_member_list=balls)
+                    balls=balls)
     trace._overlap = shared[meets].astype(np.int32)
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
@@ -688,8 +690,8 @@ def audit_nested(nested: NestedFilling) -> dict:
                                        and np.all(amb.heads[ee] == ve[tr.heads]))
     report["trace_ball_is_restriction"] = all(
         np.array_equal(
-            nested.point_embedding[tr.ball_member_list[v]],
-            np.intersect1d(amb.ball_member_list[ve[v]],
+            nested.point_embedding[tr.ball_members(v)],
+            np.intersect1d(amb.ball_members(ve[v]),
                            nested.mask.member_indices))
         for v in range(tr.n_vertices))
     report["ok"] = all(bool(v) for v in report.values())
@@ -728,9 +730,9 @@ def _ids(values, what: str) -> np.ndarray:
 def filling_from_dict(doc: dict) -> Filling:
     """Filling from its document, validated as a built one: the window as
     in `build_filling`, a vertex at every level, integer ids and a known
-    flavor.  The balls are recomputed from the space, and edges out of
-    level order or breaking the edge rule or the orientation are
-    rejected."""
+    flavor, with positive finite radii (every ball holds its center).
+    The balls are recomputed from the space, and edges out of level
+    order or breaking the edge rule or the orientation are rejected."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
@@ -753,6 +755,8 @@ def filling_from_dict(doc: dict) -> Filling:
     _validate_window(space, level_lo, level_hi)
     if centers.size and (centers.min() < 0 or centers.max() >= space.n_points):
         raise ConfigError("vertex centers out of range")
+    if not np.all((radii > 0) & np.isfinite(radii)):
+        raise ConfigError("vertex radii must be positive and finite")
     if levels.size and (levels.min() < level_lo or levels.max() > level_hi
                         or np.any(np.diff(levels) < 0)):
         raise ConfigError("vertex levels must ascend inside the window")
@@ -766,7 +770,7 @@ def filling_from_dict(doc: dict) -> Filling:
                       centers=centers, radii=radii, vertex_levels=levels,
                       tails=tails, heads=heads,
                       edge_levels=np.minimum(levels[tails], levels[heads]),
-                      ball_member_list=space.ball_rows(centers, radii))
+                      balls=space.ball_rows(centers, radii))
     filling._overlaps()          # the edge rule, whose counts it keeps
     if not _orientation_ok(filling):
         raise ConfigError("filling edges are not oriented toward the deeper "

@@ -7,7 +7,7 @@ regularity exponent its constructor declares.  Integrals against the measure
 are exact weighted sums over the cloud; metric balls are open (strict
 inequality) throughout.
 
-Balls are found with one lazily built kd-tree per space (`ball_rows`).
+Balls come from one lazily built kd-tree per space (`ball_row`, `ball_rows`).
 The tree only proposes candidates, asked at a radius enlarged by a
 relative 1e-12; the space's own distance arithmetic and the strict test
 decide membership, so every ball equals a full scan bit for bit, exact
@@ -26,6 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
@@ -124,14 +125,14 @@ class FiniteMetricMeasureSpace:
             coords, radii * (1.0 + _REL_EPS), p=_MINKOWSKI_P[self.metric_kind],
             return_sorted=True)
 
-    def ball_rows(self, center_indices, radii) -> list:
+    def ball_rows(self, center_indices, radii) -> sparse.csr_matrix:
         """Members of the open balls B(x_c, r) around cloud points.
 
-        Returns one ascending index array per center and radius.  The
-        kd-tree proposes the points within ``r (1 + 1e-12)``; their
-        distances are recomputed with the arithmetic of `dist_from` and
-        tested with strict ``<``, so each row is exactly
-        ``np.flatnonzero(dist_from(x_c) < r)``.
+        Returns a CSR matrix with data 1.0 whose row for each center and
+        radius lists its ball in ascending order.  The kd-tree proposes the
+        points within ``r (1 + 1e-12)``; their distances are recomputed
+        with the arithmetic of `dist_from` and tested with strict ``<``, so
+        each row is exactly ``np.flatnonzero(dist_from(x_c) < r)``.
         """
         centers = np.asarray(center_indices, dtype=np.int64).reshape(-1)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64),
@@ -145,23 +146,20 @@ class FiniteMetricMeasureSpace:
         owner = np.repeat(np.arange(centers.size), counts)
         inside = _rowwise_dist(self.points[cand], coords[owner],
                                self.metric_kind) < radii[owner]
-        indptr = np.zeros(centers.size + 1, dtype=np.int64)
-        np.cumsum(np.bincount(owner[inside], minlength=centers.size),
-                  out=indptr[1:])
-        members = cand[inside]
-        return [members[a:b] for a, b in zip(indptr[:-1], indptr[1:])]
+        indptr = np.searchsorted(owner[inside], np.arange(centers.size + 1))
+        return sparse.csr_matrix((np.ones(indptr[-1]), cand[inside], indptr),
+                                 shape=(centers.size, self.n_points))
 
-    def ball_indices(self, center_index: int, radius: float) -> np.ndarray:
-        """Indices of cloud points in the open ball around a cloud point.
-
-        The one-center form of `ball_rows`: the same tree candidates and
-        exact test, without the batch bookkeeping.
-        """
+    def ball_row(self, center_index: int, radius: float):
+        """``(indices, distances)`` of the open ball around a cloud point:
+        the one-center form of `ball_rows`, with the same tree candidates
+        and exact test, that also returns the distances it computed."""
         center = self.points[center_index]
         near = np.asarray(self._tree_candidates(center, radius),
                           dtype=np.int64)
-        return near[_rowwise_dist(self.points[near], center,
-                                  self.metric_kind) < radius]
+        dist = _rowwise_dist(self.points[near], center, self.metric_kind)
+        inside = dist < radius
+        return near[inside], dist[inside]
 
     def measured_diam(self) -> float:
         """Exact diameter of the cloud (chunked; O(n^2) distances)."""

@@ -1,9 +1,11 @@
 import os
+from functools import partial
 
 import numpy as np
 import pytest
 
 import hyperfill as hf
+from hyperfill._kernels import greedy_separated_subset
 
 # CLI tests start `python -m hyperfill` in subprocesses; let them import
 # the package these tests import, from a checkout as from an install.
@@ -81,6 +83,22 @@ def tent_batch(space, count, seed):
 def loaded6(plain6):
     from hyperfill.filling import filling_from_dict, filling_to_dict
     return filling_from_dict(filling_to_dict(plain6))
+
+
+@pytest.fixture(scope="session")
+def scan_net():
+    """The greedy net scan over ``space.ball_row`` at ``radius``; each
+    returned row is checked against the full-scan open ball of its kept
+    point.  Returns the kept points."""
+    def scan(space, candidates, sep, radius):
+        kept, rows = greedy_separated_subset(
+            candidates, sep, partial(space.ball_row, radius=radius))
+        assert kept.dtype == np.int64 and len(rows) == kept.size
+        for c, row in zip(kept, rows):
+            want = np.flatnonzero(space.dist_from(space.points[c]) < radius)
+            assert np.array_equal(row, want)
+        return kept
+    return scan
 
 
 @pytest.fixture(params=["tiny_filling", "plain6", "loaded6", "pair8.ambient",

@@ -222,8 +222,8 @@ def set_matrix(sets, n_points):
 def edge_ball_matrix(filling):
     """The (n_edges, n_points) indicator of the edge balls, one row per edge
     from the union of its endpoints' ball lists."""
-    balls = filling.ball_member_list
-    return set_matrix([np.union1d(balls[t], balls[h])
+    balls = filling.ball_members
+    return set_matrix([np.union1d(balls(t), balls(h))
                        for t, h in zip(filling.tails, filling.heads)],
                       filling.space.n_points)
 

@@ -729,6 +729,20 @@ def test_loaded_filling_with_reversed_edge_exits_2(tmp_path, capsys):
     assert "oriented" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan")])
+def test_loaded_filling_with_an_empty_ball_exits_2(tmp_path, capsys, radius):
+    def empty_last_ball(doc):
+        last = len(doc["vertices"]) - 1
+        doc["vertices"][last]["radius"] = radius
+        doc["edges"] = [e for e in doc["edges"] if last not in e.values()]
+    path = _edit_filling_file(tmp_path, empty_last_ball)
+    for argv in (["filling", "audit", "--filling", path],
+                 ["calculus", "check-telescoping", "--filling", path,
+                  "--trials", "1"]):
+        assert hf.cli.main(argv) == 2, argv
+        assert "radii" in capsys.readouterr().err
+
+
 def test_loaded_filling_with_unsorted_edge_levels_exits_2(tmp_path, capsys):
     path = _edit_filling_file(
         tmp_path, lambda doc: doc["edges"].insert(0, doc["edges"].pop()))

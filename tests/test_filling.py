@@ -96,7 +96,7 @@ def test_overlap_audit_matches_the_vertex_loop(any_filling):
     for n in fil.levels:
         counts = np.zeros(fil.space.n_points, dtype=np.int64)
         for v in fil.vertices_at_level(n):
-            counts[fil.ball_member_list[v]] += 1
+            counts[fil.ball_members(v)] += 1
         want[n] = int(counts.max()) if counts.size else 0
     assert hf.overlap_audit(fil) == want
 
@@ -109,8 +109,9 @@ def test_nested_audit_meets_f_matches_the_ball_loop(pair8, complement):
         flags = ~mask.member_flags
         mask = hf.SubsetMask(flags, mask.declared_lambda, flags / flags.sum())
     nested = dataclasses.replace(pair8, mask=mask)
-    meets = np.array([mask.member_flags[m].any()
-                      for m in nested.ambient.ball_member_list])
+    amb = nested.ambient
+    meets = np.array([mask.member_flags[amb.ball_members(v)].any()
+                      for v in range(amb.n_vertices)])
     embedded = np.isin(np.arange(nested.ambient.n_vertices),
                        nested.vertex_embedding)
     got = hf.audit_nested(nested)["meets_f_iff_embedded"]
@@ -151,10 +152,10 @@ def test_nested_embeddings_exact(pair8):
 
 def test_cut_trace_keeps_the_counts_of_its_meet_test(pair8):
     trace = pair8.trace
-    balls = trace.ball_member_list
+    balls = trace.ball_members
     assert trace._overlap.dtype == np.int32
     assert trace._overlap.tolist() == [
-        np.intersect1d(balls[t], balls[h]).size
+        np.intersect1d(balls(t), balls(h)).size
         for t, h in zip(trace.tails, trace.heads)]
 
 
@@ -188,10 +189,57 @@ def test_vertex_membership_matches_ball_lists(plain6):
         assert np.array_equal(np.sort(row), plain6.ball_members(vid))
 
 
+def _count_tree_centers(monkeypatch):
+    """A list whose one entry counts the centers handed to the kd-tree."""
+    orig = hf.FiniteMetricMeasureSpace._tree_candidates
+    count = [0]
+
+    def counted(self, coords, radii):
+        count[0] += np.atleast_2d(coords).shape[0]
+        return orig(self, coords, radii)
+
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "_tree_candidates",
+                        counted)
+    return count
+
+
+def test_builds_query_each_ball_once(monkeypatch, interval10, cantor6):
+    # the net scan's rows are the balls: one tree query per vertex
+    count = _count_tree_centers(monkeypatch)
+    plain = hf.build_filling(hf.unit_cube_space(2, 5), 0, 3)
+    assert count[0] == plain.n_vertices
+    count[0] = 0
+    nested = hf.build_nested_filling(interval10, cantor6, 0, 8)
+    assert count[0] == nested.ambient.n_vertices
+
+
+def test_ball_members_are_read_only_views_of_the_ball_matrix(any_filling):
+    fil = any_filling
+    memb = fil.vertex_membership()
+    assert memb is fil.balls
+    assert memb.indices.dtype == np.int32 and memb.data.dtype == np.float64
+    for v in (0, fil.n_vertices // 2, fil.n_vertices - 1):
+        row = fil.ball_members(v)
+        assert row.size > 0 and np.shares_memory(row, memb.indices)
+        with pytest.raises(ValueError):
+            row[0] = 0
+    assert memb.indices.flags.writeable
+
+
+def test_filling_has_no_per_vertex_list_field(plain6):
+    names = {f.name for f in dataclasses.fields(hf.Filling)}
+    assert "balls" in names and "ball_member_list" not in names
+    assert not any(isinstance(getattr(plain6, name), list)
+                   for name in names)
+    with pytest.raises(TypeError):
+        dataclasses.replace(plain6,
+                            ball_member_list=plain6.ball_member_list)
+
+
 def test_edge_ball_is_union(plain6):
     e = plain6.n_edges // 2
-    want = np.union1d(plain6.ball_member_list[plain6.tails[e]],
-                      plain6.ball_member_list[plain6.heads[e]])
+    want = np.union1d(plain6.ball_members(plain6.tails[e]),
+                      plain6.ball_members(plain6.heads[e]))
     assert np.array_equal(plain6.edge_membership()[e].indices, want)
     mass = plain6.edge_ball_mass()
     assert mass[e] == pytest.approx(plain6.space.weights[want].sum())
@@ -210,8 +258,9 @@ def test_filling_roundtrip(tiny_filling):
     assert np.array_equal(back.centers, tiny_filling.centers)
     assert np.array_equal(back.tails, tiny_filling.tails)
     assert np.array_equal(back.heads, tiny_filling.heads)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(back.ball_member_list, tiny_filling.ball_member_list))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(back.balls, name),
+                              getattr(tiny_filling.balls, name)), name
 
 
 def test_filling_from_dict_rejects_partial():
@@ -276,7 +325,7 @@ def test_q_rows_are_the_shorter_of_overlap_and_difference(any_filling):
     # D_e = B(e) \ B(big) (sign +1, the larger end counted), the shorter
     fil = any_filling
     edge_balls = edge_ball_matrix(fil)
-    balls = fil.ball_member_list
+    balls = [fil.ball_members(v) for v in range(fil.n_vertices)]
     _, q_t, at_tail, at_head = fil._ball_levels()
     assert q_t.data.dtype == np.float64 and not q_t.data.flags.writeable
     assert np.all(np.abs(q_t.data) == 1.0)
@@ -411,8 +460,8 @@ def test_audit_recount_flags_pair_two_levels_apart(any_filling):
     lv = fil.vertex_levels
     a = int(np.flatnonzero(lv == fil.level_lo)[0])
     b = next(int(v) for v in np.flatnonzero(lv == fil.level_lo + 2)
-             if np.intersect1d(fil.ball_member_list[a],
-                               fil.ball_member_list[v]).size)
+             if np.intersect1d(fil.ball_members(a),
+                               fil.ball_members(v)).size)
     report = hf.audit_filling(_with_edges(
         fil, np.append(fil.tails, a), np.append(fil.heads, b)))
     assert report["edge_rule_ok"] is False
@@ -423,10 +472,23 @@ def _disjoint_same_level_pair(fil):
     lv = fil.vertex_levels
     for a in np.flatnonzero(lv == fil.level_hi):
         for b in np.flatnonzero(lv == fil.level_hi):
-            if a < b and not np.intersect1d(fil.ball_member_list[a],
-                                            fil.ball_member_list[b]).size:
+            if a < b and not np.intersect1d(fil.ball_members(a),
+                                            fil.ball_members(b)).size:
                 return int(a), int(b)
     raise AssertionError("no disjoint pair at the finest level")
+
+
+@pytest.mark.parametrize("radius", [-0.5, 0.0, float("nan")])
+def test_loaded_filling_rejects_a_radius_that_is_not_positive(tiny_filling,
+                                                             radius):
+    # with the vertex's edges gone, an empty ball would satisfy the edge
+    # rule; the loader refuses the radius instead
+    doc = filling_to_dict(tiny_filling)
+    last = len(doc["vertices"]) - 1
+    doc["vertices"][last]["radius"] = radius
+    doc["edges"] = [e for e in doc["edges"] if last not in e.values()]
+    with pytest.raises(hf.ConfigError, match="radii"):
+        filling_from_dict(doc)
 
 
 def test_loaded_filling_rejects_dropped_edge(tiny_filling):
@@ -525,7 +587,7 @@ def _scan_rows_agree(fil):
     space = fil.space
     for v in range(fil.n_vertices):
         d = space.dist_from(space.points[fil.centers[v]])
-        assert np.array_equal(fil.ball_member_list[v],
+        assert np.array_equal(fil.ball_members(v),
                               np.flatnonzero(d < fil.radii[v]))
 
 
@@ -541,29 +603,45 @@ def test_euclidean_ball_rows_match_full_scan():
 
 
 def test_audit_flags_ball_rows_missing_a_member(monkeypatch):
-    # the audit judges balls on its own distance matrix, so a ball query
-    # that loses one member cannot pass it
-    orig = hf.FiniteMetricMeasureSpace.ball_rows
+    # the audit judges balls on its own distance matrix, so a scan row
+    # that loses one member cannot pass it; the lost member lies outside
+    # the half-radius ball, so the net itself is unchanged
+    orig = hf.FiniteMetricMeasureSpace.ball_row
+    lost = []
 
-    def lossy(self, centers, radii):
-        rows = orig(self, centers, radii)
-        at = next(i for i, row in enumerate(rows) if row.size >= 2)
-        rows[at] = rows[at][:-1]
-        return rows
+    def lossy(self, center, radius):
+        row, dist = orig(self, center, radius)
+        far = int(np.argmax(dist))
+        if lost or dist[far] < radius / 2:
+            return row, dist
+        lost.append(int(row[far]))
+        keep = np.arange(row.size) != far
+        return row[keep], dist[keep]
 
-    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_rows", lossy)
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_row", lossy)
     report = hf.audit_filling(hf.build_filling(hf.unit_cube_space(1, 6),
                                                0, 4))
+    assert lost
     assert report["radius_law_ok"] is False and report["ok"] is False
+    assert all(lv["separation_ok"] and lv["covering_ok"]
+               for lv in report["levels"].values())
 
 
 def test_audit_flags_net_blocking_missing_a_member(monkeypatch):
-    orig = hf.FiniteMetricMeasureSpace.ball_indices
-    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_indices",
-                        lambda self, c, r: orig(self, c, r)[:-1])
+    # each row reports its last point closer than half the radius at the
+    # radius: the row keeps it, but the scan does not block it
+    orig = hf.FiniteMetricMeasureSpace.ball_row
+
+    def unblocking(self, center, radius):
+        row, dist = orig(self, center, radius)
+        dist = dist.copy()
+        dist[np.flatnonzero(dist < radius / 2)[-1]] = radius
+        return row, dist
+
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "ball_row", unblocking)
     report = hf.audit_filling(hf.build_filling(hf.unit_cube_space(1, 6),
                                                0, 4))
-    assert report["ok"] is False
+    assert report["ok"] is False and report["radius_law_ok"] is True
     assert not all(lv["separation_ok"] for lv in report["levels"].values())
 
 
@@ -584,9 +662,7 @@ def _without_sole_cover(fil):
         fil, centers=fil.centers[keep], radii=fil.radii[keep],
         vertex_levels=fil.vertex_levels[keep],
         tails=new_id[fil.tails[ekeep]], heads=new_id[fil.heads[ekeep]],
-        edge_levels=fil.edge_levels[ekeep],
-        ball_member_list=[b for i, b in enumerate(fil.ball_member_list)
-                          if i != v])
+        edge_levels=fil.edge_levels[ekeep], balls=fil.balls[keep])
 
 
 @pytest.mark.parametrize("name", ["plain6", "pair8.ambient", "pair8.trace"])
@@ -599,11 +675,12 @@ def test_audit_in_one_vertex_blocks(request, name, monkeypatch):
     assert hf.audit_filling(fil) == whole
 
     # a ball that lost a member
-    balls = list(fil.ball_member_list)
-    v = next(i for i, row in enumerate(balls) if row.size >= 2)
-    balls[v] = balls[v][1:]
+    balls = fil.balls.copy()
+    v = int(np.flatnonzero(np.diff(balls.indptr) >= 2)[0])
+    balls.data[balls.indptr[v]] = 0.0
+    balls.eliminate_zeros()
     assert hf.audit_filling(dataclasses.replace(
-        fil, ball_member_list=balls))["radius_law_ok"] is False
+        fil, balls=balls))["radius_law_ok"] is False
 
     # two centers of the finest level one cloud point apart
     a, b = fil.vertices_at_level(fil.level_hi)[:2]
@@ -666,7 +743,10 @@ def _independent_trace(nested):
         centers[n] = [to_sub[int(amb.centers[v])] for v in vids]
         radii[n] = [float(amb.radii[v]) for v in vids]
         ids.extend(vids)
-    trace = _assemble(sub, "trace", amb.level_lo, amb.level_hi, centers, radii)
+    rows = {n: [sub.ball_row(c, r)[0] for c, r in zip(centers[n], radii[n])]
+            for n in amb.levels}
+    trace = _assemble(sub, "trace", amb.level_lo, amb.level_hi, centers,
+                      radii, rows)
     key = {(int(t), int(h)): e
            for e, (t, h) in enumerate(zip(amb.tails, amb.heads))}
     edges = [key[ids[t], ids[h]] for t, h in zip(trace.tails, trace.heads)]
@@ -683,9 +763,9 @@ def test_trace_filling_equals_an_independent_assembly(shape):
     for name in ("centers", "radii", "vertex_levels", "tails", "heads",
                  "edge_levels"):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    assert len(got.ball_member_list) == len(want.ball_member_list)
-    assert all(np.array_equal(a, b) for a, b in
-               zip(got.ball_member_list, want.ball_member_list))
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(got.balls, name),
+                              getattr(want.balls, name)), name
     assert canonical_dumps(filling_to_dict(got)) == \
         canonical_dumps(filling_to_dict(want))
     assert np.array_equal(nested.point_embedding, points)

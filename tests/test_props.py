@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps, sanitize
-from hyperfill._kernels import greedy_separated_subset, pair_max_lift
+from hyperfill._kernels import pair_max_lift
 from hyperfill.calculus import (discrete_derivative, level_blend,
                                 telescoping_integral)
 from hyperfill.norms import SmoothnessParams, besov_seq_norm, lp_norm
@@ -31,12 +31,17 @@ def _cloud_space(pts, sup):
         declared_Q=1.0, declared_diam=1.0)
 
 
-@given(point_clouds, st.floats(0.01, 1.5), st.booleans())
+# the scan's rows are balls of the separation or a multiple of it, as in
+# the builds
+row_factors = st.sampled_from([1.0, 2.0, 4.0])
+
+
+@given(point_clouds, st.floats(0.01, 1.5), st.booleans(), row_factors)
 @settings(max_examples=60)
-def test_greedy_subset_is_separated_and_maximal(pts, sep, sup):
+def test_greedy_subset_is_separated_and_maximal(scan_net, pts, sep, sup,
+                                                factor):
     cands = np.arange(pts.shape[0], dtype=np.int64)
-    kept = greedy_separated_subset(cands, sep,
-                                   _cloud_space(pts, sup).ball_indices)
+    kept = scan_net(_cloud_space(pts, sup), cands, sep, factor * sep)
 
     def d(a, b):
         diff = np.abs(a - b)
@@ -51,23 +56,23 @@ def test_greedy_subset_is_separated_and_maximal(pts, sep, sup):
         assert min(d(p, c) for c in centers) < sep
 
 
-@given(point_clouds, st.floats(0.01, 1.5))
+@given(point_clouds, st.floats(0.01, 1.5), row_factors)
 @settings(max_examples=60)
-def test_greedy_subset_matches_reference(pts, sep):
+def test_greedy_subset_matches_reference(scan_net, pts, sep, factor):
     cands = np.arange(pts.shape[0], dtype=np.int64)
-    got = greedy_separated_subset(cands, sep,
-                                  _cloud_space(pts, True).ball_indices)
+    got = scan_net(_cloud_space(pts, True), cands, sep, factor * sep)
     assert np.array_equal(got, greedy_net(pts, sep, "sup"))
 
 
-@given(point_clouds, st.floats(0.01, 1.5), st.booleans(), st.randoms())
+@given(point_clouds, st.floats(0.01, 1.5), st.booleans(), st.randoms(),
+       row_factors)
 @settings(max_examples=60)
-def test_tree_net_matches_pairwise_scan(pts, sep, sup, rnd):
+def test_tree_net_matches_pairwise_scan(scan_net, pts, sep, sup, rnd, factor):
     space = _cloud_space(pts, sup)
     cands = np.arange(pts.shape[0], dtype=np.int64)
     rnd.shuffle(cands)
     cands = cands[:rnd.randint(1, cands.size)]
-    got = greedy_separated_subset(cands, sep, space.ball_indices)
+    got = scan_net(space, cands, sep, factor * sep)
     assert np.array_equal(got, greedy_net(pts, sep, space.metric_kind,
                                           candidates=cands))
 
@@ -84,10 +89,13 @@ def test_ball_rows_match_full_scan_at_ties(pts, sup, data):
                                 max_size=len(centers)))
     radii = [space.dist_from(pts[c])[o] for c, o in zip(centers, others)]
     rows = space.ball_rows(centers, radii)
-    for c, r, row in zip(centers, radii, rows):
-        want = np.flatnonzero(space.dist_from(pts[c]) < r)
-        assert np.array_equal(row, want)
-        assert np.array_equal(space.ball_indices(c, r), want)
+    for v, (c, r) in enumerate(zip(centers, radii)):
+        d = space.dist_from(pts[c])
+        want = np.flatnonzero(d < r)
+        assert np.array_equal(
+            rows.indices[rows.indptr[v]:rows.indptr[v + 1]], want)
+        row, dist = space.ball_row(c, r)
+        assert np.array_equal(row, want) and np.array_equal(dist, d[want])
 
 
 @given(st.data())

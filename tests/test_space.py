@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
-from hyperfill._kernels import greedy_separated_subset
 from hyperfill.space import (_dyadic_radii, dist_to_subset, mask_from_descriptor,
                             space_to_descriptor)
 
@@ -217,12 +216,13 @@ def test_no_dyadic_radius_above_the_floor_is_config_error():
         _dyadic_radii(space, top=0.0)
 
 
-def test_greedy_matches_reference_scan(interval8):
+def test_greedy_matches_reference_scan(interval8, scan_net):
+    # the scan's rows are balls of the separation, twice or four times it
     idx = np.arange(interval8.n_points, dtype=np.int64)
     for sep in (0.5, 0.21, 0.13):
-        got = greedy_separated_subset(idx, sep, interval8.ball_indices)
         want = greedy_net(interval8.points, sep, "sup")
-        assert np.array_equal(got, want)
+        for radius in (sep, 2 * sep, 4 * sep):
+            assert np.array_equal(scan_net(interval8, idx, sep, radius), want)
 
 
 def test_space_descriptor_roundtrip(interval8):
@@ -275,16 +275,21 @@ def test_ball_rows_match_full_scan(metric, dim, depth):
     centers = rng.integers(0, space.n_points, 30)
     radii = _tie_radii(space, centers, rng)
     rows = space.ball_rows(centers, radii)
-    assert len(rows) == centers.size
-    for row, c, r in zip(rows, centers, radii):
+    assert rows.shape == (centers.size, space.n_points)
+    assert rows.indices.dtype == np.int32 and np.all(rows.data == 1.0)
+    for v, (c, r) in enumerate(zip(centers, radii)):
         d = space.dist_from(space.points[c])
         want = np.flatnonzero(d < r)
+        assert np.array_equal(
+            rows.indices[rows.indptr[v]:rows.indptr[v + 1]], want)
+        row, dist = space.ball_row(c, r)
         assert row.dtype == np.int64 and np.array_equal(row, want)
-        assert np.array_equal(space.ball_indices(c, r), want)
+        assert np.array_equal(dist, d[want])
 
 
 def test_ball_rows_of_no_centers(interval8):
-    assert interval8.ball_rows([], []) == []
+    rows = interval8.ball_rows([], [])
+    assert rows.shape == (0, interval8.n_points) and rows.nnz == 0
 
 
 def test_nonfinite_points_are_rejected():
@@ -305,27 +310,30 @@ def test_nonfinite_declared_scales_are_rejected(field):
         hf.FiniteMetricMeasureSpace(**kwargs)
 
 
-def _nets_agree(space, candidates, seps):
+def _nets_agree(scan_net, space, candidates, seps):
+    # the plain build's rows are twice the separation, the nested on-F
+    # scan's four times
     for sep in seps:
         want = greedy_net(space.points, sep, space.metric_kind,
                           candidates=candidates)
-        got = greedy_separated_subset(candidates, sep, space.ball_indices)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want), sep
+        for radius in (2 * sep, 4 * sep):
+            got = scan_net(space, candidates, sep, radius)
+            assert np.array_equal(got, want), (sep, radius)
 
 
 @pytest.mark.parametrize("metric", ["sup", "euclidean"])
 @pytest.mark.parametrize("dim, depth", [(1, 8), (2, 5), (3, 3)])
-def test_tree_net_matches_pairwise_scan(metric, dim, depth):
+def test_tree_net_matches_pairwise_scan(metric, dim, depth, scan_net):
     # dyadic separations put many candidates at exactly sep, which the
     # scan must not block
     space = hf.unit_cube_space(dim, depth, metric=metric)
     seps = [2.0 ** -k for k in range(depth + 1)] + [0.3, 0.13]
-    _nets_agree(space, np.arange(space.n_points), seps)
+    _nets_agree(scan_net, space, np.arange(space.n_points), seps)
 
 
 def test_tree_net_matches_pairwise_scan_on_subset_candidates(interval10,
-                                                             cantor6):
+                                                             cantor6,
+                                                             scan_net):
     # the nested builder's two candidate lists: points on F, and points
     # at distance >= 2^-n from F; a shuffled list checks the scan order
     dist_f = dist_to_subset(interval10, cantor6)
@@ -333,12 +341,12 @@ def test_tree_net_matches_pairwise_scan_on_subset_candidates(interval10,
     for n in range(8):
         scale = 2.0 ** -n
         far = np.flatnonzero(dist_f >= scale)
-        _nets_agree(interval10, cantor6.member_indices, [scale])
-        _nets_agree(interval10, far, [scale / 2])
-        _nets_agree(interval10, rng.permutation(far), [scale / 2])
+        _nets_agree(scan_net, interval10, cantor6.member_indices, [scale])
+        _nets_agree(scan_net, interval10, far, [scale / 2])
+        _nets_agree(scan_net, interval10, rng.permutation(far), [scale / 2])
 
 
-def test_tree_net_matches_pairwise_scan_on_euclidean_subset():
+def test_tree_net_matches_pairwise_scan_on_euclidean_subset(scan_net):
     space = hf.unit_cube_space(2, 5, metric="euclidean")
     mask = mask_from_descriptor(space, {
         "indices": np.flatnonzero(space.points[:, 0] < 0.3).tolist(),
@@ -346,8 +354,9 @@ def test_tree_net_matches_pairwise_scan_on_euclidean_subset():
     dist_f = dist_to_subset(space, mask)
     for n in range(-1, 4):
         scale = 2.0 ** -n
-        _nets_agree(space, mask.member_indices, [scale])
-        _nets_agree(space, np.flatnonzero(dist_f >= scale), [scale / 2])
+        _nets_agree(scan_net, space, mask.member_indices, [scale])
+        _nets_agree(scan_net, space, np.flatnonzero(dist_f >= scale),
+                    [scale / 2])
 
 
 def test_subspace_of_coincident_points_is_refused():
