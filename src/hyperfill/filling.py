@@ -30,7 +30,7 @@ from .errors import ConfigError
 from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
                     space_from_descriptor, space_to_descriptor, subspace,
                     mask_from_descriptor, mask_to_descriptor,
-                    RADIUS_FLOOR_FACTOR, _REL_EPS)
+                    RADIUS_FLOOR_FACTOR, _REL_EPS, _rowwise_dist)
 
 
 @dataclass
@@ -74,6 +74,7 @@ class Filling:
              for a, b in zip(indptr[:-1], indptr[1:])])
         self._partition_cache = {}
         self._overlap = None
+        self._recount = ()           # (`_edge_overlaps` result,) once run
         self._level_balls = None
         self._half_balls = None
         self._edge_membership = None
@@ -190,8 +191,8 @@ class Filling:
         """|B(tail) ∩ B(head)| for every edge, as int32.
 
         Each constructor keeps the counts it holds (the build's products,
-        the cut's meet test, the loader's edge-rule check); any other
-        filling reads them from `_edge_overlaps`, or raises `ConfigError`.
+        the cut's meet test); any other filling, a loaded one included,
+        reads them from `_edge_overlaps`, or raises `ConfigError`.
         """
         if self._overlap is None:
             self._overlap = _edge_overlaps(self)
@@ -383,6 +384,32 @@ def _index_dtype(n_columns: int):
     return np.int32 if n_columns <= np.iinfo(np.int32).max else np.int64
 
 
+def _near_level_pairs(balls, block):
+    """The intersecting ball pairs whose levels differ by at most one, in
+    edge order, and their shared point counts (int32).
+
+    ``balls`` is T and ``block[n]`` the half-open row range of level n.
+    One product per level n multiplies its rows with the rows of levels
+    n and n+1; it yields the same-level pairs with tail < head, sorted
+    by (tail, head), then the pairs from level n to n+1, sorted alike.
+    No product pairs levels further apart.
+    """
+    parts = []
+    for n, (a0, a1) in block.items():
+        b1 = block[n + 1][1] if n + 1 in block else a1
+        overlap = balls[a0:a1] @ balls[a0:b1].T
+        overlap.sort_indices()
+        overlap = overlap.tocoo()
+        rows, cols = overlap.row, overlap.col
+        cross = cols >= a1 - a0
+        keep = np.concatenate((np.flatnonzero(~cross & (rows < cols)),
+                               np.flatnonzero(cross)))
+        parts.append((a0 + rows[keep].astype(np.int64),
+                      a0 + cols[keep].astype(np.int64),
+                      overlap.data[keep].astype(np.int32)))
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
 def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
               level_vertex_radii, level_rows):
     """Shared tail of the builders: ids, balls, edges, orientation.  The
@@ -398,29 +425,8 @@ def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
     indptr = np.cumsum([0, *map(len, rows)])
     balls = sparse.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows),
                                indptr), shape=(len(rows), space.n_points))
-    block = _level_ranges(levels, window)
-
-    def overlapping_pairs(a, b, upper):
-        """Ids of the intersecting ball pairs of levels a and b, sorted by
-        (tail, head), and their shared point counts; with ``upper`` only
-        pairs with tail < head."""
-        (a0, a1), (b0, b1) = block[a], block[b]
-        overlap = (balls[a0:a1] @ balls[b0:b1].T).tocoo()
-        rows, cols, shared = overlap.row, overlap.col, overlap.data
-        if upper:
-            keep = rows < cols
-            rows, cols, shared = rows[keep], cols[keep], shared[keep]
-        order = np.lexsort((cols, rows))
-        return (a0 + rows[order].astype(np.int64),
-                b0 + cols[order].astype(np.int64),
-                shared[order].astype(np.int32))
-
-    pairs = []
-    for n in window:
-        pairs.append(overlapping_pairs(n, n, True))
-        if n < level_hi:
-            pairs.append(overlapping_pairs(n, n + 1, False))
-    tails, heads, shared = (np.concatenate(part) for part in zip(*pairs))
+    tails, heads, shared = _near_level_pairs(
+        balls, _level_ranges(levels, window))
     filling = Filling(space=space, flavor=flavor, level_lo=level_lo,
                       level_hi=level_hi, centers=centers, radii=radii,
                       vertex_levels=levels, tails=tails, heads=heads,
@@ -547,39 +553,33 @@ def _edge_overlaps(filling: Filling):
     edges are, once each, the pairs of vertices with levels within one
     whose balls share a cloud point.
 
-    The pairs and counts come from one global sparse product M M^T of
-    the vertex-membership matrix, independent of the per-level products
-    the build uses, matched one to one to the edges by sorted keys.
+    The pairs and counts are recounted by `_near_level_pairs` from the
+    rows of T, level k against levels k and k+1, and matched one to one
+    to the edges by sorted keys; an edge two levels apart matches no
+    pair.  These are the products the build finds its edges with, so
+    the recount checks the edge list against T.  The check stays
+    independent of the build because T itself is not trusted:
+    `audit_filling` verifies every row of T against the distances with
+    its cell list.  Recounted once per filling and kept, so a loaded
+    filling's edge-rule check and its audit share one recount; a built
+    filling keeps its build's counts in ``_overlap`` instead, so its
+    audit recounts.
     """
-    memb = filling.vertex_membership()
-    shared = sparse.triu(memb @ memb.T, k=1).tocoo()
-    levels = filling.vertex_levels
-    near = np.abs(levels[shared.row] - levels[shared.col]) <= 1
-    n = filling.n_vertices
-    expected = shared.row[near].astype(np.int64) * n + shared.col[near]
-    order = np.argsort(expected)
-    keys = (np.minimum(filling.tails, filling.heads) * n
-            + np.maximum(filling.tails, filling.heads))
-    at = np.argsort(keys)
-    if not np.array_equal(keys[at], expected[order]):
-        return None
-    counts = np.empty(filling.n_edges, dtype=np.int32)
-    counts[at] = shared.data[near][order]
-    return counts
-
-
-def _balls_ok(memb: sparse.csr_matrix, lo: int, hi: int,
-              inside: np.ndarray) -> bool:
-    """Whether rows lo..hi-1 of the vertex-membership matrix list, in
-    ascending order, exactly the points marked in the columns of the
-    (n_points, hi - lo) boolean matrix ``inside``."""
-    indptr = memb.indptr[lo:hi + 1]
-    cols = memb.indices[indptr[0]:indptr[-1]].astype(np.int64)
-    owner = np.repeat(np.arange(hi - lo), np.diff(indptr))
-    # ascending within each row; a new row may start lower
-    ascending = (np.diff(cols) > 0) | (owner[1:] != owner[:-1])
-    return bool(np.array_equal(np.diff(indptr), inside.sum(axis=0))
-                and np.all(inside[cols, owner]) and np.all(ascending))
+    if not filling._recount:
+        tails, heads, shared = _near_level_pairs(filling.balls,
+                                                  filling._level_start)
+        n = filling.n_vertices
+        expected = tails * n + heads
+        order = np.argsort(expected)
+        keys = (np.minimum(filling.tails, filling.heads) * n
+                + np.maximum(filling.tails, filling.heads))
+        at = np.argsort(keys)
+        counts = None
+        if np.array_equal(keys[at], expected[order]):
+            counts = np.empty(filling.n_edges, dtype=np.int32)
+            counts[at] = shared[order]
+        filling._recount = (counts,)
+    return filling._recount[0]
 
 
 def _orientation_ok(filling: Filling) -> bool:
@@ -590,8 +590,123 @@ def _orientation_ok(filling: Filling) -> bool:
                                 lh == lt + 1)))
 
 
-# Byte budget of one vertex block of the audit's distance matrices.
-_AUDIT_BLOCK_BYTES = 16 << 20
+# Byte budget of one block of the audit's candidate pairs.  Blocks this
+# small stay in cache: with 16 MiB blocks the cell checks of a 4,096-point
+# square took about twice as long.
+_AUDIT_BLOCK_BYTES = 1 << 20
+
+
+def _cell_keys(points, side):
+    """Each point's cell in a grid of cubes of the given side over its
+    first min(d, 3) coordinates, as one int64 key, and the key steps
+    from a cell to the 3^min(d, 3) cells around it, itself included.
+
+    ``floor_divide`` floors the exact quotient, so two points less than
+    ``side`` apart along an axis get cell indices at most one apart.
+    Along each axis the occupied cells are packed: neighbours stay
+    neighbours and a wider gap shrinks to one empty cell, so the keys
+    fit in int64 however far the points spread.
+    """
+    keys = np.zeros(points.shape[0], dtype=np.int64)
+    steps = np.zeros(1, dtype=np.int64)
+    stride = 1
+    for column in points[:, :3].T:
+        cells, at = np.unique(np.floor_divide(column, side),
+                              return_inverse=True)
+        packed = np.cumsum(np.concatenate(
+            ([1], np.minimum(np.diff(cells), 2)))).astype(np.int64)
+        keys += packed[at] * stride
+        steps = (steps[:, None] + np.array([-stride, 0, stride])).ravel()
+        stride *= int(packed[-1]) + 2
+    return keys, steps
+
+
+def _cell_pairs(keys, queries, steps, pair_bytes):
+    """Blocks ``(a, b, owner, member)`` of the pairs (query, item) whose
+    keys differ by one of ``steps``: the items in the cells around the
+    cell of each query a..b-1, ``owner`` naming the query of each pair.
+
+    Each query's pair count is read from the cell ranges of the sorted
+    keys before any pair is gathered, and a block holds at most
+    ``_AUDIT_BLOCK_BYTES`` at ``pair_bytes`` a pair (one query at
+    least), so the audit's memory stays bounded at any depth.
+    """
+    order = np.argsort(keys, kind="stable")
+    ranked = keys[order]
+    near = queries[:, None] + steps
+    lo = np.searchsorted(ranked, near, side="left")
+    hi = np.searchsorted(ranked, near, side="right")
+    counts = (hi - lo).sum(axis=1)
+    ends = np.cumsum(counts)
+    limit = max(1, _AUDIT_BLOCK_BYTES // pair_bytes)
+    a = 0
+    while a < queries.size:
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + limit,
+                                           side="right")))
+        lengths = (hi[a:b] - lo[a:b]).ravel()
+        first = np.repeat(lo[a:b].ravel() - np.cumsum(lengths) + lengths,
+                          lengths)
+        yield (a, b, np.repeat(np.arange(a, b), counts[a:b]),
+               order[first + np.arange(first.size)])
+        a = b
+
+
+def _level_audit(filling: Filling, lo: int, hi: int, seps: np.ndarray):
+    """``(separation_ok, covering_ok, balls_ok)`` for the vertices lo..hi-1
+    of one level, whose required separations are ``seps``.
+
+    The cells' side is ``(1 + 1e-12)`` times the level's largest radius
+    or separation.  A coordinate difference is at most the distance in
+    both metrics, and `_rowwise_dist` errs by a few rounding errors, far
+    inside that margin; so every ball member and every pair of centers
+    closer than their separation lies in neighbouring cells.  A center's
+    candidates are the points of the cells around its own, measured with
+    `_rowwise_dist` and tested with strict ``<``:
+
+    * balls: the (vertex, point) keys of the candidates inside each ball,
+      sorted, equal the keys of T's rows, which therefore ascend strictly
+      and list exactly the open balls;
+    * covering: every point lies inside the half ball of a candidate
+      center;
+    * separation: no two centers, from a second cell list of the level's
+      centers, are closer than the smaller of their separations, less
+      1e-15.
+    """
+    space, balls = filling.space, filling.balls
+    points, metric, n = space.points, space.metric_kind, space.n_points
+    centers, radii = filling.centers[lo:hi], filling.radii[lo:hi]
+    if not centers.size:
+        return True, False, True
+    keys, steps = _cell_keys(points,
+                             (1 + _REL_EPS) * max(radii.max(), seps.max()))
+    # a pair's index, owner, run position and distance, and four rows of
+    # d coordinates: the two points, their difference and its square
+    pair_bytes = 8 * (4 + 4 * space.dim)
+    coords, center_keys = points[centers], keys[centers]
+    covered = np.zeros(n, dtype=bool)
+    balls_ok = True
+    for a, b, owner, member in _cell_pairs(keys, center_keys, steps,
+                                           pair_bytes):
+        dist = _rowwise_dist(np.take(points, member, axis=0),
+                             np.take(coords, owner, axis=0), metric)
+        r = radii[owner]
+        covered[member[dist < r / 2]] = True
+        inside = dist < r
+        rows = balls.indptr[lo + a:lo + b + 1]
+        listed = (np.repeat(np.arange(a, b), np.diff(rows)) * n
+                  + balls.indices[rows[0]:rows[-1]])
+        balls_ok = balls_ok and np.array_equal(
+            np.sort(owner[inside] * n + member[inside]), listed)
+    separation_ok = True
+    for _, _, owner, other in _cell_pairs(center_keys, center_keys, steps,
+                                          pair_bytes):
+        apart = owner != other
+        owner, other = owner[apart], other[apart]
+        dist = _rowwise_dist(np.take(coords, other, axis=0),
+                             np.take(coords, owner, axis=0), metric)
+        separation_ok = separation_ok and bool(np.all(
+            dist >= np.minimum(seps[owner], seps[other]) - 1e-15))
+    return separation_ok, bool(covered.all()), balls_ok
 
 
 def audit_filling(filling: Filling) -> dict:
@@ -603,56 +718,35 @@ def audit_filling(filling: Filling) -> dict:
     radius to its center.  Over the whole graph it verifies the edge rule
     (edge iff levels within one and balls sharing a point, listed once)
     and edge orientation, the rule recounted by `_edge_overlaps`.
-    Separation, covering and balls are judged on brute-force distance
-    matrices, not through the kd-tree query the build uses; the matrices
-    are computed in blocks of vertices under a fixed byte budget, so the
-    audit's memory does not grow with the product of points and
-    vertices.
+    Separation, covering and balls are judged on per-level cell lists
+    (`_level_audit`), not through the kd-tree query the build uses: a
+    center is measured only against the points of the cells around it,
+    so the work follows nnz(T), and the candidate pairs are taken in
+    blocks under a fixed byte budget.
     """
-    space = filling.space
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
               "orientation_ok": True, "radius_law_ok": True}
-    memb = filling.vertex_membership()
 
     for n in filling.levels:
         lo, hi = filling._level_start[n]
-        centers = filling.centers[lo:hi]
         radii = filling.radii[lo:hi]
         scale = 2.0 ** (-n)
         if filling.flavor == "plain":
-            seps = np.full(centers.shape[0], scale / 2)
+            seps = np.full(radii.shape[0], scale / 2)
             radius_ok = bool(np.all(radii == scale))
         elif filling.flavor == "trace":
-            seps = np.full(centers.shape[0], scale)
+            seps = np.full(radii.shape[0], scale)
             radius_ok = bool(np.all(radii == 4 * scale))
         else:
             on_f = radii == 4 * scale
             seps = np.where(on_f, scale, scale / 2)
             radius_ok = bool(np.all(on_f | (radii == scale)))
-
-        coords = space.points[centers]
-        separation_ok = True
-        covered = np.zeros(space.n_points, dtype=bool)
-        # Column blocks of the brute-force distance matrices: a block's
-        # two float64 matrices hold at most _AUDIT_BLOCK_BYTES.
-        step = max(1, _AUDIT_BLOCK_BYTES
-                   // (8 * (space.n_points + centers.shape[0])))
-        for a in range(0, centers.shape[0], step):
-            b = min(a + step, centers.shape[0])
-            dmat = space.cross_dist(coords, coords[a:b])
-            dmat[np.arange(a, b), np.arange(b - a)] = np.inf
-            # Mixed separations: a pair must respect the smaller requirement.
-            pair_sep = np.minimum(seps[:, None], seps[None, a:b])
-            separation_ok &= bool(np.all(dmat >= pair_sep - 1e-15))
-
-            dist_all = space.cross_dist(space.points, coords[a:b])
-            covered |= (dist_all < radii[None, a:b] / 2).any(axis=1)
-            radius_ok = radius_ok and _balls_ok(
-                memb, lo + a, lo + b, dist_all < radii[None, a:b])
-        covering_ok = bool(covered.all())
+        separation_ok, covering_ok, balls_ok = _level_audit(filling, lo, hi,
+                                                            seps)
+        radius_ok = radius_ok and balls_ok
         report["radius_law_ok"] &= radius_ok
         report["levels"][n] = {
-            "n_vertices": int(centers.shape[0]),
+            "n_vertices": int(radii.shape[0]),
             "separation_ok": separation_ok,
             "covering_ok": covering_ok,
             "radius_law_ok": radius_ok,
@@ -670,7 +764,13 @@ def audit_filling(filling: Filling) -> dict:
 
 
 def audit_nested(nested: NestedFilling) -> dict:
-    """Compatibility checks between the subset filling and the ambient one."""
+    """Compatibility checks between the subset filling and the ambient one.
+
+    The trace balls are checked as restrictions in one array comparison:
+    the ambient rows of the embedded vertices, cut to their entries on F,
+    must equal the trace rows carried to ambient points by the point
+    embedding, row by row.
+    """
     amb, tr = nested.ambient, nested.trace
     report = {}
     # Ambient balls meet F exactly on the embedded vertices.
@@ -688,12 +788,14 @@ def audit_nested(nested: NestedFilling) -> dict:
         and np.all(amb.centers[ve] == nested.point_embedding[tr.centers]))
     report["edge_embedding_ok"] = bool(np.all(amb.tails[ee] == ve[tr.tails])
                                        and np.all(amb.heads[ee] == ve[tr.heads]))
-    report["trace_ball_is_restriction"] = all(
-        np.array_equal(
-            nested.point_embedding[tr.ball_members(v)],
-            np.intersect1d(amb.ball_members(ve[v]),
-                           nested.mask.member_indices))
-        for v in range(tr.n_vertices))
+    rows = amb.balls[ve]
+    on_f = member_flags[rows.indices]
+    owner = np.repeat(np.arange(ve.size), np.diff(rows.indptr))
+    report["trace_ball_is_restriction"] = bool(
+        np.array_equal(np.bincount(owner[on_f], minlength=ve.size),
+                       np.diff(tr.balls.indptr))
+        and np.array_equal(rows.indices[on_f],
+                           nested.point_embedding[tr.balls.indices]))
     report["ok"] = all(bool(v) for v in report.values())
     return report
 

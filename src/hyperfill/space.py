@@ -21,6 +21,7 @@ a finite cloud stops resembling the space it samples.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -646,9 +647,13 @@ def codim_regularity_check(space: FiniteMetricMeasureSpace, mask: SubsetMask,
 
 
 def _rowwise_dist(pts_a, pts_b, metric_kind):
+    """Distances between matching rows of two coordinate arrays (either
+    may be one broadcast coordinate).  The sup metric is an elementwise
+    maximum over the coordinate columns: a maximum is exact, so it equals
+    ``diff.max(axis=1)`` bit for bit at a fraction of its call cost."""
     diff = np.abs(pts_a - pts_b)
     if metric_kind == "sup":
-        return diff.max(axis=1)
+        return functools.reduce(np.maximum, diff.T)
     return np.sqrt((diff * diff).sum(axis=1))
 
 

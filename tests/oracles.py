@@ -8,6 +8,7 @@ import json
 
 import numpy as np
 from scipy import optimize, sparse
+from scipy.spatial.distance import cdist
 
 
 def pair_distances(points, metric="sup"):
@@ -275,6 +276,75 @@ def tent_partition(filling, level):
         shape=(vids.size, space.n_points))
     denom = np.asarray(phi.sum(axis=0)).ravel()
     return phi.multiply(1.0 / denom[None, :]).tocsr()
+
+
+def brute_force_audit(filling):
+    """The report of `audit_filling`, from full distance matrices.
+
+    Each level measures every cloud point against every center of the
+    level with `cdist`, and every pair of its centers; each vertex's row
+    of the ball matrix must list exactly the points closer than its
+    radius.  The edge rule is checked on the global product of the ball
+    matrix with its transpose, restricted to pairs whose levels differ
+    by at most one, and the overlap counts come from one loop per ball.
+    """
+    space, balls = filling.space, filling.balls
+    metric = "chebyshev" if space.metric_kind == "sup" else "euclidean"
+    report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
+              "orientation_ok": True, "radius_law_ok": True}
+    overlap = {}
+    for n in filling.levels:
+        vids = np.flatnonzero(filling.vertex_levels == n)
+        radii = filling.radii[vids]
+        scale = 2.0 ** (-n)
+        if filling.flavor == "plain":
+            seps = np.full(vids.size, scale / 2)
+            radius_ok = bool(np.all(radii == scale))
+        elif filling.flavor == "trace":
+            seps = np.full(vids.size, scale)
+            radius_ok = bool(np.all(radii == 4 * scale))
+        else:
+            on_f = radii == 4 * scale
+            seps = np.where(on_f, scale, scale / 2)
+            radius_ok = bool(np.all(on_f | (radii == scale)))
+        coords = space.points[filling.centers[vids]]
+        between = cdist(coords, coords, metric)
+        np.fill_diagonal(between, np.inf)
+        dist = cdist(space.points, coords, metric)
+        counts = np.zeros(space.n_points, dtype=np.int64)
+        for i, v in enumerate(vids):
+            row = balls.indices[balls.indptr[v]:balls.indptr[v + 1]]
+            radius_ok = radius_ok and np.array_equal(
+                row, np.flatnonzero(dist[:, i] < radii[i]))
+            np.add.at(counts, row, 1)
+        overlap[n] = int(counts.max()) if vids.size else 0
+        report["radius_law_ok"] &= radius_ok
+        report["levels"][n] = {
+            "n_vertices": int(vids.size),
+            "separation_ok": bool(np.all(
+                between >= np.minimum(seps[:, None], seps[None, :]) - 1e-15)),
+            "covering_ok": bool(np.all((dist < radii / 2).any(axis=1))),
+            "radius_law_ok": radius_ok,
+        }
+
+    shared = sparse.triu(balls @ balls.T, k=1).tocoo()
+    levels = filling.vertex_levels
+    near = np.abs(levels[shared.row] - levels[shared.col]) <= 1
+    tails, heads = filling.tails, filling.heads
+    report["edge_rule_ok"] = (
+        sorted(zip(shared.row[near].tolist(), shared.col[near].tolist()))
+        == sorted(zip(np.minimum(tails, heads).tolist(),
+                      np.maximum(tails, heads).tolist())))
+    report["n_edges"] = filling.n_edges
+    lt, lh = levels[tails], levels[heads]
+    report["orientation_ok"] = bool(np.all(np.where(lt == lh, tails < heads,
+                                                    lh == lt + 1)))
+    report["overlap"] = overlap
+    report["ok"] = bool(report["edge_rule_ok"] and report["orientation_ok"]
+                        and report["radius_law_ok"]
+                        and all(lv["separation_ok"] and lv["covering_ok"]
+                                for lv in report["levels"].values()))
+    return report
 
 
 def canonical_text(obj, indent=0):

@@ -743,6 +743,24 @@ def test_loaded_filling_with_an_empty_ball_exits_2(tmp_path, capsys, radius):
         assert "radii" in capsys.readouterr().err
 
 
+def test_filling_audit_of_a_loaded_filling_recounts_the_edges_once(
+        tmp_path, capsys, monkeypatch):
+    # the loader's edge-rule check and the audit share one recount: one
+    # call of the near-level products
+    path = _edit_filling_file(tmp_path, lambda doc: None)
+    calls = []
+    recount = hf.filling._near_level_pairs
+
+    def counted(*args):
+        calls.append(args)
+        return recount(*args)
+
+    monkeypatch.setattr(hf.filling, "_near_level_pairs", counted)
+    assert hf.cli.main(["filling", "audit", "--filling", path]) == 0
+    assert json.loads(capsys.readouterr().out)["edge_rule_ok"] is True
+    assert len(calls) == 1
+
+
 def test_loaded_filling_with_unsorted_edge_levels_exits_2(tmp_path, capsys):
     path = _edit_filling_file(
         tmp_path, lambda doc: doc["edges"].insert(0, doc["edges"].pop()))

@@ -1,17 +1,20 @@
 import dataclasses
+import functools
 import json
+import math
 import os
 import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
 from hyperfill.filling import (_assemble, filling_from_dict, filling_to_dict,
                                nested_from_dict, nested_to_dict)
 
-from oracles import edge_ball_matrix
+from oracles import brute_force_audit, edge_ball_matrix, pair_distances
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -693,6 +696,143 @@ def test_audit_in_one_vertex_blocks(request, name, monkeypatch):
     report = hf.audit_filling(_without_sole_cover(fil))
     assert report["levels"][fil.level_hi]["covering_ok"] is False
     assert report["ok"] is False
+
+
+def _random_pointset(dim, n_points, metric, seed):
+    """Uniform random points in the unit cube, with the smallest pairwise
+    distance as resolution and the largest as diameter."""
+    points = np.random.default_rng(seed).random((n_points, dim))
+    dist = pair_distances(points, metric)
+    return hf.FiniteMetricMeasureSpace(
+        points, np.full(n_points, 1.0 / n_points), metric,
+        float(dist[dist > 0].min()), float(dim), float(dist.max()))
+
+
+# Spaces whose widest plain filling the audit is checked on, beside the
+# fixtures: the cells span every coordinate of the square and the gasket,
+# and the first three of the five of the pointsets.
+AUDIT_SPACES = {
+    "square_euclidean": lambda: hf.unit_cube_space(2, 4, metric="euclidean"),
+    "gasket": lambda: hf.ifs_attractor(hf.sierpinski_system(5))[0],
+    "pointset5_sup": lambda: _random_pointset(5, 300, "sup", 0),
+    "pointset5_euclidean": lambda: _random_pointset(5, 300, "euclidean", 1),
+}
+AUDITED = ["tiny_filling", "plain6", "loaded6", "pair8.ambient",
+           "pair8.trace", *sorted(AUDIT_SPACES)]
+
+
+@functools.cache
+def _widest_filling(name):
+    """The plain filling of an `AUDIT_SPACES` space over every level its
+    diameter and resolution admit."""
+    space = AUDIT_SPACES[name]()
+    return hf.build_filling(space,
+                            math.floor(-math.log2(space.declared_diam)),
+                            math.floor(-math.log2(4 * space.resolution)))
+
+
+def _audited(request, name):
+    if name in AUDIT_SPACES:
+        return _widest_filling(name)
+    fixture, _, side = name.partition(".")
+    value = request.getfixturevalue(fixture)
+    return getattr(value, side) if side else value
+
+
+def _with_row(fil, v, row):
+    """A copy of the filling whose ball v lists ``row`` instead."""
+    rows = [fil.ball_members(u) for u in range(fil.n_vertices)]
+    rows[v] = np.asarray(row, dtype=rows[v].dtype)
+    indptr = np.cumsum([0, *map(len, rows)])
+    return dataclasses.replace(fil, balls=sparse.csr_matrix(
+        (np.ones(indptr[-1]), np.concatenate(rows), indptr),
+        shape=fil.balls.shape))
+
+
+def _finest_partial_ball(fil):
+    """A finest-level vertex whose ball is not the whole cloud."""
+    return next(int(v) for v in fil.vertices_at_level(fil.level_hi)
+                if fil.ball_members(v).size < fil.space.n_points)
+
+
+def _drop_member(fil):
+    v = int(np.flatnonzero(np.diff(fil.balls.indptr) >= 2)[-1])
+    row = fil.ball_members(v)
+    return _with_row(fil, v, np.delete(row, row.size // 2))
+
+
+def _extra_member(fil):
+    v = _finest_partial_ball(fil)
+    row = fil.ball_members(v)
+    far = np.setdiff1d(np.arange(fil.space.n_points), row)[-1]
+    return _with_row(fil, v, np.union1d(row, [far]))
+
+
+def _point_at_radius(fil):
+    # the nearest point outside the open ball: on a grid it lies at
+    # exactly the radius
+    v = _finest_partial_ball(fil)
+    dist = fil.space.dist_from(fil.space.points[fil.centers[v]])
+    dist[dist < fil.radii[v]] = np.inf
+    return _with_row(fil, v, np.union1d(fil.ball_members(v),
+                                        [np.argmin(dist)]))
+
+
+def _moved_center(fil):
+    # center b moves next to center a
+    a, b = fil.vertices_at_level(fil.level_hi)[:2]
+    dist = fil.space.dist_from(fil.space.points[fil.centers[a]])
+    dist[fil.centers[[a, b]]] = np.inf
+    centers = fil.centers.copy()
+    centers[b] = np.argmin(dist)
+    return dataclasses.replace(fil, centers=centers)
+
+
+MUTATIONS = {"dropped_member": _drop_member, "extra_member": _extra_member,
+             "point_at_radius": _point_at_radius,
+             "moved_center": _moved_center,
+             "missing_net_vertex": _without_sole_cover}
+
+
+@pytest.mark.parametrize("name", AUDITED)
+def test_audit_equals_the_brute_force_audit(request, name):
+    fil = _audited(request, name)
+    report = hf.audit_filling(fil)
+    assert report == brute_force_audit(fil)
+    assert report["ok"] is True
+
+
+@pytest.mark.parametrize("mutation", sorted(MUTATIONS))
+@pytest.mark.parametrize("name", AUDITED)
+def test_audit_of_a_broken_filling_equals_the_brute_force_audit(
+        request, name, mutation):
+    fil = MUTATIONS[mutation](_audited(request, name))
+    report = hf.audit_filling(fil)
+    assert report == brute_force_audit(fil)
+    assert report["ok"] is False
+
+
+def test_point_at_radius_lies_at_exactly_the_radius(plain6):
+    # on a grid the mutation reaches the open ball's boundary
+    v = _finest_partial_ball(plain6)
+    (extra,) = np.setdiff1d(_point_at_radius(plain6).ball_members(v),
+                            plain6.ball_members(v))
+    space = plain6.space
+    dist = space.dist_from(space.points[plain6.centers[v]])
+    assert dist[extra] == plain6.radii[v]
+
+
+def test_audits_measure_no_point_by_center_block(monkeypatch, plain6, pair8):
+    # the audits never ask for a cross-distance matrix or the kd-tree
+    def refuse(*args):
+        raise AssertionError("audit measured a distance block")
+
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "cross_dist", refuse)
+    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "_tree_candidates",
+                        refuse)
+    for fil in (plain6, pair8.ambient, pair8.trace):
+        assert hf.audit_filling(fil)["ok"] is True
+    assert hf.audit_nested(pair8)["ok"] is True
 
 
 # -- the subset filling is the ambient filling cut to F ----------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
-from hyperfill.space import (_dyadic_radii, dist_to_subset, mask_from_descriptor,
-                            space_to_descriptor)
+from hyperfill.space import (_dyadic_radii, _rowwise_dist, dist_to_subset,
+                            mask_from_descriptor, space_to_descriptor)
 
 from oracles import ball_mass, box_count_slope, greedy_net, pair_distances
 
@@ -32,6 +32,19 @@ def test_unit_cube_rejects_oversize():
         hf.unit_cube_space(1, 13)
     with pytest.raises(hf.ConfigError):
         hf.unit_cube_space(4, 2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_sup_rowwise_dist_is_the_row_maximum_bit_for_bit(dim):
+    # coordinates on a coarse grid make many exact ties between columns
+    rng = np.random.default_rng(dim)
+    a = rng.integers(0, 8, (200, dim)) / 8 + rng.random((200, dim)) * 1e-3
+    b = rng.integers(0, 8, (200, dim)) / 8
+    for other in (b, b[0]):
+        want = np.abs(a - other).max(axis=1)
+        got = _rowwise_dist(a, other, "sup")
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cube_distances_match_reference(interval8):
