@@ -139,8 +139,9 @@ def build_partition(filling: Filling, level: int) -> Partition:
     bounds = memb.indptr[vids[0]:vids[-1] + 2]
     cols = memb.indices[bounds[0]:bounds[-1]]
     rows = np.repeat(np.arange(vids.size), np.diff(bounds))
-    d = _rowwise_dist(space.points[filling.centers[vids]][rows],
-                      space.points[cols], space.metric_kind)
+    d = _rowwise_dist(np.take(space.points, filling.centers[vids][rows],
+                              axis=0),
+                      np.take(space.points, cols, axis=0), space.metric_kind)
     tent = np.clip(2.0 * (1.0 - d / filling.radii[vids][rows]), 0.0, 1.0)
     keep = tent > 0.0
     phi = sparse.csr_matrix((tent[keep], (rows[keep], cols[keep])),
@@ -317,7 +318,8 @@ def partition_lipschitz_quotient(filling: Filling, level: int) -> float:
         if near.size > _QUOTIENT_POINTS:
             near = near[:: near.size // _QUOTIENT_POINTS + 1]
         vals = np.asarray(part.psi[row, near].todense()).ravel()
-        dmat = space.cross_dist(space.points[near], space.points[near])
+        pts = np.take(space.points, near, axis=0)
+        dmat = _rowwise_dist(pts[:, None], pts[None], space.metric_kind)
         diff = np.abs(vals[:, None] - vals[None, :])
         with np.errstate(divide="ignore", invalid="ignore"):
             quot = np.where(dmat > 0.0, diff / dmat, 0.0)

@@ -25,6 +25,7 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
+from . import space as _space
 from ._kernels import greedy_separated_subset
 from .errors import ConfigError
 from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
@@ -590,12 +591,6 @@ def _orientation_ok(filling: Filling) -> bool:
                                 lh == lt + 1)))
 
 
-# Byte budget of one block of the audit's candidate pairs.  Blocks this
-# small stay in cache: with 16 MiB blocks the cell checks of a 4,096-point
-# square took about twice as long.
-_AUDIT_BLOCK_BYTES = 1 << 20
-
-
 def _cell_keys(points, side):
     """Each point's cell in a grid of cubes of the given side over its
     first min(d, 3) coordinates, as one int64 key, and the key steps
@@ -628,7 +623,7 @@ def _cell_pairs(keys, queries, steps, pair_bytes):
 
     Each query's pair count is read from the cell ranges of the sorted
     keys before any pair is gathered, and a block holds at most
-    ``_AUDIT_BLOCK_BYTES`` at ``pair_bytes`` a pair (one query at
+    ``space._BLOCK_BYTES`` at ``pair_bytes`` a pair (one query at
     least), so the audit's memory stays bounded at any depth.
     """
     order = np.argsort(keys, kind="stable")
@@ -638,7 +633,7 @@ def _cell_pairs(keys, queries, steps, pair_bytes):
     hi = np.searchsorted(ranked, near, side="right")
     counts = (hi - lo).sum(axis=1)
     ends = np.cumsum(counts)
-    limit = max(1, _AUDIT_BLOCK_BYTES // pair_bytes)
+    limit = max(1, _space._BLOCK_BYTES // pair_bytes)
     a = 0
     while a < queries.size:
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + limit,

@@ -35,7 +35,7 @@ import numpy as np
 from ._kernels import pair_max_lift
 from .errors import ConfigError, GateError, NumericalError
 from .norms import SmoothnessParams
-from .space import FiniteMetricMeasureSpace
+from .space import FiniteMetricMeasureSpace, _dist_blocks
 
 __all__ = ["HajlaszGradient", "hajlasz_norm"]
 
@@ -95,19 +95,20 @@ class HajlaszGradient:
 
 
 def _pair_constraints(space, f, s):
-    """Pair index arrays and constraint levels ``|df| / d^s``."""
-    n = space.n_points
-    ii, jj = np.triu_indices(n, k=1)
-    d = space.cross_dist(space.points, space.points)[ii, jj]
-    df = np.abs(f[ii] - f[jj])
-    coincident = d <= 0.0
-    if np.any(coincident & (df > 0.0)):
-        raise GateError(
-            "coincident points carry different values; no finite "
-            "gradient exists")
-    # Pairs with equal values only ask g_i + g_j >= 0, which g >= 0 gives.
-    keep = ~coincident & (df > 0.0)
-    return ii[keep], jj[keep], df[keep] / d[keep] ** s
+    """Pairs i < j in ``np.triu_indices`` order and their levels |df| / d^s."""
+    parts = []
+    for lo, dist in _dist_blocks(space.points, space.points,
+                                 space.metric_kind, upper=True):
+        df = np.abs(f[lo:lo + len(dist), None] - f[lo:])
+        # Pairs with equal values only ask g_i + g_j >= 0, which g >= 0 gives.
+        keep = ~np.tri(*df.shape, dtype=bool) & (df > 0.0)
+        d = dist[keep]
+        if np.any(d <= 0.0):
+            raise GateError("coincident points carry different values; "
+                            "no finite gradient exists")
+        i, j = np.nonzero(keep)
+        parts.append((i + lo, j + lo, df[keep] / d ** s))
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _row_sums(y, ii, jj, n):

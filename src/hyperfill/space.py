@@ -7,11 +7,11 @@ regularity exponent its constructor declares.  Integrals against the measure
 are exact weighted sums over the cloud; metric balls are open (strict
 inequality) throughout.
 
-Balls come from one lazily built kd-tree per space (`ball_row`, `ball_rows`).
-The tree only proposes candidates, asked at a radius enlarged by a
-relative 1e-12; the space's own distance arithmetic and the strict test
-decide membership, so every ball equals a full scan bit for bit, exact
-ties included.
+Every distance comes from `_rowwise_dist`, over many pairs in row blocks
+under one byte budget (`_dist_blocks`).  Balls come from one lazily built
+kd-tree per space (`ball_row`, `ball_rows`), which only proposes candidates
+within a radius enlarged by a relative 1e-12; `_rowwise_dist` and the strict
+test decide membership, so every ball equals a full scan bit for bit.
 
 Audit routines (`ahlfors_fit`, `doubling_audit`, `porosity_scan`,
 `codim_regularity_check`) measure the declared exponents empirically.  They
@@ -21,7 +21,6 @@ a finite cloud stops resembling the space it samples.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -29,14 +28,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigError, GateError
 
 DEFAULT_POINT_BUDGET = 1 << 18
 RADIUS_FLOOR_FACTOR = 4.0
-_METRICS = {"euclidean": "euclidean", "sup": "chebyshev"}
-_MINKOWSKI_P = {"euclidean": 2.0, "sup": np.inf}
+_METRICS = {"euclidean": 2.0, "sup": np.inf}  # the kd-tree's Minkowski p
+# Bytes of one block of distances (16 MiB halved the filling audit's speed).
+_BLOCK_BYTES = 1 << 20
 
 # Slack for comparisons involving dyadic radii that are exactly at a
 # validation boundary (e.g. 2**-n == 4 * resolution).
@@ -104,14 +103,6 @@ class FiniteMetricMeasureSpace:
         return _rowwise_dist(self.points, np.asarray(coord, dtype=np.float64),
                              self.metric_kind)
 
-    def cross_dist(self, coords_a, coords_b) -> np.ndarray:
-        """Pairwise distance matrix between two coordinate arrays."""
-        return cdist(
-            np.atleast_2d(coords_a),
-            np.atleast_2d(coords_b),
-            metric=_METRICS[self.metric_kind],
-        )
-
     def _tree(self) -> cKDTree:
         """The space's kd-tree, built on first use.  Its ``indices`` list
         the points in leaf order, so runs of them are spatially compact."""
@@ -123,7 +114,7 @@ class FiniteMetricMeasureSpace:
         """Tree proposals for the open balls B(coords, radii): every point
         within ``radii (1 + 1e-12)``, a superset of each open ball."""
         return self._tree().query_ball_point(
-            coords, radii * (1.0 + _REL_EPS), p=_MINKOWSKI_P[self.metric_kind],
+            coords, radii * (1.0 + _REL_EPS), p=_METRICS[self.metric_kind],
             return_sorted=True)
 
     def ball_rows(self, center_indices, radii) -> sparse.csr_matrix:
@@ -138,14 +129,15 @@ class FiniteMetricMeasureSpace:
         centers = np.asarray(center_indices, dtype=np.int64).reshape(-1)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64),
                                 centers.shape)
-        coords = self.points[centers]
+        coords = np.take(self.points, centers, axis=0)
         rows = self._tree_candidates(coords, radii)
         counts = np.fromiter(map(len, rows), dtype=np.int64,
                              count=centers.size)
         cand = np.fromiter(itertools.chain.from_iterable(rows),
                            dtype=np.int64, count=int(counts.sum()))
         owner = np.repeat(np.arange(centers.size), counts)
-        inside = _rowwise_dist(self.points[cand], coords[owner],
+        inside = _rowwise_dist(np.take(self.points, cand, axis=0),
+                               np.take(coords, owner, axis=0),
                                self.metric_kind) < radii[owner]
         indptr = np.searchsorted(owner[inside], np.arange(centers.size + 1))
         return sparse.csr_matrix((np.ones(indptr[-1]), cand[inside], indptr),
@@ -158,12 +150,13 @@ class FiniteMetricMeasureSpace:
         center = self.points[center_index]
         near = np.asarray(self._tree_candidates(center, radius),
                           dtype=np.int64)
-        dist = _rowwise_dist(self.points[near], center, self.metric_kind)
+        dist = _rowwise_dist(np.take(self.points, near, axis=0), center,
+                             self.metric_kind)
         inside = dist < radius
         return near[inside], dist[inside]
 
     def measured_diam(self) -> float:
-        """Exact diameter of the cloud (chunked; O(n^2) distances)."""
+        """Exact diameter of the cloud (blocked; O(n^2) distances)."""
         return _measured_diam(self.points, self.metric_kind)
 
 
@@ -171,12 +164,8 @@ def _measured_diam(points: np.ndarray, metric_kind: str) -> float:
     """Exact diameter of points, known before a space is built on them."""
     if metric_kind == "sup":
         return float((points.max(axis=0) - points.min(axis=0)).max())
-    best = 0.0
-    for lo in range(0, points.shape[0], 2048):
-        block = points[lo : lo + 2048]
-        best = max(best, float(cdist(block, points,
-                                     metric=_METRICS[metric_kind]).max()))
-    return best
+    return math.sqrt(max(float(sq.max()) for _, sq in _dist_blocks(
+        points, points, metric_kind, upper=True, root=False)))
 
 
 @dataclass
@@ -465,19 +454,18 @@ def subspace(space: FiniteMetricMeasureSpace, mask: SubsetMask):
 
 def dist_to_subset(space: FiniteMetricMeasureSpace, mask: SubsetMask) -> np.ndarray:
     """Distance from every cloud point to the subset (zero on members)."""
-    members = mask.member_indices
-    out = np.empty(space.n_points)
-    member_pts = space.points[members]
-    for lo in range(0, space.n_points, 2048):
-        block = space.points[lo : lo + 2048]
-        out[lo : lo + 2048] = space.cross_dist(block, member_pts).min(axis=1)
-    return out
+    near = np.full(space.n_points, np.inf)
+    member_pts = np.take(space.points, mask.member_indices, axis=0)
+    for _, sq in _dist_blocks(member_pts, space.points, space.metric_kind,
+                              root=False):
+        np.minimum(near, sq.min(axis=0), out=near)
+    return near if space.metric_kind == "sup" else np.sqrt(near, out=near)
 
 
-def _sample_indices(n, cap, rng):
+def _sample_indices(n, cap, seed):
     if n <= cap:
         return np.arange(n)
-    return np.sort(rng.choice(n, size=cap, replace=False))
+    return np.sort(np.random.default_rng(seed).choice(n, cap, replace=False))
 
 
 @dataclass
@@ -513,23 +501,14 @@ def ahlfors_fit(space: FiniteMetricMeasureSpace, radii, *,
     ``mass * r^-Q_hat``.  Radii must number at least three and respect the
     audit floor of four times the resolution.
     """
-    radii = sorted(set(float(r) for r in radii))
-    if len(radii) < 3:
-        raise ConfigError("need at least three distinct radii for a fit")
-    floor = RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS)
-    if any(r < floor for r in radii):
-        raise ConfigError("radius below the audit floor of 4 * resolution")
+    radii = _audit_radii(space, radii, 3,
+                         "need at least three distinct radii for a fit")
     if any(r >= space.declared_diam for r in radii):
         raise ConfigError("radius must stay below the diameter")
     if space.n_points < 2:
         raise ConfigError("degenerate space: nothing to fit")
-    rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, _AHLFORS_CENTERS, rng)
-    masses = np.empty((len(centers), len(radii)))
-    for i, c in enumerate(centers):
-        d = space.dist_from(space.points[c])
-        for j, r in enumerate(radii):
-            masses[i, j] = space.weights[d < r].sum()
+    centers = _sample_indices(space.n_points, _AHLFORS_CENTERS, seed)
+    (masses,) = _ball_masses(space, centers, radii, space.weights)
     logs_r = np.log(np.tile(radii, len(centers)))
     logs_m = np.log(masses.ravel())
     slope, _ = np.polyfit(logs_r, logs_m, 1)
@@ -553,17 +532,36 @@ def doubling_audit(space: FiniteMetricMeasureSpace, *,
     """
     radii = _dyadic_radii(
         space, top=space.declared_diam / max(_DOUBLING_FACTORS))
-    rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, _DOUBLING_CENTERS, rng)
-    worst = 0.0
-    for c in centers:
+    centers = _sample_indices(space.n_points, _DOUBLING_CENTERS, seed)
+    grown = [lam * r for lam in (1.0,) + _DOUBLING_FACTORS for r in radii]
+    masses = _ball_masses(space, centers, grown, space.weights)[0]
+    base, *more = np.split(masses, len(_DOUBLING_FACTORS) + 1, axis=1)
+    return max(float((m / (lam**space.declared_Q * base)).max())
+               for lam, m in zip(_DOUBLING_FACTORS, more))
+
+
+def _ball_masses(space, centers, radii, *weights):
+    """``masses[k, i, j] = weights[k][d < radii[j]].sum()``, ``d`` the
+    distances to ``centers[i]`` from one `dist_from` per center."""
+    masses = np.empty((len(weights), len(centers), len(radii)))
+    for i, c in enumerate(centers):
         d = space.dist_from(space.points[c])
-        for r in radii:
-            base = space.weights[d < r].sum()
-            for lam in _DOUBLING_FACTORS:
-                grown = space.weights[d < lam * r].sum()
-                worst = max(worst, grown / (lam**space.declared_Q * base))
-    return float(worst)
+        for j, r in enumerate(radii):
+            inside = d < r
+            for k, w in enumerate(weights):
+                masses[k, i, j] = w[inside].sum()
+    return masses
+
+
+def _audit_radii(space, radii, least, too_few):
+    """Distinct ascending radii, ``least`` or more, none below the floor."""
+    radii = sorted(set(float(r) for r in radii))
+    if len(radii) < least:
+        raise ConfigError(too_few)
+    floor = RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS)
+    if any(r < floor for r in radii):
+        raise ConfigError("radius below the audit floor of 4 * resolution")
+    return radii
 
 
 def _dyadic_radii(space, top=None):
@@ -593,8 +591,7 @@ def porosity_scan(space: FiniteMetricMeasureSpace, mask: SubsetMask, *,
     """
     mask.validate_against(space)
     radii = _dyadic_radii(space)
-    rng = np.random.default_rng(seed)
-    centers = _sample_indices(space.n_points, _POROSITY_CENTERS, rng)
+    centers = _sample_indices(space.n_points, _POROSITY_CENTERS, seed)
     dist_f = dist_to_subset(space, mask)
 
     # For a ball B(xi, r), a witness eta works for every c up to
@@ -619,42 +616,49 @@ def codim_regularity_check(space: FiniteMetricMeasureSpace, mask: SubsetMask,
                            gamma: float, radii, *, seed: int = 0):
     """Band of mu(B_Z(xi, r)) / (nu(B_F(xi, r)) * r^gamma) over subset centers.
 
-    Up to 256 subset points are sampled as centers.
+    Up to 256 subset points are sampled as centers, at one radius or more.
 
     A tight band certifies that the subset has co-dimension gamma inside the
     space; the band degrades as the radius span grows when gamma is wrong.
     """
     mask.validate_against(space)
-    radii = sorted(set(float(r) for r in radii))
-    floor = RADIUS_FLOOR_FACTOR * space.resolution * (1 - _REL_EPS)
-    if any(r < floor for r in radii):
-        raise ConfigError("radius below the audit floor of 4 * resolution")
-    rng = np.random.default_rng(seed)
+    radii = _audit_radii(space, radii, 1, "need at least one radius")
     members = mask.member_indices
-    centers = members[_sample_indices(len(members), _CODIM_CENTERS, rng)]
-    lo, hi = math.inf, 0.0
-    for ci in centers:
-        d = space.dist_from(space.points[ci])
-        for r in radii:
-            inside = d < r
-            nu = mask.subset_weights[inside].sum()
-            if nu <= 0:
-                raise GateError(f"empty subset ball at radius {r}: sub-resolution")
-            ratio = space.weights[inside].sum() / (nu * r**gamma)
-            lo = min(lo, ratio)
-            hi = max(hi, ratio)
-    return float(lo), float(hi)
+    centers = members[_sample_indices(len(members), _CODIM_CENTERS, seed)]
+    mu, nu = _ball_masses(space, centers, radii, space.weights,
+                          mask.subset_weights)
+    empty = np.argwhere(nu <= 0)
+    if empty.size:
+        raise GateError(f"empty subset ball at radius {radii[empty[0, 1]]}: "
+                        "sub-resolution")
+    ratio = mu / (nu * np.array([r**gamma for r in radii]))
+    return float(ratio.min()), float(ratio.max())
 
 
-def _rowwise_dist(pts_a, pts_b, metric_kind):
-    """Distances between matching rows of two coordinate arrays (either
-    may be one broadcast coordinate).  The sup metric is an elementwise
-    maximum over the coordinate columns: a maximum is exact, so it equals
-    ``diff.max(axis=1)`` bit for bit at a fraction of its call cost."""
-    diff = np.abs(pts_a - pts_b)
-    if metric_kind == "sup":
-        return functools.reduce(np.maximum, diff.T)
-    return np.sqrt((diff * diff).sum(axis=1))
+def _rowwise_dist(pts_a, pts_b, metric_kind, root=True):
+    """Distances over the last axis, the others broadcast (``(rows, 1, d)``
+    against ``(1, cols, d)`` is a block): the largest ``|a_k - b_k|``, or the
+    root of the squares added in coordinate order, like SciPy's ``cdist``
+    (``root=False``: the sum; the root is monotone and correctly rounded)."""
+    sup = metric_kind == "sup"
+    fold, acc = np.maximum if sup else np.add, None
+    for k in range(pts_a.shape[-1]):
+        x = pts_a[..., k] - pts_b[..., k]
+        x = np.abs(x, out=x) if sup else np.multiply(x, x, out=x)
+        acc = x if acc is None else fold(acc, x, out=acc)
+    return acc if sup or not root else np.sqrt(acc, out=acc)
+
+
+def _dist_blocks(pts_a, pts_b, metric_kind, upper=False, root=True):
+    """Yield ``(lo, dist)``, `_rowwise_dist` of rows ``lo, lo + 1, ...`` of
+    ``pts_a`` against ``pts_b`` (with ``upper``, its rows from ``lo`` on),
+    in blocks of rows x cols x d doubles within ``_BLOCK_BYTES``."""
+    step = max(1, _BLOCK_BYTES // (8 * pts_b.size))
+    pts_b = np.asfortranarray(pts_b)  # the inner loops run contiguously
+    for lo in range(0, pts_a.shape[0], step):
+        cols = pts_b[lo:] if upper else pts_b
+        yield lo, _rowwise_dist(pts_a[lo:lo + step, None], cols[None],
+                                metric_kind, root)
 
 
 # Random point triples drawn by `metric_spot_check`.

@@ -371,18 +371,14 @@ def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
         key %= block
         first = key.astype(off_t)
         del key
-        # Box gaps round like the pair distances (rounding is monotone),
-        # so a sup gap never exceeds a pair's distance; the Euclidean sum
-        # may add in another order, which the relative 1e-12 covers.
+        # Box gaps take the pairs' arithmetic, monotone in each coordinate
+        # difference, so no gap exceeds the distance of a pair in its cell.
         pts = space.points[order]
         lo = np.minimum.reduceat(pts, firsts)
         hi = np.maximum.reduceat(pts, firsts)
         gap = np.maximum(np.maximum(lo[None] - hi[:, None],
                                     lo[:, None] - hi[None]), 0.0)
-        if space.metric_kind == "sup":
-            dmin = gap.max(axis=2)
-        else:
-            dmin = np.sqrt((gap * gap).sum(axis=2)) * (1.0 - 1e-12)
+        dmin = _rowwise_dist(gap, np.zeros(space.dim), space.metric_kind)
         nested._cert_plan = _CertPlan(first, second, starts, order, block,
                                       dmin)
     return nested._cert_plan
@@ -420,7 +416,8 @@ def _certificate_constant(space, plan: _CertPlan, extended, base) -> float:
         ii, jj = _cell_pairs(plan, cells)
         for lo in range(0, ii.size, _CERT_BLOCK):
             i, j = ii[lo:lo + _CERT_BLOCK], jj[lo:lo + _CERT_BLOCK]
-            d_blk = _rowwise_dist(space.points[i], space.points[j],
+            d_blk = _rowwise_dist(np.take(space.points, i, axis=0),
+                                  np.take(space.points, j, axis=0),
                                   space.metric_kind)
             du_pair = np.abs(extended[i] - extended[j])
             cap = d_blk * (base[i] + base[j])

@@ -11,6 +11,11 @@ from scipy import optimize, sparse
 from scipy.spatial.distance import cdist
 
 
+def scipy_metric(space):
+    """SciPy's name for the space's metric, for `cdist`."""
+    return "chebyshev" if space.metric_kind == "sup" else "euclidean"
+
+
 def pair_distances(points, metric="sup"):
     """Full (n, n) distance matrix with small python-side loops."""
     pts = np.asarray(points, dtype=np.float64)
@@ -263,9 +268,8 @@ def tent_partition(filling, level):
     rows, cols, data = [], [], []
     for local, vid in enumerate(vids):
         members = filling.ball_members(vid)
-        d = space.cross_dist(
-            space.points[filling.centers[vid]][None, :],
-            space.points[members])[0]
+        d = cdist(space.points[filling.centers[vid]][None, :],
+                  space.points[members], scipy_metric(space))[0]
         tent = np.clip(2.0 * (1.0 - d / filling.radii[vid]), 0.0, 1.0)
         keep = tent > 0.0
         rows.append(np.full(int(keep.sum()), local, dtype=np.int64))
@@ -289,7 +293,7 @@ def brute_force_audit(filling):
     by at most one, and the overlap counts come from one loop per ball.
     """
     space, balls = filling.space, filling.balls
-    metric = "chebyshev" if space.metric_kind == "sup" else "euclidean"
+    metric = scipy_metric(space)
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
               "orientation_ok": True, "radius_law_ok": True}
     overlap = {}

@@ -8,13 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.spatial.distance import cdist
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
 from hyperfill.filling import (_assemble, filling_from_dict, filling_to_dict,
                                nested_from_dict, nested_to_dict)
 
-from oracles import brute_force_audit, edge_ball_matrix, pair_distances
+from oracles import (brute_force_audit, edge_ball_matrix, pair_distances,
+                     scipy_metric)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -43,7 +45,7 @@ def test_separation_invariant(plain6):
     for n in plain6.levels:
         vids = plain6.vertices_at_level(n)
         pts = space.points[plain6.centers[vids]]
-        d = space.cross_dist(pts, pts)
+        d = cdist(pts, pts, scipy_metric(space))
         np.fill_diagonal(d, np.inf)
         assert d.min() >= 2.0 ** (-n - 1) - 1e-15
 
@@ -53,7 +55,7 @@ def test_half_ball_covering_invariant(plain6):
     for n in plain6.levels:
         vids = plain6.vertices_at_level(n)
         pts = space.points[plain6.centers[vids]]
-        d = space.cross_dist(space.points, pts)
+        d = cdist(space.points, pts, scipy_metric(space))
         assert np.all((d < 2.0 ** (-n) / 2).any(axis=1))
 
 
@@ -653,7 +655,7 @@ def _without_sole_cover(fil):
     lies in no other half ball of its level."""
     vids = fil.vertices_at_level(fil.level_hi)
     pts = fil.space.points[fil.centers[vids]]
-    d = fil.space.cross_dist(pts, pts)
+    d = cdist(pts, pts, scipy_metric(fil.space))
     np.fill_diagonal(d, np.inf)
     at = next(i for i in range(vids.size)
               if not np.any(d[i] < fil.radii[vids] / 2))
@@ -674,7 +676,7 @@ def test_audit_in_one_vertex_blocks(request, name, monkeypatch):
     fil = request.getfixturevalue(fixture)
     fil = getattr(fil, side) if side else fil
     whole = hf.audit_filling(fil)
-    monkeypatch.setattr(hf.filling, "_AUDIT_BLOCK_BYTES", 1)
+    monkeypatch.setattr(hf.space, "_BLOCK_BYTES", 1)
     assert hf.audit_filling(fil) == whole
 
     # a ball that lost a member
@@ -823,11 +825,20 @@ def test_point_at_radius_lies_at_exactly_the_radius(plain6):
 
 
 def test_audits_measure_no_point_by_center_block(monkeypatch, plain6, pair8):
-    # the audits never ask for a cross-distance matrix or the kd-tree
+    # the audits never ask for a block of distances or the kd-tree: every
+    # distance they measure is between matching rows
     def refuse(*args):
         raise AssertionError("audit measured a distance block")
 
-    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "cross_dist", refuse)
+    def rowwise(*args):
+        if any(np.ndim(arg) > 2 for arg in args):
+            refuse()
+        return kernel(*args)
+
+    kernel = hf.space._rowwise_dist
+    for module in (hf.space, hf.filling):
+        monkeypatch.setattr(module, "_rowwise_dist", rowwise)
+    monkeypatch.setattr(hf.space, "_dist_blocks", refuse)
     monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "_tree_candidates",
                         refuse)
     for fil in (plain6, pair8.ambient, pair8.trace):

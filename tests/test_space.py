@@ -1,13 +1,23 @@
+import ast
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 import hyperfill as hf
-from hyperfill.space import (_dyadic_radii, _rowwise_dist, dist_to_subset,
+from hyperfill.hajlasz import _pair_constraints
+from hyperfill.space import (_BLOCK_BYTES, _dyadic_radii, _measured_diam,
+                            _rowwise_dist, dist_to_subset,
                             mask_from_descriptor, space_to_descriptor)
 
-from oracles import ball_mass, box_count_slope, greedy_net, pair_distances
+from oracles import (ball_mass, box_count_slope, greedy_net, pair_distances,
+                     scipy_metric)
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src",
+                   "hyperfill")
 
 LOG23 = math.log(2) / math.log(3)
 
@@ -47,10 +57,103 @@ def test_sup_rowwise_dist_is_the_row_maximum_bit_for_bit(dim):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.mark.parametrize("dim", [1, 2, 7])
+def test_euclidean_rowwise_dist_is_the_row_sum_bit_for_bit(dim):
+    # below eight coordinates NumPy's row sum adds in order too
+    rng = np.random.default_rng(dim)
+    a = rng.random((200, dim)) * 10.0 ** rng.integers(-3, 3, (200, dim))
+    b = rng.random((200, dim))
+    for other in (b, b[0]):
+        diff = np.abs(a - other)
+        want = np.sqrt((diff * diff).sum(axis=1))
+        got = _rowwise_dist(a, other, "euclidean")
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_cube_distances_match_reference(interval8):
     ref = pair_distances(interval8.points, "sup")
-    got = interval8.cross_dist(interval8.points, interval8.points)
+    pts = interval8.points
+    got = _rowwise_dist(pts[:, None], pts[None], "sup")
     assert np.allclose(got, ref, atol=1e-15)
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_broadcast_kernel_equals_cdist_bit_for_bit(metric):
+    # a coarse grid makes exact ties between distances and coordinates
+    name = "chebyshev" if metric == "sup" else "euclidean"
+    for dim in range(1, 12):
+        rng = np.random.default_rng(dim)
+        a = rng.integers(0, 4, (40, dim)) / 4
+        a[20:] += rng.random((20, dim)) * 1e-3
+        b = np.concatenate([a[:10], rng.integers(0, 4, (30, dim)) / 4])
+        got = _rowwise_dist(a[:, None], b[None], metric)
+        want = cdist(a, b, name)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), dim
+
+
+def _cloud(metric, n=300, dim=3):
+    rng = np.random.default_rng(5)
+    points = np.round(rng.random((n, dim)), 2)
+    return hf.FiniteMetricMeasureSpace(points, np.full(n, 1.0 / n), metric,
+                                       0.01, float(dim), 1.0)
+
+
+@pytest.mark.parametrize("metric", ["sup", "euclidean"])
+def test_blocked_distances_match_cdist_in_one_row_blocks(monkeypatch,
+                                                        metric):
+    space = _cloud(metric)
+    mask = mask_from_descriptor(space, {
+        "indices": np.flatnonzero(space.points[:, 0] < 0.3).tolist(),
+        "lambda": 2.0})
+    f = np.sin(7.0 * space.points).sum(axis=1)
+    full = cdist(space.points, space.points, scipy_metric(space))
+    ii, jj = np.triu_indices(space.n_points, k=1)
+    d, df = full[ii, jj], np.abs(f[ii] - f[jj])
+    keep = df > 0.0
+    want_pairs = (ii[keep], jj[keep], df[keep] / d[keep] ** 0.5)
+    for budget in (_BLOCK_BYTES, 1):
+        monkeypatch.setattr(hf.space, "_BLOCK_BYTES", budget)
+        assert _measured_diam(space.points, metric) == full.max()
+        assert np.array_equal(dist_to_subset(space, mask),
+                              full[:, mask.member_indices].min(axis=1))
+        for got, want in zip(_pair_constraints(space, f, 0.5), want_pairs):
+            assert np.array_equal(got, want)
+
+
+def test_measured_diam_stays_within_the_block_budget():
+    points = np.random.default_rng(0).random((6000, 2))
+    tracemalloc.start()
+    try:
+        _measured_diam(points, "euclidean")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _BLOCK_BYTES
+
+
+def test_src_has_one_distance_arithmetic():
+    # every distance in the library comes from `_rowwise_dist`; SciPy's
+    # distance module rounds differently from d = 8 on
+    for name in sorted(os.listdir(SRC)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{alias.name}"
+                           for alias in node.names]
+            else:
+                modules = []
+            assert not any(m.startswith("scipy.spatial.distance")
+                           for m in modules), name
+            if isinstance(node, ast.Call):
+                func = node.func
+                assert getattr(func, "id", getattr(func, "attr", None)) \
+                    != "cdist", name
 
 
 def test_ahlfors_fit_interval(interval10):
@@ -193,6 +296,11 @@ def test_codim_regularity_band(interval10, cantor6):
     assert hi / lo <= 4.0
     wrong = hf.codim_regularity_check(interval10, cantor6, gamma + 0.3, radii)
     assert wrong[1] / wrong[0] > hi / lo
+
+
+def test_codim_check_needs_a_radius(interval10, cantor6):
+    with pytest.raises(hf.ConfigError, match="at least one radius"):
+        hf.codim_regularity_check(interval10, cantor6, 1.0 - LOG23, [])
 
 
 def test_codim_gamma_zero_full_subset(interval10):
