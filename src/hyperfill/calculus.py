@@ -312,9 +312,8 @@ def partition_lipschitz_quotient(filling: Filling, level: int) -> float:
     space = filling.space
     worst = 0.0
     for row, vid in enumerate(part.vertex_ids):
-        center = space.points[filling.centers[vid]]
-        radius = filling.radii[vid]
-        near = np.flatnonzero(space.dist_from(center) < 2.0 * radius)
+        near, _ = space.ball_row(filling.centers[vid],
+                                 2.0 * filling.radii[vid])
         if near.size > _QUOTIENT_POINTS:
             near = near[:: near.size // _QUOTIENT_POINTS + 1]
         vals = np.asarray(part.psi[row, near].todense()).ravel()

@@ -25,13 +25,13 @@ from functools import partial
 import numpy as np
 from scipy import sparse
 
-from . import space as _space
 from ._kernels import greedy_separated_subset
 from .errors import ConfigError
 from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
                     space_from_descriptor, space_to_descriptor, subspace,
                     mask_from_descriptor, mask_to_descriptor,
-                    RADIUS_FLOOR_FACTOR, _REL_EPS, _rowwise_dist)
+                    RADIUS_FLOOR_FACTOR, _REL_EPS, _Cells, _cell_pairs,
+                    _rowwise_dist)
 
 
 @dataclass
@@ -69,10 +69,7 @@ class Filling:
         for n, (lo, hi) in self._edge_range.items():
             at = np.arange(lo, hi)
             self._cross_at[n] = at[self.vertex_levels[self.heads[at]] != n]
-        indptr = self.balls.indptr.tolist()
-        self.ball_weight_sums = np.array(
-            [self.space.weights[self.balls.indices[a:b]].sum()
-             for a, b in zip(indptr[:-1], indptr[1:])])
+        self.ball_weight_sums = _row_sums(self.balls, self.space.weights)
         self._partition_cache = {}
         self._overlap = None
         self._recount = ()           # (`_edge_overlaps` result,) once run
@@ -380,6 +377,24 @@ def _row_pairs(a, rows_a, b, rows_b, combine):
         yield lo, hi, combine(a[rows_a[lo:hi]], b[rows_b[lo:hi]])
 
 
+def _row_sums(rows, values):
+    """``values[row].sum()`` for each row of a CSR matrix, bit for bit:
+    the rows of one length are gathered into a (rows, length) array and
+    summed along axis 1, which keeps each row's pairwise summation, in
+    blocks of about ``_BLOCK_NNZ`` entries."""
+    sizes = np.diff(rows.indptr)
+    sums = np.empty(sizes.size)
+    order = np.argsort(sizes, kind="stable")
+    for part in np.split(order, np.flatnonzero(np.diff(sizes[order])) + 1):
+        size = int(sizes[part[0]]) if part.size else 0
+        step = max(1, _BLOCK_NNZ // max(size, 1))
+        for lo in range(0, part.size, step):
+            at = part[lo:lo + step]
+            sums[at] = values[rows.indices[
+                rows.indptr[at, None] + np.arange(size)]].sum(axis=1)
+    return sums
+
+
 def _index_dtype(n_columns: int):
     """int32 for sparse column indices below 2^31, else int64."""
     return np.int32 if n_columns <= np.iinfo(np.int32).max else np.int64
@@ -591,76 +606,22 @@ def _orientation_ok(filling: Filling) -> bool:
                                 lh == lt + 1)))
 
 
-def _cell_keys(points, side):
-    """Each point's cell in a grid of cubes of the given side over its
-    first min(d, 3) coordinates, as one int64 key, and the key steps
-    from a cell to the 3^min(d, 3) cells around it, itself included.
-
-    ``floor_divide`` floors the exact quotient, so two points less than
-    ``side`` apart along an axis get cell indices at most one apart.
-    Along each axis the occupied cells are packed: neighbours stay
-    neighbours and a wider gap shrinks to one empty cell, so the keys
-    fit in int64 however far the points spread.
-    """
-    keys = np.zeros(points.shape[0], dtype=np.int64)
-    steps = np.zeros(1, dtype=np.int64)
-    stride = 1
-    for column in points[:, :3].T:
-        cells, at = np.unique(np.floor_divide(column, side),
-                              return_inverse=True)
-        packed = np.cumsum(np.concatenate(
-            ([1], np.minimum(np.diff(cells), 2)))).astype(np.int64)
-        keys += packed[at] * stride
-        steps = (steps[:, None] + np.array([-stride, 0, stride])).ravel()
-        stride *= int(packed[-1]) + 2
-    return keys, steps
-
-
-def _cell_pairs(keys, queries, steps, pair_bytes):
-    """Blocks ``(a, b, owner, member)`` of the pairs (query, item) whose
-    keys differ by one of ``steps``: the items in the cells around the
-    cell of each query a..b-1, ``owner`` naming the query of each pair.
-
-    Each query's pair count is read from the cell ranges of the sorted
-    keys before any pair is gathered, and a block holds at most
-    ``space._BLOCK_BYTES`` at ``pair_bytes`` a pair (one query at
-    least), so the audit's memory stays bounded at any depth.
-    """
-    order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    near = queries[:, None] + steps
-    lo = np.searchsorted(ranked, near, side="left")
-    hi = np.searchsorted(ranked, near, side="right")
-    counts = (hi - lo).sum(axis=1)
-    ends = np.cumsum(counts)
-    limit = max(1, _space._BLOCK_BYTES // pair_bytes)
-    a = 0
-    while a < queries.size:
-        b = max(a + 1, int(np.searchsorted(ends, ends[a] - counts[a] + limit,
-                                           side="right")))
-        lengths = (hi[a:b] - lo[a:b]).ravel()
-        first = np.repeat(lo[a:b].ravel() - np.cumsum(lengths) + lengths,
-                          lengths)
-        yield (a, b, np.repeat(np.arange(a, b), counts[a:b]),
-               order[first + np.arange(first.size)])
-        a = b
-
-
-def _level_audit(filling: Filling, lo: int, hi: int, seps: np.ndarray):
-    """``(separation_ok, covering_ok, balls_ok)`` for the vertices lo..hi-1
-    of one level, whose required separations are ``seps``.
+def _level_audit(filling: Filling, level: int):
+    """``(separation_ok, covering_ok, radius_law_ok)`` for the vertices of
+    one level.  The flavor fixes each vertex's radius and separation: a
+    plain vertex has radius 2^-n and separation 2^-(n+1), a trace vertex
+    4 * 2^-n and 2^-n, and a nested-ambient vertex either pair.
 
     The cells' side is ``(1 + 1e-12)`` times the level's largest radius
-    or separation.  A coordinate difference is at most the distance in
-    both metrics, and `_rowwise_dist` errs by a few rounding errors, far
-    inside that margin; so every ball member and every pair of centers
-    closer than their separation lies in neighbouring cells.  A center's
-    candidates are the points of the cells around its own, measured with
-    `_rowwise_dist` and tested with strict ``<``:
+    or separation, so every ball member and every pair of centers closer
+    than their separation lies in neighbouring cells (`space._Cells`).  A
+    center's candidates are measured with `_rowwise_dist` and tested with
+    strict ``<``:
 
-    * balls: the (vertex, point) keys of the candidates inside each ball,
-      sorted, equal the keys of T's rows, which therefore ascend strictly
-      and list exactly the open balls;
+    * radius law: each radius is the flavor's, and the (vertex, point)
+      keys of the candidates inside each ball, sorted, equal the keys of
+      T's rows, which therefore ascend strictly and list exactly the open
+      balls;
     * covering: every point lies inside the half ball of a candidate
       center;
     * separation: no two centers, from a second cell list of the level's
@@ -669,19 +630,24 @@ def _level_audit(filling: Filling, lo: int, hi: int, seps: np.ndarray):
     """
     space, balls = filling.space, filling.balls
     points, metric, n = space.points, space.metric_kind, space.n_points
+    lo, hi = filling._level_start[level]
     centers, radii = filling.centers[lo:hi], filling.radii[lo:hi]
+    scale = 2.0 ** (-level)
+    if filling.flavor == "plain":
+        seps, radius_ok = np.full(hi - lo, scale / 2), np.all(radii == scale)
+    elif filling.flavor == "trace":
+        seps, radius_ok = np.full(hi - lo, scale), np.all(radii == 4 * scale)
+    else:
+        on_f = radii == 4 * scale
+        seps = np.where(on_f, scale, scale / 2)
+        radius_ok = np.all(on_f | (radii == scale))
     if not centers.size:
         return True, False, True
-    keys, steps = _cell_keys(points,
-                             (1 + _REL_EPS) * max(radii.max(), seps.max()))
-    # a pair's index, owner, run position and distance, and four rows of
-    # d coordinates: the two points, their difference and its square
-    pair_bytes = 8 * (4 + 4 * space.dim)
-    coords, center_keys = points[centers], keys[centers]
+    side = (1 + _REL_EPS) * max(radii.max(), seps.max())
+    cells, coords = space._cells(side), points[centers]
     covered = np.zeros(n, dtype=bool)
-    balls_ok = True
-    for a, b, owner, member in _cell_pairs(keys, center_keys, steps,
-                                           pair_bytes):
+    for a, b, owner, member in _cell_pairs(cells, cells.keys[centers],
+                                           space.dim):
         dist = _rowwise_dist(np.take(points, member, axis=0),
                              np.take(coords, owner, axis=0), metric)
         r = radii[owner]
@@ -690,18 +656,18 @@ def _level_audit(filling: Filling, lo: int, hi: int, seps: np.ndarray):
         rows = balls.indptr[lo + a:lo + b + 1]
         listed = (np.repeat(np.arange(a, b), np.diff(rows)) * n
                   + balls.indices[rows[0]:rows[-1]])
-        balls_ok = balls_ok and np.array_equal(
+        radius_ok = radius_ok and np.array_equal(
             np.sort(owner[inside] * n + member[inside]), listed)
     separation_ok = True
-    for _, _, owner, other in _cell_pairs(center_keys, center_keys, steps,
-                                          pair_bytes):
+    cells = _Cells(coords, side)
+    for _, _, owner, other in _cell_pairs(cells, cells.keys, space.dim):
         apart = owner != other
         owner, other = owner[apart], other[apart]
         dist = _rowwise_dist(np.take(coords, other, axis=0),
                              np.take(coords, owner, axis=0), metric)
         separation_ok = separation_ok and bool(np.all(
             dist >= np.minimum(seps[owner], seps[other]) - 1e-15))
-    return separation_ok, bool(covered.all()), balls_ok
+    return separation_ok, bool(covered.all()), bool(radius_ok)
 
 
 def audit_filling(filling: Filling) -> dict:
@@ -714,34 +680,20 @@ def audit_filling(filling: Filling) -> dict:
     (edge iff levels within one and balls sharing a point, listed once)
     and edge orientation, the rule recounted by `_edge_overlaps`.
     Separation, covering and balls are judged on per-level cell lists
-    (`_level_audit`), not through the kd-tree query the build uses: a
-    center is measured only against the points of the cells around it,
-    so the work follows nnz(T), and the candidate pairs are taken in
-    blocks under a fixed byte budget.
+    (`_level_audit`), which test the candidates themselves rather than
+    through the build's ball queries: a center is measured only against
+    the points of the cells around it, so the work follows nnz(T), and
+    the candidate pairs are taken in blocks under a fixed byte budget.
     """
     report = {"flavor": filling.flavor, "levels": {}, "edge_rule_ok": True,
               "orientation_ok": True, "radius_law_ok": True}
 
     for n in filling.levels:
         lo, hi = filling._level_start[n]
-        radii = filling.radii[lo:hi]
-        scale = 2.0 ** (-n)
-        if filling.flavor == "plain":
-            seps = np.full(radii.shape[0], scale / 2)
-            radius_ok = bool(np.all(radii == scale))
-        elif filling.flavor == "trace":
-            seps = np.full(radii.shape[0], scale)
-            radius_ok = bool(np.all(radii == 4 * scale))
-        else:
-            on_f = radii == 4 * scale
-            seps = np.where(on_f, scale, scale / 2)
-            radius_ok = bool(np.all(on_f | (radii == scale)))
-        separation_ok, covering_ok, balls_ok = _level_audit(filling, lo, hi,
-                                                            seps)
-        radius_ok = radius_ok and balls_ok
+        separation_ok, covering_ok, radius_ok = _level_audit(filling, n)
         report["radius_law_ok"] &= radius_ok
         report["levels"][n] = {
-            "n_vertices": int(radii.shape[0]),
+            "n_vertices": hi - lo,
             "separation_ok": separation_ok,
             "covering_ok": covering_ok,
             "radius_law_ok": radius_ok,
@@ -829,7 +781,9 @@ def filling_from_dict(doc: dict) -> Filling:
     in `build_filling`, a vertex at every level, integer ids and a known
     flavor, with positive finite radii (every ball holds its center).
     The balls are recomputed from the space, and edges out of level
-    order or breaking the edge rule or the orientation are rejected."""
+    order or breaking the edge rule or the orientation are rejected, as
+    is a level whose centers are not separated or whose half balls do
+    not cover the space (`_level_audit`)."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
@@ -872,6 +826,13 @@ def filling_from_dict(doc: dict) -> Filling:
     if not _orientation_ok(filling):
         raise ConfigError("filling edges are not oriented toward the deeper "
                           "or larger-id endpoint")
+    for n in filling.levels:
+        separation_ok, covering_ok, _ = _level_audit(filling, n)
+        if not separation_ok:
+            raise ConfigError(f"level {n}: the centers are not separated")
+        if not covering_ok:
+            raise ConfigError(f"level {n}: the half balls do not cover the "
+                              "space")
     return filling
 
 

@@ -8,10 +8,9 @@ are exact weighted sums over the cloud; metric balls are open (strict
 inequality) throughout.
 
 Every distance comes from `_rowwise_dist`, over many pairs in row blocks
-under one byte budget (`_dist_blocks`).  Balls come from one lazily built
-kd-tree per space (`ball_row`, `ball_rows`), which only proposes candidates
-within a radius enlarged by a relative 1e-12; `_rowwise_dist` and the strict
-test decide membership, so every ball equals a full scan bit for bit.
+under one byte budget (`_dist_blocks`).  Every ball query takes as candidates
+the points of the grid cells around the center's own (`_Cells`); the strict
+test decides membership, so every ball equals a full scan bit for bit.
 
 Audit routines (`ahlfors_fit`, `doubling_audit`, `porosity_scan`,
 `codim_regularity_check`) measure the declared exponents empirically.  They
@@ -21,7 +20,6 @@ a finite cloud stops resembling the space it samples.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,7 +31,7 @@ from .errors import ConfigError, GateError
 
 DEFAULT_POINT_BUDGET = 1 << 18
 RADIUS_FLOOR_FACTOR = 4.0
-_METRICS = {"euclidean": 2.0, "sup": np.inf}  # the kd-tree's Minkowski p
+_METRICS = ("euclidean", "sup")
 # Bytes of one block of distances (16 MiB halved the filling audit's speed).
 _BLOCK_BYTES = 1 << 20
 
@@ -69,6 +67,8 @@ class FiniteMetricMeasureSpace:
     declared_diam: float
     _kdtree: cKDTree | None = field(default=None, init=False, repr=False,
                                     compare=False)
+    _cell_index: tuple = field(default=(), init=False, repr=False,
+                               compare=False)    # (side, _Cells) of `_cells`
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -104,54 +104,64 @@ class FiniteMetricMeasureSpace:
                              self.metric_kind)
 
     def _tree(self) -> cKDTree:
-        """The space's kd-tree, built on first use.  Its ``indices`` list
-        the points in leaf order, so runs of them are spatially compact."""
+        """The kd-tree, built on first use: its ``indices`` list the points
+        in leaf order, the certificate plan's spatially compact runs."""
         if self._kdtree is None:
             self._kdtree = cKDTree(self.points)
         return self._kdtree
 
-    def _tree_candidates(self, coords, radii):
-        """Tree proposals for the open balls B(coords, radii): every point
-        within ``radii (1 + 1e-12)``, a superset of each open ball."""
-        return self._tree().query_ball_point(
-            coords, radii * (1.0 + _REL_EPS), p=_METRICS[self.metric_kind],
-            return_sorted=True)
+    def _cells(self, side: float) -> _Cells:
+        """The cells of the given side, kept until another side is asked
+        for: a scan at one radius builds them once."""
+        if not self._cell_index or self._cell_index[0] != side:
+            self._cell_index = (side, _Cells(self.points, side))
+        return self._cell_index[1]
 
     def ball_rows(self, center_indices, radii) -> sparse.csr_matrix:
         """Members of the open balls B(x_c, r) around cloud points.
 
         Returns a CSR matrix with data 1.0 whose row for each center and
-        radius lists its ball in ascending order.  The kd-tree proposes the
-        points within ``r (1 + 1e-12)``; their distances are recomputed
-        with the arithmetic of `dist_from` and tested with strict ``<``, so
-        each row is exactly ``np.flatnonzero(dist_from(x_c) < r)``.
+        radius lists its ball in ascending order.  Centers whose radii
+        share a binade share the cells of side ``max r (1 + 1e-12)``;
+        their candidates are tested with the arithmetic of `dist_from` and
+        strict ``<``: each row is ``np.flatnonzero(dist_from(x_c) < r)``.
         """
         centers = np.asarray(center_indices, dtype=np.int64).reshape(-1)
         radii = np.broadcast_to(np.asarray(radii, dtype=np.float64),
                                 centers.shape)
-        coords = np.take(self.points, centers, axis=0)
-        rows = self._tree_candidates(coords, radii)
-        counts = np.fromiter(map(len, rows), dtype=np.int64,
-                             count=centers.size)
-        cand = np.fromiter(itertools.chain.from_iterable(rows),
-                           dtype=np.int64, count=int(counts.sum()))
-        owner = np.repeat(np.arange(centers.size), counts)
-        inside = _rowwise_dist(np.take(self.points, cand, axis=0),
-                               np.take(coords, owner, axis=0),
-                               self.metric_kind) < radii[owner]
-        indptr = np.searchsorted(owner[inside], np.arange(centers.size + 1))
-        return sparse.csr_matrix((np.ones(indptr[-1]), cand[inside], indptr),
+        binade = np.frexp(radii)[1]
+        rows, cols = [np.empty(0, dtype=np.int64)], [np.empty(0, np.int64)]
+        for e in np.unique(binade):
+            at = np.flatnonzero(binade == e)
+            group, r = centers[at], radii[at]
+            if not r.max() > 0:  # no open ball of radius <= 0 holds a point
+                continue
+            cells = self._cells(r.max() * (1.0 + _REL_EPS))
+            for _, _, owner, member in _cell_pairs(cells, cells.keys[group],
+                                                   self.dim):
+                inside = _rowwise_dist(
+                    self.points.take(member, axis=0),
+                    self.points.take(group[owner], axis=0),
+                    self.metric_kind) < r[owner]
+                rows.append(at[owner[inside]])
+                cols.append(member[inside])
+        # the conversion sorts each row
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        return sparse.csr_matrix((np.ones(rows.size), (rows, cols)),
                                  shape=(centers.size, self.n_points))
 
     def ball_row(self, center_index: int, radius: float):
         """``(indices, distances)`` of the open ball around a cloud point:
-        the one-center form of `ball_rows`, with the same tree candidates
-        and exact test, that also returns the distances it computed."""
-        center = self.points[center_index]
-        near = np.asarray(self._tree_candidates(center, radius),
-                          dtype=np.int64)
-        dist = _rowwise_dist(np.take(self.points, near, axis=0), center,
-                             self.metric_kind)
+        the one-center form of `ball_rows`, with the same candidates and
+        exact test, that also returns the distances it computed."""
+        if not radius > 0:  # no open ball of radius <= 0 holds a point
+            return np.empty(0, dtype=np.int64), np.empty(0)
+        cells = self._cells(radius * (1.0 + _REL_EPS))
+        lo, hi = cells.runs(cells.keys[center_index])
+        near = np.sort(np.concatenate([cells.order[a:b] for a, b in
+                                       zip(lo.tolist(), hi.tolist())]))
+        dist = _rowwise_dist(self.points.take(near, axis=0),
+                             self.points[center_index], self.metric_kind)
         inside = dist < radius
         return near[inside], dist[inside]
 
@@ -659,6 +669,68 @@ def _dist_blocks(pts_a, pts_b, metric_kind, upper=False, root=True):
         cols = pts_b[lo:] if upper else pts_b
         yield lo, _rowwise_dist(pts_a[lo:lo + step, None], cols[None],
                                 metric_kind, root)
+
+
+class _Cells:
+    """A grid of cubes of the given side over the first min(d, 3)
+    coordinates of ``points``.  ``keys`` holds each point's cell as one
+    int64, ``order`` the points by cell (ascending within each) and
+    ``ranked`` their keys; the 3^min(d, 3) cells around a cell are the
+    runs of keys ``key + row - 1 .. key + row + 1`` over ``rows``.
+
+    ``floor_divide`` floors the exact quotient, a coordinate difference
+    is at most the distance, and `_rowwise_dist` errs far less than a
+    side of the radius times 1 + 1e-12: every point of a ball lies in
+    the cells around its center's.  Each axis packs its occupied cells
+    between two empty ones, a wider gap shrinking to one empty cell, so
+    the keys fit in int64 however far the points spread.
+    """
+
+    def __init__(self, points, side):
+        self.keys = np.zeros(points.shape[0], dtype=np.int64)
+        self.rows, stride = np.zeros(1, dtype=np.int64), 1
+        for column in points[:, :3].T:
+            cells, at = np.unique(np.floor_divide(column, side),
+                                  return_inverse=True)
+            packed = np.cumsum(np.concatenate(
+                ([1], np.minimum(np.diff(cells), 2)))).astype(np.int64)
+            self.keys += packed[at] * stride
+            if stride > 1:
+                self.rows = np.add.outer(self.rows, [-stride, 0, stride]
+                                         ).ravel()
+            stride *= int(packed[-1]) + 2
+        self.order = np.argsort(self.keys, kind="stable")
+        self.ranked = self.keys[self.order]
+
+    def runs(self, queries):
+        """``(lo, hi)``, one column per row offset: the ranges of ``order``
+        that hold the points of the cells around each query key."""
+        near = np.add.outer(queries, self.rows)
+        return (self.ranked.searchsorted(near - 1),
+                self.ranked.searchsorted(near + 1, side="right"))
+
+
+def _cell_pairs(cells, queries, dim):
+    """Blocks ``(a, b, owner, member)`` of the pairs of each query key
+    a..b-1 and the points of the cells around it, ``owner`` naming the
+    query of each pair.  The pairs are counted from the cell ranges
+    before any is gathered, so a block holds at most ``_BLOCK_BYTES``
+    for its pairs in ``dim`` coordinates (one query at least)."""
+    lo, hi = cells.runs(queries)
+    counts = (hi - lo).sum(axis=1)
+    ends = counts.cumsum()
+    # a pair's index, owner, run position and distance, and four rows of
+    # d coordinates: the two points, their difference and its square
+    limit = max(1, _BLOCK_BYTES // (8 * (4 + 4 * dim)))
+    a = 0
+    while a < queries.size:
+        b = max(a + 1, int(ends.searchsorted(ends[a] - counts[a] + limit,
+                                             side="right")))
+        run = (hi[a:b] - lo[a:b]).ravel()
+        first = np.repeat(lo[a:b].ravel() - run.cumsum() + run, run)
+        yield (a, b, np.repeat(np.arange(a, b), counts[a:b]),
+               cells.order[first + np.arange(first.size)])
+        a = b
 
 
 # Random point triples drawn by `metric_spot_check`.

@@ -1179,6 +1179,23 @@ def test_malformed_filling_document_exits_2(tmp_path, capsys, edit):
         assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("point", range(8))
+def test_loaded_filling_with_a_moved_center_exits_2(tmp_path, capsys, point):
+    # level 0 of the 1-D depth-4 cube has its centers at points 0 and 8;
+    # the second moved to any of points 0-7 leaves a net that is not
+    # separated or does not cover, which the loader refuses
+    doc = hf.filling_to_dict(hf.build_filling(hf.unit_cube_space(1, 4), 0, 2))
+    assert doc["vertices"][1] == {"center": 8, "radius": 1.0, "level": 0}
+    doc["vertices"][1]["center"] = point
+    path = tmp_path / "filling.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["filling", "audit", "--filling", str(path)],
+                 ["calculus", "check-telescoping", "--filling", str(path),
+                  "--trials", "1"]):
+        assert hf.cli.main(argv) == 2, argv
+        assert "level 0: the" in capsys.readouterr().err
+
+
 def test_norm_that_leaves_the_float_range_exits_4(tmp_path, capsys):
     # (sum a_k^q)^(1/q) over several levels is far above the float range
     cfg = write_cfg(tmp_path / "n.json", dict(

@@ -186,6 +186,21 @@ def test_trace_centers_lie_in_subset(pair8, cantor6):
     assert np.all(cantor6.member_flags[amb_idx])
 
 
+def test_ball_weight_sums_equal_the_per_row_sums(any_filling):
+    # one pass over the rows grouped by length keeps each row's own
+    # summation, also under random weights
+    fil = any_filling
+    rng = np.random.default_rng(3)
+    for weights in (fil.space.weights,
+                    rng.random(fil.space.n_points) * 10.0 ** rng.integers(
+                        -3, 4, fil.space.n_points)):
+        space = dataclasses.replace(fil.space, weights=weights)
+        got = dataclasses.replace(fil, space=space).ball_weight_sums
+        want = [weights[fil.ball_members(v)].sum()
+                for v in range(fil.n_vertices)]
+        assert np.array_equal(got, want)
+
+
 def test_vertex_membership_matches_ball_lists(plain6):
     memb = plain6.vertex_membership()
     assert memb.shape == (plain6.n_vertices, plain6.space.n_points)
@@ -194,23 +209,23 @@ def test_vertex_membership_matches_ball_lists(plain6):
         assert np.array_equal(np.sort(row), plain6.ball_members(vid))
 
 
-def _count_tree_centers(monkeypatch):
-    """A list whose one entry counts the centers handed to the kd-tree."""
-    orig = hf.FiniteMetricMeasureSpace._tree_candidates
+def _count_queried_centers(monkeypatch):
+    """A list whose one entry counts the centers handed to the ball
+    queries, `ball_row` and `ball_rows`."""
     count = [0]
+    for name in ("ball_row", "ball_rows"):
+        def counted(self, centers, *args, orig=getattr(
+                hf.FiniteMetricMeasureSpace, name), **kwargs):
+            count[0] += np.size(centers)
+            return orig(self, centers, *args, **kwargs)
 
-    def counted(self, coords, radii):
-        count[0] += np.atleast_2d(coords).shape[0]
-        return orig(self, coords, radii)
-
-    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "_tree_candidates",
-                        counted)
+        monkeypatch.setattr(hf.FiniteMetricMeasureSpace, name, counted)
     return count
 
 
 def test_builds_query_each_ball_once(monkeypatch, interval10, cantor6):
-    # the net scan's rows are the balls: one tree query per vertex
-    count = _count_tree_centers(monkeypatch)
+    # the net scan's rows are the balls: one ball query per vertex
+    count = _count_queried_centers(monkeypatch)
     plain = hf.build_filling(hf.unit_cube_space(2, 5), 0, 3)
     assert count[0] == plain.n_vertices
     count[0] = 0
@@ -825,7 +840,7 @@ def test_point_at_radius_lies_at_exactly_the_radius(plain6):
 
 
 def test_audits_measure_no_point_by_center_block(monkeypatch, plain6, pair8):
-    # the audits never ask for a block of distances or the kd-tree: every
+    # the audits never ask for a block of distances or a ball query: every
     # distance they measure is between matching rows
     def refuse(*args):
         raise AssertionError("audit measured a distance block")
@@ -839,8 +854,8 @@ def test_audits_measure_no_point_by_center_block(monkeypatch, plain6, pair8):
     for module in (hf.space, hf.filling):
         monkeypatch.setattr(module, "_rowwise_dist", rowwise)
     monkeypatch.setattr(hf.space, "_dist_blocks", refuse)
-    monkeypatch.setattr(hf.FiniteMetricMeasureSpace, "_tree_candidates",
-                        refuse)
+    for name in ("ball_row", "ball_rows"):
+        monkeypatch.setattr(hf.FiniteMetricMeasureSpace, name, refuse)
     for fil in (plain6, pair8.ambient, pair8.trace):
         assert hf.audit_filling(fil)["ok"] is True
     assert hf.audit_nested(pair8)["ok"] is True

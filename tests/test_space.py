@@ -132,9 +132,24 @@ def test_measured_diam_stays_within_the_block_budget():
     assert peak < 4 * _BLOCK_BYTES
 
 
+def _calls(node, owner=None):
+    """``(function, name)`` of every call below ``node``: the innermost
+    function around it (None at module level) and the called name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Call):
+            func = child.func
+            yield owner, getattr(func, "id", getattr(func, "attr", None))
+        inner = (child.name if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+        yield from _calls(child, inner)
+
+
 def test_src_has_one_distance_arithmetic():
     # every distance in the library comes from `_rowwise_dist`; SciPy's
-    # distance module rounds differently from d = 8 on
+    # distance module rounds differently from d = 8 on.  Every ball query
+    # takes its candidates from the cell index: no kd-tree ball query, and
+    # the tree is only the certificate plan's point order
+    tree_calls = []
     for name in sorted(os.listdir(SRC)):
         if not name.endswith(".py"):
             continue
@@ -150,10 +165,11 @@ def test_src_has_one_distance_arithmetic():
                 modules = []
             assert not any(m.startswith("scipy.spatial.distance")
                            for m in modules), name
-            if isinstance(node, ast.Call):
-                func = node.func
-                assert getattr(func, "id", getattr(func, "attr", None)) \
-                    != "cdist", name
+        for owner, called in _calls(tree):
+            assert called not in ("cdist", "query_ball_point"), name
+            if called == "_tree":
+                tree_calls.append((name, owner))
+    assert tree_calls == [("trace.py", "_cert_pair_plan")]
 
 
 def test_ahlfors_fit_interval(interval10):
@@ -406,6 +422,23 @@ def test_ball_rows_match_full_scan(metric, dim, depth):
         row, dist = space.ball_row(c, r)
         assert row.dtype == np.int64 and np.array_equal(row, want)
         assert np.array_equal(dist, d[want])
+
+
+def test_a_net_scan_builds_one_cell_index_per_radius(monkeypatch):
+    # every ball of a level's scan reuses that level's cells, and a space
+    # keeps only the index of the last side it was asked for
+    sides = []
+    make = hf.space._Cells.__init__
+
+    def counted(self, points, side):
+        sides.append(side)
+        make(self, points, side)
+
+    monkeypatch.setattr(hf.space._Cells, "__init__", counted)
+    space = hf.unit_cube_space(2, 5)
+    hf.build_filling(space, 0, 3)
+    assert sides == [2.0 ** -n * (1 + 1e-12) for n in range(4)]
+    assert space._cell_index[0] == sides[-1]
 
 
 def test_ball_rows_of_no_centers(interval8):
