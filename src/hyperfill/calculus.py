@@ -18,7 +18,7 @@ from scipy import sparse
 
 from .errors import ConfigError, NumericalError
 from .filling import Filling, _row_pairs
-from .space import _rowwise_dist
+from .space import _cached, _rowwise_dist
 
 # Points per vertex in the Lipschitz-quotient scan of a partition.
 _QUOTIENT_POINTS = 192
@@ -101,6 +101,7 @@ def discrete_derivative(filling: Filling, v) -> np.ndarray:
     return v[filling.heads] - v[filling.tails]
 
 
+@_cached
 def build_partition(filling: Filling, level: int) -> Partition:
     """Build (or fetch) the tent partition of unity at one level.
 
@@ -126,9 +127,6 @@ def build_partition(filling: Filling, level: int) -> Partition:
         If the tent sum at some point falls below one (half-ball
         covering failed), which would make the quotient ill-conditioned.
     """
-    cached = filling._partition_cache.get(level)
-    if cached is not None:
-        return cached
     vids = filling.vertices_at_level(level)
     if vids.size == 0:
         raise ConfigError("filling has no vertices at level %d" % level)
@@ -153,9 +151,7 @@ def build_partition(filling: Filling, level: int) -> Partition:
             "tent sum %.6g < 1 at level %d; half balls do not cover"
             % (lo, level))
     psi = phi.multiply(1.0 / denom[None, :]).tocsr()
-    part = Partition(level=level, vertex_ids=vids, psi=psi)
-    filling._partition_cache[level] = part
-    return part
+    return Partition(level=level, vertex_ids=vids, psi=psi)
 
 
 def level_blend(filling: Filling, values, level: int) -> np.ndarray:
@@ -190,8 +186,9 @@ def edge_blend(filling: Filling, edge_values, level: int) -> np.ndarray:
     weight of edge ``e = (x, y)`` at a point is ``psi_x psi_y``, the
     product of the tail partition at ``level`` and the head partition at
     ``level + 1``.  Those products depend only on the filling, so they
-    are built once per level and cached next to the partitions; each
-    call is one sparse product with the cached matrix.
+    are built once per level and kept in the filling's cache
+    (`_cross_blend_matrix`); each call is one sparse product with the
+    kept matrix.
 
     Parameters
     ----------
@@ -224,6 +221,7 @@ def _cross_blend(filling: Filling, u: np.ndarray, level: int) -> np.ndarray:
     return _cross_blend_matrix(filling, level).T @ u[eids]
 
 
+@_cached
 def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
     """Cached (cross edges, n_points) matrix of the products ``psi_x psi_y``.
 
@@ -235,22 +233,15 @@ def _cross_blend_matrix(filling: Filling, level: int) -> sparse.csr_matrix:
     up at once.  A level without cross edges gets an empty matrix and
     builds no partition.
     """
-    key = ("cross", level)
-    cached = filling._partition_cache.get(key)
-    if cached is not None:
-        return cached
     eids = filling.cross_edges_at_level(level)
     if eids.size == 0:
-        cross = sparse.csr_matrix((0, filling.space.n_points))
-    else:
-        lo = build_partition(filling, level)
-        hi = build_partition(filling, level + 1)
-        cross = sparse.vstack([both for _, _, both in _row_pairs(
-            lo.psi, filling.tails[eids] - lo.vertex_ids[0],
-            hi.psi, filling.heads[eids] - hi.vertex_ids[0],
-            lambda a, b: a.multiply(b))], format="csr")
-    filling._partition_cache[key] = cross
-    return cross
+        return sparse.csr_matrix((0, filling.space.n_points))
+    lo = build_partition(filling, level)
+    hi = build_partition(filling, level + 1)
+    return sparse.vstack([both for _, _, both in _row_pairs(
+        lo.psi, filling.tails[eids] - lo.vertex_ids[0],
+        hi.psi, filling.heads[eids] - hi.vertex_ids[0],
+        lambda a, b: a.multiply(b))], format="csr")
 
 
 def telescoping_integral(filling: Filling, edge_values,

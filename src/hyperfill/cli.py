@@ -27,8 +27,8 @@ from .filling import (audit_filling, audit_nested, build_filling,
 from .hajlasz import hajlasz_norm
 from .norms import (NormVariant, SmoothnessParams, besov_fn_norm,
                     nonhom_norm, triebel_fn_norm)
-from .space import (_check_keys, _dyadic_radii, ahlfors_fit,
-                    codim_regularity_check, doubling_audit,
+from .space import (_check_keys, _dyadic_radii, _int, _num, _raw_float,
+                    ahlfors_fit, codim_regularity_check, doubling_audit,
                     mask_from_descriptor, mask_to_descriptor,
                     metric_spot_check, porosity_scan, space_from_descriptor,
                     space_to_descriptor, subspace)
@@ -64,24 +64,6 @@ def _read(path: str):
     except OSError as exc:
         raise ConfigError("cannot read %s: %s"
                           % (path, exc.strerror or exc)) from exc
-
-
-def _int(value, what: str) -> int:
-    """A config value that must be a JSON integer; a float, a bool or a
-    string is refused, not cast."""
-    if type(value) is not int:
-        raise ConfigError("%s must be an integer, got %r" % (what, value))
-    return value
-
-
-def _raw_float(value, what: str) -> float:
-    """A config value as a float, not checked to be finite; malformed
-    values are config errors."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError("%s must be a number, got %r"
-                          % (what, value)) from None
 
 
 def _float(value, what: str) -> float:
@@ -155,15 +137,6 @@ def _params_of(raw, what: str, kind: str = "besov") -> SmoothnessParams:
     return SmoothnessParams(
         s=_float(raw["s"], what + ".s"), p=_num(raw["p"], what + ".p"),
         q=_num(q, what + ".q"), kind=raw.get("kind", kind))
-
-
-def _num(x, what: str) -> float:
-    """A number or the string 'inf'."""
-    if isinstance(x, str):
-        if x == "inf":
-            return np.inf
-        raise ConfigError("%s must be a number or 'inf', got %r" % (what, x))
-    return _raw_float(x, what)
 
 
 def _variant_of(cfg: dict) -> NormVariant | None:

@@ -30,8 +30,8 @@ from .errors import ConfigError
 from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
                     space_from_descriptor, space_to_descriptor, subspace,
                     mask_from_descriptor, mask_to_descriptor,
-                    RADIUS_FLOOR_FACTOR, _REL_EPS, _Cells, _cell_pairs,
-                    _rowwise_dist)
+                    RADIUS_FLOOR_FACTOR, _REL_EPS, _Cells, _cached,
+                    _cell_pairs, _int, _raw_float, _rowwise_dist)
 
 
 @dataclass
@@ -45,7 +45,8 @@ class Filling:
     `ConfigError`.  The balls are stored once, in the CSR matrix `balls`
     (T, data 1.0): row v lists B(v) in ascending order, its center
     included.  `vertex_membership()` returns T and `ball_members(v)` is a
-    read-only view of row v.
+    read-only view of row v.  Every structure derived from the filling is
+    built on first use and kept in ``_cache`` (`space._cached`).
     """
 
     space: FiniteMetricMeasureSpace
@@ -59,24 +60,15 @@ class Filling:
     heads: np.ndarray            # (E,)
     edge_levels: np.ndarray      # (E,) min of the endpoint levels
     balls: sparse.csr_matrix     # (V, n_points) T, row v lists B(v)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         if np.any(np.diff(self.edge_levels) < 0):
             raise ConfigError("filling edges must ascend by level")
         self._level_start = _level_ranges(self.vertex_levels, self.levels)
         self._edge_range = _level_ranges(self.edge_levels, self.levels)
-        self._cross_at = {}
-        for n, (lo, hi) in self._edge_range.items():
-            at = np.arange(lo, hi)
-            self._cross_at[n] = at[self.vertex_levels[self.heads[at]] != n]
         self.ball_weight_sums = _row_sums(self.balls, self.space.weights)
-        self._partition_cache = {}
-        self._overlap = None
-        self._recount = ()           # (`_edge_overlaps` result,) once run
-        self._level_balls = None
-        self._half_balls = None
-        self._edge_membership = None
-        self._edge_ball_mass = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -101,10 +93,11 @@ class Filling:
         self._require_level(k)
         return self._edge_range[k]
 
+    @_cached
     def cross_edges_at_level(self, n: int) -> np.ndarray:
         """Edge ids joining level n to level n+1, in edge order."""
-        self._require_level(n)
-        return self._cross_at[n]
+        at = np.arange(*self.edge_range(n))
+        return at[self.vertex_levels[self.heads[at]] != n]
 
     def ball_members(self, vertex_id: int) -> np.ndarray:
         """B(vertex_id) in ascending order, a read-only view of `balls`."""
@@ -120,6 +113,18 @@ class Filling:
         """`ball_members` of every vertex; the library does not read it."""
         return [self.ball_members(v) for v in range(self.n_vertices)]
 
+    # Read by perfbench's counts; the library does not read them.
+    @property
+    def _edge_membership(self):
+        """The kept `edge_membership` matrix, or None before it is built."""
+        return self._cache.get(("edge_membership",))
+
+    @property
+    def _partition_cache(self) -> dict:
+        """The kept partitions of `calculus.build_partition`, by level."""
+        return {key[1]: value for key, value in self._cache.items()
+                if key[0] == "build_partition"}
+
     def _require_level(self, n: int):
         if not (self.level_lo <= n <= self.level_hi):
             raise ConfigError(f"level {n} outside window "
@@ -132,6 +137,7 @@ class Filling:
         """Sparse (n_vertices, n_points) indicator of the vertex balls."""
         return self.balls
 
+    @_cached
     def edge_membership(self) -> sparse.csr_matrix:
         """Sparse (n_edges, n_points) indicator of the edge balls B(e).
 
@@ -143,37 +149,35 @@ class Filling:
         size and filled in edge blocks of about ``_BLOCK_NNZ`` gathered
         entries.  Each block also sums its rows' weights into
         `edge_ball_mass`, since a product with the whole boolean matrix
-        would copy its data as floats.  The norms superpose through
+        would copy its data as floats, and kept under the key
+        ``("edge_ball_mass",)``.  The norms superpose through
         `_superpose`.
         """
-        if self._edge_membership is None:
-            sizes = np.diff(self.balls.indptr)
-            shared = self._overlaps()
-            indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
-            np.cumsum(sizes[self.tails] + sizes[self.heads] - shared,
-                      out=indptr[1:])
-            indices = np.empty(indptr[-1], dtype=_index_dtype(
-                self.space.n_points))
-            mass = np.zeros(self.n_edges)
-            balls = self.balls.astype(bool)
-            for lo, hi, union in _row_pairs(balls, self.tails, balls,
-                                            self.heads, np.add):
-                union.sort_indices()
-                indices[indptr[lo]:indptr[hi]] = union.indices
-                mass[lo:hi] = union @ self.space.weights
-            self._edge_membership = sparse.csr_matrix(
-                (np.ones(indices.size, dtype=bool), indices, indptr),
-                shape=(self.n_edges, self.space.n_points))
-            self._edge_ball_mass = mass
-        return self._edge_membership
+        sizes = np.diff(self.balls.indptr)
+        shared = self._overlaps()
+        indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
+        np.cumsum(sizes[self.tails] + sizes[self.heads] - shared,
+                  out=indptr[1:])
+        indices = np.empty(indptr[-1], dtype=_index_dtype(
+            self.space.n_points))
+        mass = np.zeros(self.n_edges)
+        balls = self.balls.astype(bool)
+        for lo, hi, union in _row_pairs(balls, self.tails, balls,
+                                        self.heads, np.add):
+            union.sort_indices()
+            indices[indptr[lo]:indptr[hi]] = union.indices
+            mass[lo:hi] = union @ self.space.weights
+        self._cache["edge_ball_mass",] = mass
+        return sparse.csr_matrix(
+            (np.ones(indices.size, dtype=bool), indices, indptr),
+            shape=(self.n_edges, self.space.n_points))
 
     def edge_ball_mass(self) -> np.ndarray:
         """mu(B(e)) for every edge: each row of `edge_membership` summed
         over the point weights in index order, while that matrix is
         built."""
-        if self._edge_ball_mass is None:
-            self.edge_membership()
-        return self._edge_ball_mass
+        self.edge_membership()
+        return self._cache["edge_ball_mass",]
 
     def _by_level(self, balls: sparse.csr_matrix) -> sparse.csr_matrix:
         """Row v of an (n_vertices, n_points) matrix moved into the block of
@@ -185,20 +189,22 @@ class Filling:
             (balls.data, (balls.indices + shift).astype(_index_dtype(width)),
              balls.indptr), shape=(self.n_vertices, width))
 
+    @_cached
     def _overlaps(self) -> np.ndarray:
         """|B(tail) ∩ B(head)| for every edge, as int32.
 
-        Each constructor keeps the counts it holds (the build's products,
-        the cut's meet test); any other filling, a loaded one included,
+        `_assemble` and `_restrict_filling` seed this key with the counts
+        they hold (the build's products, the cut's meet test); any other
+        filling, a loaded one or a `dataclasses.replace` copy included,
         reads them from `_edge_overlaps`, or raises `ConfigError`.
         """
-        if self._overlap is None:
-            self._overlap = _edge_overlaps(self)
-            if self._overlap is None:
-                raise ConfigError("filling edges are not the intersecting "
-                                  "ball pairs with levels within one")
-        return self._overlap
+        overlap = _edge_overlaps(self)
+        if overlap is None:
+            raise ConfigError("filling edges are not the intersecting "
+                              "ball pairs with levels within one")
+        return overlap
 
+    @_cached
     def _ball_levels(self):
         """The vertex balls and each edge's shorter correction row, placed
         in the block of its level.
@@ -222,62 +228,58 @@ class Filling:
         operation in `_row_pairs` blocks, a product for O_e and a ``small
         > big`` comparison for D_e.  On a 64 x 64 grid at levels 0..4, Q
         holds 1,266,972 entries, 44% of the 2,880,043 of the overlap
-        matrix B(tail) ∩ B(head) it replaces.  Built once and kept;
-        `_superpose` multiplies with both matrices.
+        matrix B(tail) ∩ B(head) it replaces.  `_superpose` multiplies
+        with both matrices.
         """
-        if self._level_balls is None:
-            n, lo = self.space.n_points, self.level_lo
-            overlap = self._overlaps()
-            sizes = np.diff(self.balls.indptr)
-            head_big = sizes[self.heads] > sizes[self.tails]
-            small = np.where(head_big, self.tails, self.heads)
-            big = np.where(head_big, self.heads, self.tails)
-            rest = sizes[small] - overlap
-            keep_o = overlap <= rest
-            lengths = np.where(keep_o, overlap, rest)
-            flags = self.balls.astype(bool)
-            # D blocks are cut by the larger ball's rows, which hold most
-            # of a block's gathered entries
-            found = []
-            for mine, a, b, combine in (
-                    (keep_o, self.tails, self.heads,
-                     lambda x, y: x.multiply(y)),
-                    (~keep_o, big, small, lambda x, y: y > x)):
-                at = np.flatnonzero(mine & (lengths > 0))
-                found.append(np.concatenate([rows.indices for _, _, rows in (
-                    _row_pairs(flags, a[at], flags, b[at], combine))]))
-            indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            balls = self._by_level(self.balls)
-            indices = np.empty(indptr[-1], dtype=balls.indices.dtype)
-            slots = np.repeat(keep_o, lengths)
-            indices[slots] = found[0]
-            indices[~slots] = found[1]
-            del found, slots
-            for k, (a, b) in self._edge_range.items():
-                indices[indptr[a]:indptr[b]] += (k - lo) * n
-            signs = np.repeat(np.where(keep_o, -1.0, 1.0), lengths)
-            signs.flags.writeable = False
-            q_t = sparse.csc_matrix(
-                (signs, indices, indptr),
-                shape=(len(self.levels) * n, self.n_edges))
-            self._level_balls = (balls.T, q_t, keep_o | ~head_big,
-                                 keep_o | head_big)
-        return self._level_balls
+        n, lo = self.space.n_points, self.level_lo
+        overlap = self._overlaps()
+        sizes = np.diff(self.balls.indptr)
+        head_big = sizes[self.heads] > sizes[self.tails]
+        small = np.where(head_big, self.tails, self.heads)
+        big = np.where(head_big, self.heads, self.tails)
+        rest = sizes[small] - overlap
+        keep_o = overlap <= rest
+        lengths = np.where(keep_o, overlap, rest)
+        flags = self.balls.astype(bool)
+        # D blocks are cut by the larger ball's rows, which hold most
+        # of a block's gathered entries
+        found = []
+        for mine, a, b, combine in (
+                (keep_o, self.tails, self.heads,
+                 lambda x, y: x.multiply(y)),
+                (~keep_o, big, small, lambda x, y: y > x)):
+            at = np.flatnonzero(mine & (lengths > 0))
+            found.append(np.concatenate([rows.indices for _, _, rows in (
+                _row_pairs(flags, a[at], flags, b[at], combine))]))
+        indptr = np.zeros(self.n_edges + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
+        balls = self._by_level(self.balls)
+        indices = np.empty(indptr[-1], dtype=balls.indices.dtype)
+        slots = np.repeat(keep_o, lengths)
+        indices[slots] = found[0]
+        indices[~slots] = found[1]
+        del found, slots
+        for k, (a, b) in self._edge_range.items():
+            indices[indptr[a]:indptr[b]] += (k - lo) * n
+        signs = np.repeat(np.where(keep_o, -1.0, 1.0), lengths)
+        signs.flags.writeable = False
+        q_t = sparse.csc_matrix(
+            (signs, indices, indptr),
+            shape=(len(self.levels) * n, self.n_edges))
+        return (balls.T, q_t, keep_o | ~head_big, keep_o | head_big)
 
+    @_cached
     def _half_ball_levels(self) -> sparse.csc_matrix:
         """The open vertex half balls ``B(center, radius / 2)``, placed by
         level and transposed as the vertex balls of `_ball_levels` are.
 
-        One batched `FiniteMetricMeasureSpace.ball_rows` query, built
-        once and kept.  An edge's half ball is its tail's, and a tail
-        sits at its edge's level, so ``H @ bincount(tails, w)`` is every
-        level's half-ball superposition.
+        One batched `FiniteMetricMeasureSpace.ball_rows` query.  An edge's
+        half ball is its tail's, and a tail sits at its edge's level, so
+        ``H @ bincount(tails, w)`` is every level's half-ball
+        superposition.
         """
-        if self._half_balls is None:
-            self._half_balls = self._by_level(
-                self.space.ball_rows(self.centers, 0.5 * self.radii)).T
-        return self._half_balls
+        return self._by_level(
+            self.space.ball_rows(self.centers, 0.5 * self.radii)).T
 
     def _superpose(self, w: np.ndarray) -> np.ndarray:
         """Level superpositions of edge weights over the edge balls.
@@ -323,13 +325,8 @@ class NestedFilling:
     point_embedding: np.ndarray   # trace space point index -> ambient point index
     vertex_embedding: np.ndarray  # trace vertex id -> ambient vertex id
     edge_embedding: np.ndarray    # trace edge id -> ambient edge id
-    # extend_sobolev's certificate pairs grouped by cells of point blocks,
-    # a trace._CertPlan (two offsets a pair, cell starts, ...) once drawn
-    _cert_plan: tuple = field(default=(), init=False, repr=False,
-                              compare=False)
-    # the trace gate's porosity_scan result, (constant or None,) once run
-    _porosity: tuple = field(default=(), init=False, repr=False,
-                             compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     @property
     def trace_space(self) -> FiniteMetricMeasureSpace:
@@ -448,7 +445,7 @@ def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
                       vertex_levels=levels, tails=tails, heads=heads,
                       edge_levels=np.minimum(levels[tails], levels[heads]),
                       balls=balls)
-    filling._overlap = shared
+    filling._cache["_overlaps",] = shared
     return filling
 
 
@@ -542,7 +539,7 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
                     tails=tails[meets], heads=heads[meets],
                     edge_levels=ambient.edge_levels[edge_embedding],
                     balls=balls)
-    trace._overlap = shared[meets].astype(np.int32)
+    trace._cache["_overlaps",] = shared[meets].astype(np.int32)
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
                          vertex_embedding=vertex_embedding,
@@ -564,6 +561,7 @@ def overlap_audit(filling: Filling) -> dict:
     return out
 
 
+@_cached
 def _edge_overlaps(filling: Filling):
     """|B(tail) ∩ B(head)| for every edge, as int32, or None unless the
     edges are, once each, the pairs of vertices with levels within one
@@ -577,25 +575,23 @@ def _edge_overlaps(filling: Filling):
     independent of the build because T itself is not trusted:
     `audit_filling` verifies every row of T against the distances with
     its cell list.  Recounted once per filling and kept, so a loaded
-    filling's edge-rule check and its audit share one recount; a built
-    filling keeps its build's counts in ``_overlap`` instead, so its
-    audit recounts.
+    filling's edge-rule check (`Filling._overlaps`) and its audit share
+    one recount; a built filling's `_overlaps` holds its build's counts
+    instead, so its audit recounts.
     """
-    if not filling._recount:
-        tails, heads, shared = _near_level_pairs(filling.balls,
-                                                  filling._level_start)
-        n = filling.n_vertices
-        expected = tails * n + heads
-        order = np.argsort(expected)
-        keys = (np.minimum(filling.tails, filling.heads) * n
-                + np.maximum(filling.tails, filling.heads))
-        at = np.argsort(keys)
-        counts = None
-        if np.array_equal(keys[at], expected[order]):
-            counts = np.empty(filling.n_edges, dtype=np.int32)
-            counts[at] = shared[order]
-        filling._recount = (counts,)
-    return filling._recount[0]
+    tails, heads, shared = _near_level_pairs(filling.balls,
+                                              filling._level_start)
+    n = filling.n_vertices
+    expected = tails * n + heads
+    order = np.argsort(expected)
+    keys = (np.minimum(filling.tails, filling.heads) * n
+            + np.maximum(filling.tails, filling.heads))
+    at = np.argsort(keys)
+    if not np.array_equal(keys[at], expected[order]):
+        return None
+    counts = np.empty(filling.n_edges, dtype=np.int32)
+    counts[at] = shared[order]
+    return counts
 
 
 def _orientation_ok(filling: Filling) -> bool:
@@ -770,10 +766,8 @@ def filling_to_dict(filling: Filling) -> dict:
 
 
 def _ids(values, what: str) -> np.ndarray:
-    """A document's integer ids; a float or a bool is refused, not cast."""
-    if any(type(v) is not int for v in values):
-        raise ConfigError(f"{what} must be integers")
-    return np.array(values, dtype=np.int64)
+    """A document's integer ids, each read by `space._int`."""
+    return np.array([_int(v, what) for v in values], dtype=np.int64)
 
 
 def filling_from_dict(doc: dict) -> Filling:
@@ -782,8 +776,9 @@ def filling_from_dict(doc: dict) -> Filling:
     flavor, with positive finite radii (every ball holds its center).
     The balls are recomputed from the space, and edges out of level
     order or breaking the edge rule or the orientation are rejected, as
-    is a level whose centers are not separated or whose half balls do
-    not cover the space (`_level_audit`)."""
+    is a level whose radii are not its flavor's, whose centers are not
+    separated or whose half balls do not cover the space
+    (`_level_audit`)."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
@@ -796,8 +791,8 @@ def filling_from_dict(doc: dict) -> Filling:
         level_lo, level_hi = _ids([doc["level_lo"], doc["level_hi"]],
                                   "window levels").tolist()
         centers = _ids([v["center"] for v in doc["vertices"]], "centers")
-        radii = np.array([v["radius"] for v in doc["vertices"]],
-                         dtype=np.float64)
+        radii = np.array([_raw_float(v["radius"], "radii")
+                          for v in doc["vertices"]], dtype=np.float64)
         levels = _ids([v["level"] for v in doc["vertices"]], "levels")
         tails = _ids([e["tail"] for e in doc["edges"]], "edge tails")
         heads = _ids([e["head"] for e in doc["edges"]], "edge heads")
@@ -827,7 +822,10 @@ def filling_from_dict(doc: dict) -> Filling:
         raise ConfigError("filling edges are not oriented toward the deeper "
                           "or larger-id endpoint")
     for n in filling.levels:
-        separation_ok, covering_ok, _ = _level_audit(filling, n)
+        separation_ok, covering_ok, radius_ok = _level_audit(filling, n)
+        if not radius_ok:
+            raise ConfigError(f"level {n}: the radii are not the "
+                              f"{doc['flavor']} flavor's")
         if not separation_ok:
             raise ConfigError(f"level {n}: the centers are not separated")
         if not covering_ok:

@@ -20,6 +20,7 @@ a finite cloud stops resembling the space it samples.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +39,23 @@ _BLOCK_BYTES = 1 << 20
 # Slack for comparisons involving dyadic radii that are exactly at a
 # validation boundary (e.g. 2**-n == 4 * resolution).
 _REL_EPS = 1e-12
+
+
+def _cached(build):
+    """Keep ``build(owner, ...)`` in ``owner._cache`` under the builder's
+    name and the arguments after the owner: the first call builds, later
+    calls return the kept object, and a build that raises stores nothing.
+    Each space, filling and nested filling owns one such dict, so all it
+    derives is listed in one place; a `dataclasses.replace` copy starts
+    with an empty one."""
+    @functools.wraps(build)
+    def cached(owner, *args, **kwargs):
+        key = (build.__name__, *args, *kwargs.values())
+        if key not in owner._cache:
+            owner._cache[key] = build(owner, *args, **kwargs)
+        return owner._cache[key]
+
+    return cached
 
 
 @dataclass
@@ -65,10 +83,8 @@ class FiniteMetricMeasureSpace:
     resolution: float
     declared_Q: float
     declared_diam: float
-    _kdtree: cKDTree | None = field(default=None, init=False, repr=False,
-                                    compare=False)
-    _cell_index: tuple = field(default=(), init=False, repr=False,
-                               compare=False)    # (side, _Cells) of `_cells`
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
 
     def __post_init__(self):
         self.points = np.ascontiguousarray(self.points, dtype=np.float64)
@@ -103,19 +119,20 @@ class FiniteMetricMeasureSpace:
         return _rowwise_dist(self.points, np.asarray(coord, dtype=np.float64),
                              self.metric_kind)
 
+    @_cached
     def _tree(self) -> cKDTree:
-        """The kd-tree, built on first use: its ``indices`` list the points
-        in leaf order, the certificate plan's spatially compact runs."""
-        if self._kdtree is None:
-            self._kdtree = cKDTree(self.points)
-        return self._kdtree
+        """The kd-tree: its ``indices`` list the points in leaf order, the
+        certificate plan's spatially compact runs."""
+        return cKDTree(self.points)
 
     def _cells(self, side: float) -> _Cells:
-        """The cells of the given side, kept until another side is asked
-        for: a scan at one radius builds them once."""
-        if not self._cell_index or self._cell_index[0] != side:
-            self._cell_index = (side, _Cells(self.points, side))
-        return self._cell_index[1]
+        """The cells of the given side, kept under the key ``("_cells",)``
+        until another side is asked for: a scan at one radius builds them
+        once, and a space holds one index at a time."""
+        cells = self._cache.get(("_cells",))
+        if cells is None or cells.side != side:
+            cells = self._cache["_cells",] = _Cells(self.points, side)
+        return cells
 
     def ball_rows(self, center_indices, radii) -> sparse.csr_matrix:
         """Members of the open balls B(x_c, r) around cloud points.
@@ -672,7 +689,7 @@ def _dist_blocks(pts_a, pts_b, metric_kind, upper=False, root=True):
 
 
 class _Cells:
-    """A grid of cubes of the given side over the first min(d, 3)
+    """A grid of cubes of side ``side`` over the first min(d, 3)
     coordinates of ``points``.  ``keys`` holds each point's cell as one
     int64, ``order`` the points by cell (ascending within each) and
     ``ranked`` their keys; the 3^min(d, 3) cells around a cell are the
@@ -687,6 +704,7 @@ class _Cells:
     """
 
     def __init__(self, points, side):
+        self.side = side
         self.keys = np.zeros(points.shape[0], dtype=np.int64)
         self.rows, stride = np.zeros(1, dtype=np.int64), 1
         for column in points[:, :3].T:
@@ -776,26 +794,38 @@ def _space_from_descriptor(desc, point_budget):
     mask = None
     if kind == "cube":
         _check_keys(desc, {"dim", "depth"}, {"metric"}, "descriptor")
-        space = unit_cube_space(int(desc["dim"]), int(desc["depth"]),
+        space = unit_cube_space(_int(desc["dim"], "space descriptor dim"),
+                                _int(desc["depth"],
+                                     "space descriptor depth"),
                                 metric=desc.get("metric", "sup"),
                                 point_budget=point_budget)
     elif kind == "ifs":
         _check_keys(desc, {"maps", "depth"},
                     {"metric", "declared_Q", "declared_lambda"}, "descriptor")
-        maps = [IfsMap(ratio=float(m["ratio"]),
-                       offset=tuple(float(v) for v in m["offset"]),
-                       rotation_deg=float(m.get("rotation_deg", 0.0)))
+        where = "space descriptor "
+        maps = [IfsMap(ratio=_raw_float(m["ratio"], where + "ratio"),
+                       offset=tuple(_raw_float(v, where + "offset")
+                                    for v in m["offset"]),
+                       rotation_deg=_raw_float(m.get("rotation_deg", 0.0),
+                                               where + "rotation_deg"))
                 for m in desc["maps"]]
-        system = IfsSystem(maps=maps, depth=int(desc["depth"]))
-        submaps = None
+        system = IfsSystem(maps=maps, depth=_int(desc["depth"],
+                                                 where + "depth"))
+        declared_Q = desc.get("declared_Q")
+        if declared_Q is not None:
+            declared_Q = _raw_float(declared_Q, where + "declared_Q")
+        submaps, declared_lambda = None, None
         if subset_desc is not None and "submaps" in subset_desc:
             _check_keys(subset_desc, {"submaps"}, {"lambda"},
                         "descriptor")
-            submaps = subset_desc["submaps"]
+            submaps = [_int(i, "subset descriptor submaps")
+                       for i in subset_desc["submaps"]]
+            if "lambda" in subset_desc:
+                declared_lambda = _raw_float(subset_desc["lambda"],
+                                             "subset descriptor lambda")
         space, mask = ifs_attractor(
             system, submaps=submaps, metric=desc.get("metric", "euclidean"),
-            declared_Q=desc.get("declared_Q"),
-            declared_lambda=(subset_desc or {}).get("lambda"),
+            declared_Q=declared_Q, declared_lambda=declared_lambda,
             point_budget=point_budget)
         subset_desc = None if submaps is not None else subset_desc
     elif kind == "pointset":
@@ -805,9 +835,12 @@ def _space_from_descriptor(desc, point_budget):
             points=np.asarray(desc["points"], dtype=np.float64),
             weights=np.asarray(desc["weights"], dtype=np.float64),
             metric_kind=desc["metric"],
-            resolution=float(desc["resolution"]),
-            declared_Q=float(desc["declared_Q"]),
-            declared_diam=float(desc["declared_diam"]),
+            resolution=_raw_float(desc["resolution"],
+                                  "space descriptor resolution"),
+            declared_Q=_raw_float(desc["declared_Q"],
+                                  "space descriptor declared_Q"),
+            declared_diam=_raw_float(desc["declared_diam"],
+                                     "space descriptor declared_diam"),
         )
         if space.n_points > point_budget:
             raise ConfigError("pointset exceeds the point budget")
@@ -838,7 +871,8 @@ def _mask_from_descriptor(space, desc):
         raise ConfigError("subset descriptor must be a dict")
     if "cantor_depth" in desc:
         _check_keys(desc, {"cantor_depth"}, set(), "descriptor")
-        return cantor_mask(space, int(desc["cantor_depth"]))
+        return cantor_mask(space, _int(desc["cantor_depth"],
+                                        "subset descriptor cantor_depth"))
     if "indices" not in desc or "lambda" not in desc:
         raise ConfigError("subset descriptor needs 'indices' and 'lambda'")
     _check_keys(desc, {"indices", "lambda"}, {"weights"}, "descriptor")
@@ -855,7 +889,9 @@ def _mask_from_descriptor(space, desc):
         weights[indices] = w
     else:
         weights[indices] = 1.0 / indices.size
-    mask = SubsetMask(member_flags=flags, declared_lambda=float(desc["lambda"]),
+    mask = SubsetMask(member_flags=flags,
+                      declared_lambda=_raw_float(desc["lambda"],
+                                                  "subset descriptor lambda"),
                       subset_weights=weights)
     mask.validate_against(space)
     return mask
@@ -881,6 +917,37 @@ def space_to_descriptor(space: FiniteMetricMeasureSpace) -> dict:
         "declared_Q": space.declared_Q,
         "declared_diam": space.declared_diam,
     }
+
+
+def _int(value, what: str) -> int:
+    """A document value that must be a JSON integer; a float, a bool or a
+    string is refused, not cast."""
+    if type(value) is not int:
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
+def _raw_float(value, what: str) -> float:
+    """A document value as a float, not checked to be finite.  A bool is
+    refused, not cast, and so is a string, unless it spells a value no
+    JSON number can ("inf", "nan"), which the caller's finiteness check
+    then names."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError, OverflowError):
+        x = None
+    if (x is None or isinstance(value, bool)
+            or (isinstance(value, str) and math.isfinite(x))):
+        raise ConfigError("%s must be a number, got %r" % (what, value))
+    return x
+
+
+def _num(value, what: str) -> float:
+    """A number or the string 'inf'."""
+    if isinstance(value, str) and value != "inf":
+        raise ConfigError("%s must be a number or 'inf', got %r"
+                          % (what, value))
+    return _raw_float(value, what)
 
 
 def _check_keys(doc: dict, required: set, optional: set, where: str) -> None:

@@ -27,7 +27,7 @@ from .filling import NestedFilling
 from .norms import (NormVariant, SmoothnessParams, admissibility,
                     besov_fn_norm, besov_seq_norm, lp_norm, nonhom_norm,
                     triebel_fn_norm, triebel_seq_norm)
-from .space import _rowwise_dist, porosity_scan
+from .space import _cached, _rowwise_dist, porosity_scan
 
 __all__ = [
     "TraceResult",
@@ -134,17 +134,19 @@ def _subset_params(nested: NestedFilling, params: SmoothnessParams,
                         params, gate)
     if not adm.admissible:
         raise GateError("inadmissible exponents: " + "; ".join(adm.reasons))
-    if adm.requires_porosity:
-        if not nested._porosity:
-            nested._porosity = (porosity_scan(space, nested.mask),)
-        if nested._porosity[0] is None:
-            raise GateError(
-                "subset failed the porosity scan; the %s window needs a "
-                "porous subset" % gate)
+    if adm.requires_porosity and _porosity(nested) is None:
+        raise GateError("subset failed the porosity scan; the %s window "
+                        "needs a porous subset" % gate)
     return SmoothnessParams(
         s=adm.trace_smoothness, p=params.p,
         q=params.q if gate == "besov" else params.p,
         kind="nonhom_besov" if theorem == "nonhom" else "besov")
+
+
+@_cached
+def _porosity(nested: NestedFilling):
+    """The subset's `porosity_scan` constant, or None; run with seed 0."""
+    return porosity_scan(nested.ambient.space, nested.mask)
 
 
 def _anchor(nested: NestedFilling) -> int:
@@ -331,57 +333,55 @@ class _CertPlan(NamedTuple):
     dmin: np.ndarray
 
 
+@_cached
 def _cert_pair_plan(nested: NestedFilling) -> _CertPlan:
     """The certificate's pairs, grouped by cell.
 
     They depend only on the ambient space, so they are drawn and
-    grouped once per nested filling, then kept on it.
+    grouped once per nested filling, then kept in its cache.
     """
-    if not nested._cert_plan:
-        space = nested.ambient.space
-        n = space.n_points
-        ii, jj = _pair_sample(n, _CERT_PAIR_CAP,
-                              np.random.default_rng(_CERT_PAIR_SEED))
-        block = max(_CERT_CELL, math.isqrt(n - 1) + 1)
-        order = space._tree().indices
-        firsts = np.arange(0, n, block)
-        nb = firsts.size
-        # A pair's cell-major key (I nb + J) block^2 + a block + b, with
-        # a and b its offsets, is a sum of one term of each point, added
-        # while the draws are let go; one in-place sort of the keys groups
-        # the pairs by cell.  The keys stay below span^2, so they are four
-        # bytes up to 65,536 points; the end of the last cell, span^2,
-        # may not fit and is the pair count.
-        span = nb * block
-        key_t = np.uint32 if span * span <= 1 << 32 else np.int64
-        pos = np.empty(n, dtype=key_t)
-        pos[order] = np.arange(n, dtype=key_t)
-        blk, off = np.divmod(pos, block)
-        key = ((blk * span + off) * block)[ii]
-        del ii
-        key += (blk * block * block + off)[jj]
-        del jj
-        key.sort()
-        starts = np.append(np.searchsorted(
-            key, np.arange(nb * nb, dtype=key_t) * (block * block)),
-            key.size)
-        off_t = np.uint8 if block <= 256 else np.uint16
-        second = (key % block).astype(off_t)
-        key //= block
-        key %= block
-        first = key.astype(off_t)
-        del key
-        # Box gaps take the pairs' arithmetic, monotone in each coordinate
-        # difference, so no gap exceeds the distance of a pair in its cell.
-        pts = space.points[order]
-        lo = np.minimum.reduceat(pts, firsts)
-        hi = np.maximum.reduceat(pts, firsts)
-        gap = np.maximum(np.maximum(lo[None] - hi[:, None],
-                                    lo[:, None] - hi[None]), 0.0)
-        dmin = _rowwise_dist(gap, np.zeros(space.dim), space.metric_kind)
-        nested._cert_plan = _CertPlan(first, second, starts, order, block,
-                                      dmin)
-    return nested._cert_plan
+    space = nested.ambient.space
+    n = space.n_points
+    ii, jj = _pair_sample(n, _CERT_PAIR_CAP,
+                          np.random.default_rng(_CERT_PAIR_SEED))
+    block = max(_CERT_CELL, math.isqrt(n - 1) + 1)
+    order = space._tree().indices
+    firsts = np.arange(0, n, block)
+    nb = firsts.size
+    # A pair's cell-major key (I nb + J) block^2 + a block + b, with
+    # a and b its offsets, is a sum of one term of each point, added
+    # while the draws are let go; one in-place sort of the keys groups
+    # the pairs by cell.  The keys stay below span^2, so they are four
+    # bytes up to 65,536 points; the end of the last cell, span^2,
+    # may not fit and is the pair count.
+    span = nb * block
+    key_t = np.uint32 if span * span <= 1 << 32 else np.int64
+    pos = np.empty(n, dtype=key_t)
+    pos[order] = np.arange(n, dtype=key_t)
+    blk, off = np.divmod(pos, block)
+    key = ((blk * span + off) * block)[ii]
+    del ii
+    key += (blk * block * block + off)[jj]
+    del jj
+    key.sort()
+    starts = np.append(np.searchsorted(
+        key, np.arange(nb * nb, dtype=key_t) * (block * block)),
+        key.size)
+    off_t = np.uint8 if block <= 256 else np.uint16
+    second = (key % block).astype(off_t)
+    key //= block
+    key %= block
+    first = key.astype(off_t)
+    del key
+    # Box gaps take the pairs' arithmetic, monotone in each coordinate
+    # difference, so no gap exceeds the distance of a pair in its cell.
+    pts = space.points[order]
+    lo = np.minimum.reduceat(pts, firsts)
+    hi = np.maximum.reduceat(pts, firsts)
+    gap = np.maximum(np.maximum(lo[None] - hi[:, None],
+                                lo[:, None] - hi[None]), 0.0)
+    dmin = _rowwise_dist(gap, np.zeros(space.dim), space.metric_kind)
+    return _CertPlan(first, second, starts, order, block, dmin)
 
 
 def _cell_pairs(plan: _CertPlan, cells: np.ndarray

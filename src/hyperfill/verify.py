@@ -25,7 +25,8 @@ from .filling import Filling, NestedFilling, build_nested_filling
 from .norms import (NormVariant, SmoothnessParams, _exponent_json,
                     admissibility, besov_seq_norm, half_ball_substitute,
                     lp_norm, nonhom_norm, triebel_seq_norm)
-from .space import mask_from_descriptor, porosity_scan, space_from_descriptor
+from .space import (_num, mask_from_descriptor, porosity_scan,
+                    space_from_descriptor)
 from .trace import _OPERATORS, _SOURCE_KINDS, _restrict
 
 __all__ = [
@@ -419,18 +420,15 @@ def _normalize_grid(param_grid) -> list[dict]:
     ConfigError."""
     try:
         if isinstance(param_grid, dict):
-            return [{"s": float(s), "p": float(p), "q": float(q)}
+            return [{"s": _num(s, "grid.s"), "p": _num(p, "grid.p"),
+                     "q": _num(q, "grid.q")}
                     for s in param_grid.get("s", [0.5])
                     for p in param_grid.get("p", [2.0])
                     for q in param_grid.get("q", [2.0])]
         cells = [dict(c) for c in param_grid]
         for c in cells:
             for k in "spq":
-                if c[k] == "inf":
-                    c[k] = np.inf
-                elif not isinstance(c[k], (int, float)):
-                    raise TypeError(
-                        "cell values must be numbers or 'inf': %r" % (c,))
+                c[k] = _num(c[k], "grid." + k)
         return cells
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError("malformed parameter grid: %s" % exc) from None

@@ -79,6 +79,15 @@ def tent_batch(space, count, seed):
     return random_tent_functions(space, count, rng)
 
 
+def shared_cache_objects(a, b):
+    """The objects that the caches of two owners both hold, floats and
+    None aside (Python may reuse one float object for equal results)."""
+    def held(owner):
+        return {id(v) for v in owner._cache.values()
+                if not isinstance(v, (float, type(None)))}
+    return held(a) & held(b)
+
+
 @pytest.fixture(scope="session")
 def loaded6(plain6):
     from hyperfill.filling import filling_from_dict, filling_to_dict

@@ -11,7 +11,7 @@ from hyperfill.calculus import (_cross_blend_matrix, build_partition,
                                 partition_lipschitz_quotient,
                                 poisson_extension, telescoping_integral)
 
-from conftest import tent_batch
+from conftest import shared_cache_objects, tent_batch
 from oracles import (dense_partition, row_gather_cross_product,
                      tent_partition)
 
@@ -262,11 +262,11 @@ def test_caches_never_serve_another_filling(interval8):
     other = hf.build_filling(interval8, 0, 6)
     u_warm = np.ones(warm.n_edges)
     telescoping_integral(warm, u_warm)
-    assert other._partition_cache == {}
+    assert not [key for key in other._cache
+                if key[0] in ("build_partition", "_cross_blend_matrix")]
     u = np.random.default_rng(3).normal(size=other.n_edges)
     for n in range(0, 5):
         assert edge_blend(other, u, n).tobytes() == (
             _oracle_cross(other, n).T @ u[other.cross_edges_at_level(n)]
         ).tobytes()
-    assert not ({id(v) for v in warm._partition_cache.values()}
-                & {id(v) for v in other._partition_cache.values()})
+    assert not shared_cache_objects(warm, other)

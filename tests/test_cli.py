@@ -587,12 +587,84 @@ def test_unknown_audit_exits_2(tmp_path):
 @pytest.mark.parametrize("patch, field", [
     ({"params": {"s": "x", "p": 2.0, "q": 2.0, "kind": "besov"}}, "params.s"),
     ({"function": {"kind": "values", "values": ["a"]}}, "function.values"),
+    # a bool or a number in a string is refused, not cast
+    ({"params": {"s": True, "p": 2.0, "q": 2.0, "kind": "besov"}}, "params.s"),
+    ({"params": {"s": "0.5", "p": 2.0, "q": 2.0, "kind": "besov"}},
+     "params.s"),
+    ({"function": {"kind": "values", "values": [True, False] * 128}},
+     "function.values"),
 ])
 def test_non_numeric_config_value_exits_2(tmp_path, patch, field):
     cfg = write_cfg(tmp_path / "n.json", dict(NORM_CFG, **patch))
     proc = run_cli("norm", "eval", "--config", cfg)
     assert proc.returncode == 2
     assert field in proc.stderr and "Traceback" not in proc.stderr
+
+
+_CUBE_PAIR = {"kind": "cube", "dim": 1, "depth": 6}
+
+
+# Each descriptor scalar is read as a JSON integer or number: a float, a
+# bool or a string in an integer field, a bool or a string in a number
+# field, is refused, not cast.
+@pytest.mark.parametrize("desc, field", [
+    ({"kind": "cube", "dim": 1.9, "depth": True}, "dim"),
+    ({"kind": "cube", "dim": 1, "depth": True}, "depth"),
+    ({"kind": "ifs", "depth": 2.0, "maps": [
+        {"ratio": 1 / 3, "offset": [0.0]}, {"ratio": 1 / 3, "offset": [2 / 3]}]},
+     "depth"),
+    ({"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": "0.3", "offset": [0.0]}, {"ratio": 1 / 3, "offset": [2 / 3]}]},
+     "ratio"),
+    ({"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": 1 / 3, "offset": [False]}, {"ratio": 1 / 3, "offset": [0.5]}]},
+     "offset"),
+    ({"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": 0.5, "offset": [0.0, 0.0], "rotation_deg": True},
+        {"ratio": 0.5, "offset": [0.5, 0.0]}]}, "rotation_deg"),
+    ({"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": 0.25, "offset": [0.0]}, {"ratio": 0.25, "offset": [0.25]},
+        {"ratio": 0.25, "offset": [0.75]}],
+      "subset": {"submaps": [0, 2.0]}}, "submaps"),
+    ({"kind": "ifs", "depth": 2, "maps": [
+        {"ratio": 0.25, "offset": [0.0]}, {"ratio": 0.25, "offset": [0.25]},
+        {"ratio": 0.25, "offset": [0.75]}],
+      "subset": {"submaps": [0, 2], "lambda": True}}, "lambda"),
+    ({"kind": "pointset", "metric": "sup", "points": [[0.0], [1.0]],
+      "weights": [1.0, 1.0], "resolution": "0.125", "declared_Q": 1.0,
+      "declared_diam": 1.0}, "resolution"),
+    ({"kind": "pointset", "metric": "sup", "points": [[0.0], [1.0]],
+      "weights": [1.0, 1.0], "resolution": 0.125, "declared_Q": True,
+      "declared_diam": 1.0}, "declared_Q"),
+    ({"kind": "pointset", "metric": "sup", "points": [[0.0], [1.0]],
+      "weights": [1.0, 1.0], "resolution": 0.125, "declared_Q": 1.0,
+      "declared_diam": "1"}, "declared_diam"),
+    (dict(_CUBE_PAIR, subset={"cantor_depth": 2.0}), "cantor_depth"),
+    (dict(_CUBE_PAIR, subset={"indices": [0, 1], "lambda": "0.5"}),
+     "lambda"),
+])
+def test_non_numeric_descriptor_field_exits_2(tmp_path, capsys, desc, field):
+    path = write_cfg(tmp_path / "space.json", desc)
+    out = tmp_path / "built.json"
+    assert hf.cli.main(["space", "build", path, "--out", str(out)]) == 2
+    assert "descriptor %s must be" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"s": [True], "p": [2.0], "q": [2.0]},
+    {"s": [0.5], "p": ["2"], "q": [2.0]},
+    [{"s": 0.5, "p": 2.0, "q": False}],
+    [{"s": "0.5", "p": 2.0, "q": 2.0}],
+])
+def test_non_numeric_grid_exponent_exits_2(tmp_path, capsys, grid):
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 8},
+        "subset": {"cantor_depth": 4}, "theorem": "besov",
+        "resolutions": [4, 5], "trials": 1, "grid": grid})
+    assert hf.cli.main(["verify", "audit_theorem_suite", "--config", cfg,
+                        "--out", str(tmp_path / "r.json")]) == 2
+    assert "must be a number" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params, function", [
@@ -1194,6 +1266,57 @@ def test_loaded_filling_with_a_moved_center_exits_2(tmp_path, capsys, point):
                   "--trials", "1"]):
         assert hf.cli.main(argv) == 2, argv
         assert "level 0: the" in capsys.readouterr().err
+
+
+_DEPTH4_FILLING = hf.filling_to_dict(
+    hf.build_filling(hf.unit_cube_space(1, 4), 0, 2))
+
+
+def _edit_filling_doc(data, doc):
+    """One random edit of a filling document, drawn from ``data``."""
+    vertices, edges = doc["vertices"], doc["edges"]
+    kind = data.draw(st.sampled_from(["center", "drop", "duplicate", "flip",
+                                      "radius", "level", "flavor"]))
+    v = data.draw(st.integers(0, len(vertices) - 1))
+    e = data.draw(st.integers(0, len(edges) - 1))
+    if kind == "center":
+        vertices[v]["center"] = data.draw(st.integers(0, 15))
+    elif kind == "drop":
+        del edges[e]
+    elif kind == "duplicate":
+        edges.insert(data.draw(st.integers(0, len(edges))), dict(edges[e]))
+    elif kind == "flip":
+        edges[e] = {"tail": edges[e]["head"], "head": edges[e]["tail"]}
+    elif kind == "radius":
+        vertices[v]["radius"] = data.draw(st.sampled_from(
+            [0.0, 0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 1e300]))
+    elif kind == "level":
+        vertices[v]["level"] = data.draw(st.integers(-1, 3))
+    else:
+        doc["flavor"] = data.draw(st.sampled_from(
+            ["plain", "trace", "nested-ambient", "cubic"]))
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_fuzzed_filling_document_exits_with_a_documented_code(data):
+    # edits of the 1-D depth-4 document, levels 0..2; a document that
+    # fails the audit never checks out as telescoping
+    doc = copy.deepcopy(_DEPTH4_FILLING)
+    for _ in range(data.draw(st.integers(1, 3))):
+        _edit_filling_doc(data, doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "filling.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        audit = hf.cli.main(["filling", "audit", "--filling", path,
+                             "--report", os.path.join(tmp, "audit.json")])
+        telescoping = hf.cli.main(["calculus", "check-telescoping",
+                                   "--filling", path, "--trials", "1",
+                                   "--out", os.path.join(tmp, "t.json")])
+    assert audit in (0, 2, 3, 4) and telescoping in (0, 2, 3, 4)
+    assert audit == 0 or telescoping != 0
 
 
 def test_norm_that_leaves_the_float_range_exits_4(tmp_path, capsys):

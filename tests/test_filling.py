@@ -158,8 +158,9 @@ def test_nested_embeddings_exact(pair8):
 def test_cut_trace_keeps_the_counts_of_its_meet_test(pair8):
     trace = pair8.trace
     balls = trace.ball_members
-    assert trace._overlap.dtype == np.int32
-    assert trace._overlap.tolist() == [
+    overlap = trace._cache["_overlaps",]
+    assert overlap.dtype == np.int32
+    assert overlap.tolist() == [
         np.intersect1d(balls(t), balls(h)).size
         for t, h in zip(trace.tails, trace.heads)]
 
@@ -527,8 +528,9 @@ def test_loaded_filling_rejects_repeated_edge(tiny_filling):
 
 def test_loaded_filling_keeps_the_counts_of_its_edge_rule_check(plain6):
     loaded = filling_from_dict(filling_to_dict(plain6))
-    assert loaded._overlap is not None
-    assert np.array_equal(loaded._overlap, plain6._overlaps())
+    # one recount serves the load's edge-rule check and the audit
+    assert loaded._cache["_overlaps",] is loaded._cache["_edge_overlaps",]
+    assert np.array_equal(loaded._overlaps(), plain6._overlaps())
 
 
 def test_loaded_filling_rejects_extra_disjoint_pair(tiny_filling):

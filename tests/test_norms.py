@@ -32,7 +32,8 @@ def test_triebel_at_s1_qinf_builds_no_q():
         value = triebel_fn_norm(fil, f, SmoothnessParams(1.0, p, np.inf,
                                                           "triebel"))
         assert np.isfinite(value) and value > 0.0
-    assert fil._level_balls is None and fil._edge_membership is None
+    assert ("_ball_levels",) not in fil._cache
+    assert ("edge_membership",) not in fil._cache
 
 
 def test_lp_norm_closed_forms(interval8):

@@ -144,17 +144,21 @@ def _calls(node, owner=None):
         yield from _calls(child, inner)
 
 
+def _src_trees():
+    """``(file name, syntax tree)`` of every module of the library."""
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def test_src_has_one_distance_arithmetic():
     # every distance in the library comes from `_rowwise_dist`; SciPy's
     # distance module rounds differently from d = 8 on.  Every ball query
     # takes its candidates from the cell index: no kd-tree ball query, and
     # the tree is only the certificate plan's point order
     tree_calls = []
-    for name in sorted(os.listdir(SRC)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(SRC, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in _src_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -170,6 +174,40 @@ def test_src_has_one_distance_arithmetic():
             if called == "_tree":
                 tree_calls.append((name, owner))
     assert tree_calls == [("trace.py", "_cert_pair_plan")]
+
+
+def _private(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+            and not node.attr.startswith("__"))
+
+
+def test_src_keeps_derived_structures_in_one_cache():
+    # a structure derived from a space, a filling or a nested filling is
+    # kept in its owner's one `_cache` (`space._cached`): no other field
+    # is left out of the constructor, and no private attribute is built
+    # on first use behind `is None` or `not`
+    found = []
+    for name, tree in _src_trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.AnnAssign)
+                    and isinstance(node.value, ast.Call)
+                    and getattr(node.value.func, "id", None) == "field"
+                    and any(kw.arg == "init" and getattr(kw.value, "value",
+                                                         True) is False
+                            for kw in node.value.keywords)
+                    and getattr(node.target, "id", None) != "_cache"):
+                found.append((name, node.lineno, "init=False"))
+            if not isinstance(node, (ast.If, ast.IfExp, ast.While)):
+                continue
+            for test in ast.walk(node.test):
+                if ((isinstance(test, ast.Compare) and _private(test.left)
+                     and isinstance(test.ops[0], (ast.Is, ast.IsNot))
+                     and getattr(test.comparators[0], "value", 0) is None)
+                        or (isinstance(test, ast.UnaryOp)
+                            and isinstance(test.op, ast.Not)
+                            and _private(test.operand))):
+                    found.append((name, node.lineno, "lazy build"))
+    assert found == []
 
 
 def test_ahlfors_fit_interval(interval10):
@@ -438,7 +476,7 @@ def test_a_net_scan_builds_one_cell_index_per_radius(monkeypatch):
     space = hf.unit_cube_space(2, 5)
     hf.build_filling(space, 0, 3)
     assert sides == [2.0 ** -n * (1 + 1e-12) for n in range(4)]
-    assert space._cell_index[0] == sides[-1]
+    assert space._cache["_cells",].side == sides[-1]
 
 
 def test_ball_rows_of_no_centers(interval8):

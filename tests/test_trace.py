@@ -1,3 +1,5 @@
+import collections
+import dataclasses
 import tracemalloc
 from types import SimpleNamespace
 
@@ -5,16 +7,17 @@ import numpy as np
 import pytest
 
 import hyperfill as hf
-from hyperfill import trace as trace_mod
+from hyperfill import calculus, filling as filling_mod, trace as trace_mod
 from hyperfill.calculus import (discrete_derivative, level_blend,
                                 poisson_extension, telescoping_integral)
-from hyperfill.norms import (SmoothnessParams, besov_fn_norm,
+from hyperfill.norms import (NormVariant, SmoothnessParams, besov_fn_norm,
                              half_ball_substitute, nonhom_norm)
 from hyperfill.trace import (codim_mass_band, extend_besov, extend_sobolev,
                              nonhom_extend, nonhom_trace, trace_besov,
                              trace_triebel)
 from hyperfill.verify import random_tent_functions
 
+from conftest import shared_cache_objects
 from oracles import certificate_constant, lp_hajlasz_norm, pair_distances
 
 BESOV = SmoothnessParams(0.5, 2.0, 2.0, "besov")
@@ -211,12 +214,12 @@ def test_sobolev_certificate_reuses_its_pair_plan(interval10, cantor6, tent,
     fsub = tent[cantor6.member_indices]
     warm = hf.build_nested_filling(interval10, cantor6, 0, 6)
     first = extend_sobolev(warm, fsub, 4.0)
-    plan = warm._cert_plan
+    plan = warm._cache["_cert_pair_plan",]
     again = extend_sobolev(warm, fsub, 4.0)
     fresh = extend_sobolev(hf.build_nested_filling(interval10, cantor6, 0, 6),
                            fsub, 4.0)
     assert _cert_bytes(first) == _cert_bytes(again) == _cert_bytes(fresh)
-    assert warm._cert_plan is plan
+    assert warm._cache["_cert_pair_plan",] is plan
     # the plan holds seed 0's draw, grouped by cell
     n = interval10.n_points
     ii, jj = trace_mod._pair_sample(n, trace_mod._CERT_PAIR_CAP,
@@ -231,7 +234,7 @@ def test_sobolev_certificate_blocks_do_not_change_it(pair8, tent,
     fsub = tent[pair8.mask.member_indices]
     whole = extend_sobolev(pair8, fsub, 4.0)
     monkeypatch.setattr(trace_mod, "_CERT_BLOCK", 997)
-    pair8._cert_plan = ()
+    del pair8._cache["_cert_pair_plan",]
     blocked = extend_sobolev(pair8, fsub, 4.0)
     assert _cert_bytes(blocked) == _cert_bytes(whole)
 
@@ -241,11 +244,94 @@ def test_certificate_plans_never_serve_another_filling(interval10, cantor6,
     fsub = tent[cantor6.member_indices]
     extend_sobolev(pair6, fsub, 4.0)
     other = hf.build_nested_filling(interval10, cantor6, 0, 5)
-    assert other._cert_plan == ()
+    assert ("_cert_pair_plan",) not in other._cache
     extend_sobolev(other, fsub, 4.0)
-    assert other._cert_plan[0] is not pair6._cert_plan[0]
-    assert other.ambient._partition_cache is not \
-        pair6.ambient._partition_cache
+    assert not shared_cache_objects(other, pair6)
+    assert not shared_cache_objects(other.ambient, pair6.ambient)
+
+
+class _CountingCache(dict):
+    """A cache that counts the stores of each key; a builder stores its
+    key once a build."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.stores = collections.Counter()
+
+    def __setitem__(self, key, value):
+        self.stores[key] += 1
+        super().__setitem__(key, value)
+
+
+# The `_cached` module functions, by key name; the others are methods.
+_MODULE_BUILDERS = {
+    "build_partition": calculus.build_partition,
+    "_cross_blend_matrix": calculus._cross_blend_matrix,
+    "_edge_overlaps": filling_mod._edge_overlaps,
+    "_cert_pair_plan": trace_mod._cert_pair_plan,
+    "_porosity": trace_mod._porosity,
+}
+
+
+def _rebuild_every_key(owner, keys):
+    """Call the builder of each key on ``owner``; return what it gives."""
+    out = {}
+    for key in keys:
+        name, *args = key
+        if name == "_cells":        # one index a space, kept by its side
+            out[key] = owner._cells(keys[key].side)
+        elif name == "edge_ball_mass":    # stored by `edge_membership`
+            out[key] = owner.edge_ball_mass()
+        else:
+            build = _MODULE_BUILDERS.get(name) or getattr(type(owner), name)
+            out[key] = build(owner, *args)
+    return out
+
+
+def test_every_cache_key_is_built_once_and_copies_start_empty(tent):
+    # pair6 built afresh; its space counts from the start, and each other
+    # owner from what its constructor seeds
+    space = hf.unit_cube_space(1, 10)
+    space._cache = _CountingCache()
+    nested = hf.build_nested_filling(space, hf.cantor_mask(space, 6), 0, 6)
+    amb, tr = nested.ambient, nested.trace
+    owners = (space, tr.space, amb, tr, nested)
+    for owner in owners[1:]:
+        owner._cache = _CountingCache(owner._cache)
+    fsub = tent[nested.mask.member_indices]
+    for variant in (None, NormVariant("mass"), NormVariant("half_ball")):
+        besov_fn_norm(amb, tent, BESOV, variant)
+        besov_fn_norm(tr, fsub, BESOV, variant)
+    trace_triebel(nested, tent, SmoothnessParams(0.5, 2.0, 2.0, "triebel"))
+    extend_besov(nested, fsub, BESOV)
+    extend_sobolev(nested, fsub, 4.0)
+    for fil in (amb, tr):
+        assert hf.audit_filling(fil)["ok"]
+    assert hf.audit_nested(nested)["ok"]
+    codim_mass_band(nested, 1.0 - nested.mask.declared_lambda)
+
+    fillings = {"_overlaps", "_edge_overlaps", "_ball_levels",
+                "_half_ball_levels", "edge_membership", "edge_ball_mass",
+                "cross_edges_at_level", "build_partition",
+                "_cross_blend_matrix"}
+    assert [{key[0] for key in owner._cache} for owner in owners] == [
+        {"_cells", "_tree"}, {"_cells"}, fillings, fillings,
+        {"_porosity", "_cert_pair_plan"}]
+    for owner in owners:
+        kept = dict(owner._cache)
+        # the cells of a space are rebuilt whenever the side changes
+        assert all(count == 1 for key, count in owner._cache.stores.items()
+                   if key != ("_cells",)), owner._cache.stores
+        stores = owner._cache.stores.copy()
+        again = _rebuild_every_key(owner, kept)
+        assert all(again[key] is value for key, value in kept.items())
+        assert owner._cache.stores == stores and owner._cache == kept
+
+        copy = dataclasses.replace(owner)
+        assert copy._cache == {}
+        _rebuild_every_key(copy, kept)
+        assert set(copy._cache) == set(kept)
+        assert not shared_cache_objects(copy, owner)
 
 
 def _certify_with_spy(nested, fsub, monkeypatch):
@@ -558,7 +644,7 @@ def test_certificate_plan_cells_hold_their_pairs(interval10, cantor6,
 def _check_wide_plan(space, block, off_t):
     """Check a plan over a large space; return its build's peak."""
     nested = SimpleNamespace(ambient=SimpleNamespace(space=space),
-                             _cert_plan=())
+                             _cache={})
     plan, peak = _traced_plan(nested)
     assert plan.block == block and plan.first.dtype == off_t
     _blocks_hold_their_pairs(plan, space.n_points)
