@@ -31,7 +31,7 @@ from .space import (FiniteMetricMeasureSpace, SubsetMask, dist_to_subset,
                     space_from_descriptor, space_to_descriptor, subspace,
                     mask_from_descriptor, mask_to_descriptor,
                     RADIUS_FLOOR_FACTOR, _REL_EPS, _Cells, _cached,
-                    _cell_pairs, _int, _raw_float, _rowwise_dist)
+                    _cell_pairs, _floats, _ids, _rowwise_dist)
 
 
 @dataclass
@@ -45,8 +45,10 @@ class Filling:
     `ConfigError`.  The balls are stored once, in the CSR matrix `balls`
     (T, data 1.0): row v lists B(v) in ascending order, its center
     included.  `vertex_membership()` returns T and `ball_members(v)` is a
-    read-only view of row v.  Every structure derived from the filling is
-    built on first use and kept in ``_cache`` (`space._cached`).
+    read-only view of row v.  Built, cut or loaded, a filling is made by
+    `_assemble`, which derives its edges from T.  Every structure derived
+    from the filling is built on first use and kept in ``_cache``
+    (`space._cached`).
     """
 
     space: FiniteMetricMeasureSpace
@@ -193,10 +195,9 @@ class Filling:
     def _overlaps(self) -> np.ndarray:
         """|B(tail) ∩ B(head)| for every edge, as int32.
 
-        `_assemble` and `_restrict_filling` seed this key with the counts
-        they hold (the build's products, the cut's meet test); any other
-        filling, a loaded one or a `dataclasses.replace` copy included,
-        reads them from `_edge_overlaps`, or raises `ConfigError`.
+        `_assemble` seeds this key for every build, subset cut and load; a
+        `dataclasses.replace` copy reads it from `_edge_overlaps`, or
+        raises `ConfigError`.
         """
         overlap = _edge_overlaps(self)
         if overlap is None:
@@ -423,23 +424,25 @@ def _near_level_pairs(balls, block):
     return tuple(np.concatenate(part) for part in zip(*parts))
 
 
-def _assemble(space, flavor, level_lo, level_hi, level_vertex_centers,
-              level_vertex_radii, level_rows):
-    """Shared tail of the builders: ids, balls, edges, orientation.  The
-    scans' rows, ``level_rows[n]``, are stacked as `Filling.balls`."""
-    window = range(level_lo, level_hi + 1)
-    centers = np.concatenate([level_vertex_centers[n] for n in window]
-                             ).astype(np.int64)
-    radii = np.concatenate([level_vertex_radii[n] for n in window]
-                           ).astype(np.float64)
-    levels = np.concatenate([np.full(len(level_vertex_centers[n]), n)
-                             for n in window]).astype(np.int64)
-    rows = [row for n in window for row in level_rows[n]]
+def _stack_scans(space, scans):
+    """The vertex arrays and T of the net scans ``{n: (centers, radii,
+    rows)}`` of ascending levels, stacked level by level."""
+    centers, radii, rows = zip(*scans.values())
+    rows = [row for level_rows in rows for row in level_rows]
     indptr = np.cumsum([0, *map(len, rows)])
-    balls = sparse.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows),
-                               indptr), shape=(len(rows), space.n_points))
+    return (np.concatenate(centers), np.concatenate(radii),
+            np.repeat(list(scans), [len(c) for c in centers]),
+            sparse.csr_matrix((np.ones(indptr[-1]), np.concatenate(rows),
+                               indptr), shape=(len(rows), space.n_points)))
+
+
+def _assemble(space, flavor, level_lo, level_hi, centers, radii, levels,
+              balls):
+    """The filling of the builders, the subset cut and the loader: its
+    edges are `_near_level_pairs` of T (``balls``), whose int32 overlap
+    counts seed `Filling._overlaps`."""
     tails, heads, shared = _near_level_pairs(
-        balls, _level_ranges(levels, window))
+        balls, _level_ranges(levels, range(level_lo, level_hi + 1)))
     filling = Filling(space=space, flavor=flavor, level_lo=level_lo,
                       level_hi=level_hi, centers=centers, radii=radii,
                       vertex_levels=levels, tails=tails, heads=heads,
@@ -456,14 +459,14 @@ def build_filling(space: FiniteMetricMeasureSpace, level_lo: int,
     radius 2^-n, each the row the scan asked for."""
     _validate_window(space, level_lo, level_hi)
     all_idx = np.arange(space.n_points, dtype=np.int64)
-    level_centers, level_radii, level_rows = {}, {}, {}
+    scans = {}
     for n in range(level_lo, level_hi + 1):
         radius = 2.0 ** (-n)
-        level_centers[n], level_rows[n] = greedy_separated_subset(
+        kept, rows = greedy_separated_subset(
             all_idx, radius / 2, partial(space.ball_row, radius=radius))
-        level_radii[n] = np.full(level_centers[n].shape[0], radius)
-    return _assemble(space, "plain", level_lo, level_hi, level_centers,
-                     level_radii, level_rows)
+        scans[n] = kept, np.full(kept.size, radius), rows
+    return _assemble(space, "plain", level_lo, level_hi,
+                     *_stack_scans(space, scans))
 
 
 def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
@@ -486,7 +489,7 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
     dist_f = dist_to_subset(space, mask)
     members = mask.member_indices
 
-    level_centers, level_radii, level_rows = {}, {}, {}
+    scans = {}
     for n in range(level_lo, level_hi + 1):
         scale = 2.0 ** (-n)
         on_f, on_rows = greedy_separated_subset(
@@ -494,12 +497,11 @@ def build_nested_filling(space: FiniteMetricMeasureSpace, mask: SubsetMask,
         far = np.flatnonzero(dist_f >= scale)
         off_f, off_rows = greedy_separated_subset(
             far, scale / 2, partial(space.ball_row, radius=scale))
-        level_centers[n] = np.concatenate([on_f, off_f])
-        level_radii[n] = np.repeat([4 * scale, scale], [on_f.size, off_f.size])
-        level_rows[n] = on_rows + off_rows
+        scans[n] = (np.concatenate([on_f, off_f]),
+                    np.repeat([4 * scale, scale], [on_f.size, off_f.size]),
+                    on_rows + off_rows)
     return _restrict_filling(_assemble(space, "nested-ambient", level_lo,
-                                       level_hi, level_centers, level_radii,
-                                       level_rows),
+                                       level_hi, *_stack_scans(space, scans)),
                              mask)
 
 
@@ -507,8 +509,8 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
     """The subset filling as the ambient filling cut to F.
 
     Its vertices are the ambient vertices of radius 4 * 2^-n, whose
-    centers must lie on F; its balls are theirs cut to F, and its edges
-    are the ambient edges whose cut balls still share a point of F.  Both
+    centers must lie on F; its balls are theirs cut to F, and `_assemble`
+    derives its edges, ambient edges whose cut balls still meet.  Both
     keep the ambient order, so the embeddings ascend.
     """
     sub_space, point_embedding = subspace(ambient.space, mask)
@@ -521,25 +523,14 @@ def _restrict_filling(ambient: Filling, mask: SubsetMask) -> NestedFilling:
         raise ConfigError("ambient vertices of radius 4 * 2^-n must be "
                           "centered on the subset")
     # F's columns, taken in ascending order, keep each cut row sorted
-    balls = ambient.balls[vertex_embedding][:, mask.member_indices]
-
-    to_trace = np.where(on_f, np.cumsum(on_f) - 1, -1)
-    both = np.flatnonzero(on_f[ambient.tails] & on_f[ambient.heads])
-    tails, heads = to_trace[ambient.tails[both]], to_trace[ambient.heads[both]]
-    cut = balls.astype(bool)
-    shared = np.concatenate([m for _, _, m in _row_pairs(
-        cut, tails, cut, heads, lambda a, b: np.diff(a.multiply(b).indptr))])
-    meets = shared > 0
-    edge_embedding = both[meets]
-
-    trace = Filling(space=sub_space, flavor="trace",
-                    level_lo=ambient.level_lo, level_hi=ambient.level_hi,
-                    centers=centers, radii=ambient.radii[vertex_embedding],
-                    vertex_levels=ambient.vertex_levels[vertex_embedding],
-                    tails=tails[meets], heads=heads[meets],
-                    edge_levels=ambient.edge_levels[edge_embedding],
-                    balls=balls)
-    trace._cache["_overlaps",] = shared[meets].astype(np.int32)
+    trace = _assemble(sub_space, "trace", ambient.level_lo, ambient.level_hi,
+                      centers, ambient.radii[on_f],
+                      ambient.vertex_levels[on_f],
+                      ambient.balls[vertex_embedding][:, mask.member_indices])
+    n = ambient.n_vertices
+    edge_embedding = np.flatnonzero(np.isin(
+        ambient.tails * n + ambient.heads,
+        vertex_embedding[trace.tails] * n + vertex_embedding[trace.heads]))
     return NestedFilling(ambient=ambient, trace=trace, mask=mask,
                          point_embedding=point_embedding,
                          vertex_embedding=vertex_embedding,
@@ -570,14 +561,12 @@ def _edge_overlaps(filling: Filling):
     The pairs and counts are recounted by `_near_level_pairs` from the
     rows of T, level k against levels k and k+1, and matched one to one
     to the edges by sorted keys; an edge two levels apart matches no
-    pair.  These are the products the build finds its edges with, so
+    pair.  These are the products `_assemble` finds the edges with, so
     the recount checks the edge list against T.  The check stays
     independent of the build because T itself is not trusted:
     `audit_filling` verifies every row of T against the distances with
-    its cell list.  Recounted once per filling and kept, so a loaded
-    filling's edge-rule check (`Filling._overlaps`) and its audit share
-    one recount; a built filling's `_overlaps` holds its build's counts
-    instead, so its audit recounts.
+    its cell list.  Kept per filling; a load seeds it with the counts of
+    its `_assemble`, so only a built filling's audit recounts.
     """
     tails, heads, shared = _near_level_pairs(filling.balls,
                                               filling._level_start)
@@ -594,19 +583,18 @@ def _edge_overlaps(filling: Filling):
     return counts
 
 
-def _orientation_ok(filling: Filling) -> bool:
+def _orientation_ok(levels, tails, heads) -> bool:
     """Same-level edges point to the larger id, cross edges one level down."""
-    lt = filling.vertex_levels[filling.tails]
-    lh = filling.vertex_levels[filling.heads]
-    return bool(np.all(np.where(lt == lh, filling.tails < filling.heads,
-                                lh == lt + 1)))
+    lt, lh = levels[tails], levels[heads]
+    return bool(np.all(np.where(lt == lh, tails < heads, lh == lt + 1)))
 
 
-def _level_audit(filling: Filling, level: int):
-    """``(separation_ok, covering_ok, radius_law_ok)`` for the vertices of
-    one level.  The flavor fixes each vertex's radius and separation: a
-    plain vertex has radius 2^-n and separation 2^-(n+1), a trace vertex
-    4 * 2^-n and 2^-n, and a nested-ambient vertex either pair.
+def _level_audit(space, flavor, level, centers, radii):
+    """``(separation_ok, covering_ok, radius_law_ok, keys)`` for the
+    centers and radii of one level's vertices.  The flavor fixes each
+    vertex's radius and separation: a plain vertex has radius 2^-n and
+    separation 2^-(n+1), a trace vertex 4 * 2^-n and 2^-n, and a
+    nested-ambient vertex either pair.
 
     The cells' side is ``(1 + 1e-12)`` times the level's largest radius
     or separation, so every ball member and every pair of centers closer
@@ -614,46 +602,40 @@ def _level_audit(filling: Filling, level: int):
     center's candidates are measured with `_rowwise_dist` and tested with
     strict ``<``:
 
-    * radius law: each radius is the flavor's, and the (vertex, point)
-      keys of the candidates inside each ball, sorted, equal the keys of
-      T's rows, which therefore ascend strictly and list exactly the open
-      balls;
+    * radius law: each radius is the flavor's;
+    * keys: the sorted keys ``i * n_points + point`` of the points inside
+      the level's i-th ball, as `ball_rows` finds them;
     * covering: every point lies inside the half ball of a candidate
       center;
     * separation: no two centers, from a second cell list of the level's
       centers, are closer than the smaller of their separations, less
       1e-15.
     """
-    space, balls = filling.space, filling.balls
     points, metric, n = space.points, space.metric_kind, space.n_points
-    lo, hi = filling._level_start[level]
-    centers, radii = filling.centers[lo:hi], filling.radii[lo:hi]
     scale = 2.0 ** (-level)
-    if filling.flavor == "plain":
-        seps, radius_ok = np.full(hi - lo, scale / 2), np.all(radii == scale)
-    elif filling.flavor == "trace":
-        seps, radius_ok = np.full(hi - lo, scale), np.all(radii == 4 * scale)
+    if flavor == "plain":
+        seps, radius_ok = np.full_like(radii, scale / 2), radii == scale
+    elif flavor == "trace":
+        seps, radius_ok = np.full_like(radii, scale), radii == 4 * scale
     else:
         on_f = radii == 4 * scale
         seps = np.where(on_f, scale, scale / 2)
-        radius_ok = np.all(on_f | (radii == scale))
+        radius_ok = on_f | (radii == scale)
+    keys = [np.empty(0, dtype=np.int64)]
     if not centers.size:
-        return True, False, True
+        return True, False, True, keys[0]
     side = (1 + _REL_EPS) * max(radii.max(), seps.max())
     cells, coords = space._cells(side), points[centers]
     covered = np.zeros(n, dtype=bool)
-    for a, b, owner, member in _cell_pairs(cells, cells.keys[centers],
+    for _, _, owner, member in _cell_pairs(cells, cells.keys[centers],
                                            space.dim):
         dist = _rowwise_dist(np.take(points, member, axis=0),
                              np.take(coords, owner, axis=0), metric)
         r = radii[owner]
         covered[member[dist < r / 2]] = True
         inside = dist < r
-        rows = balls.indptr[lo + a:lo + b + 1]
-        listed = (np.repeat(np.arange(a, b), np.diff(rows)) * n
-                  + balls.indices[rows[0]:rows[-1]])
-        radius_ok = radius_ok and np.array_equal(
-            np.sort(owner[inside] * n + member[inside]), listed)
+        # the blocks take the vertices in order, so the keys stay sorted
+        keys.append(np.sort(owner[inside] * n + member[inside]))
     separation_ok = True
     cells = _Cells(coords, side)
     for _, _, owner, other in _cell_pairs(cells, cells.keys, space.dim):
@@ -663,7 +645,8 @@ def _level_audit(filling: Filling, level: int):
                              np.take(coords, owner, axis=0), metric)
         separation_ok = separation_ok and bool(np.all(
             dist >= np.minimum(seps[owner], seps[other]) - 1e-15))
-    return separation_ok, bool(covered.all()), bool(radius_ok)
+    return (separation_ok, bool(covered.all()), bool(np.all(radius_ok)),
+            np.concatenate(keys))
 
 
 def audit_filling(filling: Filling) -> dict:
@@ -686,7 +669,12 @@ def audit_filling(filling: Filling) -> dict:
 
     for n in filling.levels:
         lo, hi = filling._level_start[n]
-        separation_ok, covering_ok, radius_ok = _level_audit(filling, n)
+        separation_ok, covering_ok, radius_ok, keys = _level_audit(
+            filling.space, filling.flavor, n, filling.centers[lo:hi],
+            filling.radii[lo:hi])
+        rows = filling.balls[lo:hi].tocoo()
+        radius_ok = radius_ok and np.array_equal(keys, rows.row.astype(
+            np.int64) * filling.space.n_points + rows.col)
         report["radius_law_ok"] &= radius_ok
         report["levels"][n] = {
             "n_vertices": hi - lo,
@@ -697,7 +685,8 @@ def audit_filling(filling: Filling) -> dict:
 
     report["edge_rule_ok"] = _edge_overlaps(filling) is not None
     report["n_edges"] = filling.n_edges
-    report["orientation_ok"] = _orientation_ok(filling)
+    report["orientation_ok"] = _orientation_ok(
+        filling.vertex_levels, filling.tails, filling.heads)
     report["overlap"] = overlap_audit(filling)
     report["ok"] = bool(report["edge_rule_ok"] and report["orientation_ok"]
                         and report["radius_law_ok"]
@@ -765,20 +754,15 @@ def filling_to_dict(filling: Filling) -> dict:
     }
 
 
-def _ids(values, what: str) -> np.ndarray:
-    """A document's integer ids, each read by `space._int`."""
-    return np.array([_int(v, what) for v in values], dtype=np.int64)
-
-
 def filling_from_dict(doc: dict) -> Filling:
     """Filling from its document, validated as a built one: the window as
     in `build_filling`, a vertex at every level, integer ids and a known
     flavor, with positive finite radii (every ball holds its center).
-    The balls are recomputed from the space, and edges out of level
-    order or breaking the edge rule or the orientation are rejected, as
-    is a level whose radii are not its flavor's, whose centers are not
-    separated or whose half balls do not cover the space
-    (`_level_audit`)."""
+    Edges out of level order or orientation are rejected, as is a level
+    whose radii are not its flavor's, whose centers are not separated or
+    whose half balls do not cover the space (`_level_audit`, which also
+    recomputes the balls).  The edges must be those `_assemble` derives,
+    in build order; its counts also seed `_edge_overlaps`."""
     if not isinstance(doc, dict):
         raise ConfigError("filling document must be a JSON object")
     for key in ("space", "flavor", "level_lo", "level_hi", "vertices", "edges"):
@@ -791,8 +775,7 @@ def filling_from_dict(doc: dict) -> Filling:
         level_lo, level_hi = _ids([doc["level_lo"], doc["level_hi"]],
                                   "window levels").tolist()
         centers = _ids([v["center"] for v in doc["vertices"]], "centers")
-        radii = np.array([_raw_float(v["radius"], "radii")
-                          for v in doc["vertices"]], dtype=np.float64)
+        radii = _floats([v["radius"] for v in doc["vertices"]], "radii")
         levels = _ids([v["level"] for v in doc["vertices"]], "levels")
         tails = _ids([e["tail"] for e in doc["edges"]], "edge tails")
         heads = _ids([e["head"] for e in doc["edges"]], "edge heads")
@@ -811,26 +794,32 @@ def filling_from_dict(doc: dict) -> Filling:
     if tails.size and (min(tails.min(), heads.min()) < 0
                        or max(tails.max(), heads.max()) >= centers.size):
         raise ConfigError("edge endpoints out of range")
-    filling = Filling(space=space, flavor=doc["flavor"],
-                      level_lo=level_lo, level_hi=level_hi,
-                      centers=centers, radii=radii, vertex_levels=levels,
-                      tails=tails, heads=heads,
-                      edge_levels=np.minimum(levels[tails], levels[heads]),
-                      balls=space.ball_rows(centers, radii))
-    filling._overlaps()          # the edge rule, whose counts it keeps
-    if not _orientation_ok(filling):
+    if np.any(np.diff(np.minimum(levels[tails], levels[heads])) < 0):
+        raise ConfigError("filling edges must ascend by level")
+    if not _orientation_ok(levels, tails, heads):
         raise ConfigError("filling edges are not oriented toward the deeper "
                           "or larger-id endpoint")
-    for n in filling.levels:
-        separation_ok, covering_ok, radius_ok = _level_audit(filling, n)
-        if not radius_ok:
-            raise ConfigError(f"level {n}: the radii are not the "
-                              f"{doc['flavor']} flavor's")
-        if not separation_ok:
-            raise ConfigError(f"level {n}: the centers are not separated")
-        if not covering_ok:
-            raise ConfigError(f"level {n}: the half balls do not cover the "
-                              "space")
+    flavor, keys = doc["flavor"], []
+    for n, (lo, hi) in _level_ranges(levels, range(level_lo,
+                                                    level_hi + 1)).items():
+        separation_ok, covering_ok, radius_ok, found = _level_audit(
+            space, flavor, n, centers[lo:hi], radii[lo:hi])
+        for ok, what in (
+                (radius_ok, f"the radii are not the {flavor} flavor's"),
+                (separation_ok, "the centers are not separated"),
+                (covering_ok, "the half balls do not cover the space")):
+            if not ok:
+                raise ConfigError(f"level {n}: {what}")
+        keys.append(found + lo * space.n_points)
+    rows, cols = np.divmod(np.concatenate(keys), space.n_points)
+    filling = _assemble(space, flavor, level_lo, level_hi, centers, radii,
+                        levels, sparse.csr_matrix(
+                            (np.ones(cols.size), (rows, cols)),
+                            shape=(centers.size, space.n_points)))
+    if not np.array_equal([tails, heads], [filling.tails, filling.heads]):
+        raise ConfigError("filling edges are not the intersecting ball pairs "
+                          "with levels within one, once each in build order")
+    filling._cache["_edge_overlaps",] = filling._overlaps()
     return filling
 
 

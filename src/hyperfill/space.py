@@ -801,11 +801,10 @@ def _space_from_descriptor(desc, point_budget):
                                 point_budget=point_budget)
     elif kind == "ifs":
         _check_keys(desc, {"maps", "depth"},
-                    {"metric", "declared_Q", "declared_lambda"}, "descriptor")
+                    {"metric", "declared_Q"}, "descriptor")
         where = "space descriptor "
         maps = [IfsMap(ratio=_raw_float(m["ratio"], where + "ratio"),
-                       offset=tuple(_raw_float(v, where + "offset")
-                                    for v in m["offset"]),
+                       offset=tuple(_floats(m["offset"], where + "offset")),
                        rotation_deg=_raw_float(m.get("rotation_deg", 0.0),
                                                where + "rotation_deg"))
                 for m in desc["maps"]]
@@ -818,8 +817,7 @@ def _space_from_descriptor(desc, point_budget):
         if subset_desc is not None and "submaps" in subset_desc:
             _check_keys(subset_desc, {"submaps"}, {"lambda"},
                         "descriptor")
-            submaps = [_int(i, "subset descriptor submaps")
-                       for i in subset_desc["submaps"]]
+            submaps = _ids(subset_desc["submaps"], "subset descriptor submaps")
             if "lambda" in subset_desc:
                 declared_lambda = _raw_float(subset_desc["lambda"],
                                              "subset descriptor lambda")
@@ -832,8 +830,9 @@ def _space_from_descriptor(desc, point_budget):
         _check_keys(desc, {"points", "weights", "metric", "resolution",
                            "declared_Q", "declared_diam"}, set(), "descriptor")
         space = FiniteMetricMeasureSpace(
-            points=np.asarray(desc["points"], dtype=np.float64),
-            weights=np.asarray(desc["weights"], dtype=np.float64),
+            points=np.array([_floats(p, "space descriptor points")
+                             for p in desc["points"]]),
+            weights=_floats(desc["weights"], "space descriptor weights"),
             metric_kind=desc["metric"],
             resolution=_raw_float(desc["resolution"],
                                   "space descriptor resolution"),
@@ -876,14 +875,14 @@ def _mask_from_descriptor(space, desc):
     if "indices" not in desc or "lambda" not in desc:
         raise ConfigError("subset descriptor needs 'indices' and 'lambda'")
     _check_keys(desc, {"indices", "lambda"}, {"weights"}, "descriptor")
-    indices = np.asarray(desc["indices"], dtype=np.int64)
+    indices = _ids(desc["indices"], "subset descriptor indices")
     if indices.size == 0 or indices.min() < 0 or indices.max() >= space.n_points:
         raise ConfigError("subset indices out of range")
     flags = np.zeros(space.n_points, dtype=bool)
     flags[indices] = True
     weights = np.zeros(space.n_points)
     if "weights" in desc and desc["weights"] is not None:
-        w = np.asarray(desc["weights"], dtype=np.float64)
+        w = _floats(desc["weights"], "subset descriptor weights")
         if w.shape != indices.shape:
             raise ConfigError("subset weights must align with subset indices")
         weights[indices] = w
@@ -940,6 +939,16 @@ def _raw_float(value, what: str) -> float:
             or (isinstance(value, str) and math.isfinite(x))):
         raise ConfigError("%s must be a number, got %r" % (what, value))
     return x
+
+
+def _ids(values, what: str) -> np.ndarray:
+    """A document's integers, each read by `_int`."""
+    return np.array([_int(v, what) for v in values], dtype=np.int64)
+
+
+def _floats(values, what: str) -> np.ndarray:
+    """A document's numbers, each read by `_raw_float`."""
+    return np.array([_raw_float(v, what) for v in values], dtype=np.float64)
 
 
 def _num(value, what: str) -> float:

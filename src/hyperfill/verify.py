@@ -25,7 +25,7 @@ from .filling import Filling, NestedFilling, build_nested_filling
 from .norms import (NormVariant, SmoothnessParams, _exponent_json,
                     admissibility, besov_seq_norm, half_ball_substitute,
                     lp_norm, nonhom_norm, triebel_seq_norm)
-from .space import (_num, mask_from_descriptor, porosity_scan,
+from .space import (_check_keys, _num, mask_from_descriptor, porosity_scan,
                     space_from_descriptor)
 from .trace import _OPERATORS, _SOURCE_KINDS, _restrict
 
@@ -416,17 +416,18 @@ def _qtag(q: float) -> str:
 
 def _normalize_grid(param_grid) -> list[dict]:
     """Parameter cells from a dict of value lists or from a list of cells
-    whose s, p and q are numbers or ``"inf"``; anything else raises
-    ConfigError."""
+    whose s, p and q are numbers or ``"inf"``; anything else, an unknown
+    key included, raises ConfigError."""
     try:
         if isinstance(param_grid, dict):
-            return [{"s": _num(s, "grid.s"), "p": _num(p, "grid.p"),
-                     "q": _num(q, "grid.q")}
-                    for s in param_grid.get("s", [0.5])
-                    for p in param_grid.get("p", [2.0])
-                    for q in param_grid.get("q", [2.0])]
+            _check_keys(param_grid, set(), set("spq"), "grid")
+            param_grid = [{"s": s, "p": p, "q": q}
+                          for s in param_grid.get("s", [0.5])
+                          for p in param_grid.get("p", [2.0])
+                          for q in param_grid.get("q", [2.0])]
         cells = [dict(c) for c in param_grid]
         for c in cells:
+            _check_keys(c, set("spq"), set(), "grid cell")
             for k in "spq":
                 c[k] = _num(c[k], "grid." + k)
         return cells

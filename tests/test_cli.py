@@ -604,9 +604,9 @@ def test_non_numeric_config_value_exits_2(tmp_path, patch, field):
 _CUBE_PAIR = {"kind": "cube", "dim": 1, "depth": 6}
 
 
-# Each descriptor scalar is read as a JSON integer or number: a float, a
-# bool or a string in an integer field, a bool or a string in a number
-# field, is refused, not cast.
+# Each descriptor scalar, and each entry of a descriptor array, is read as
+# a JSON integer or number: a float, a bool or a string in an integer
+# field, a bool or a string in a number field, is refused, not cast.
 @pytest.mark.parametrize("desc, field", [
     ({"kind": "cube", "dim": 1.9, "depth": True}, "dim"),
     ({"kind": "cube", "dim": 1, "depth": True}, "depth"),
@@ -642,12 +642,50 @@ _CUBE_PAIR = {"kind": "cube", "dim": 1, "depth": 6}
     (dict(_CUBE_PAIR, subset={"cantor_depth": 2.0}), "cantor_depth"),
     (dict(_CUBE_PAIR, subset={"indices": [0, 1], "lambda": "0.5"}),
      "lambda"),
+    (dict(_CUBE_PAIR, subset={"indices": [0.5, 1.7, 2.2], "lambda": 0.5}),
+     "indices"),
+    (dict(_CUBE_PAIR, subset={"indices": [0, 1], "lambda": 0.5,
+                              "weights": [1.0, "2"]}), "weights"),
+    ({"kind": "pointset", "metric": "sup", "points": [[0.0], [1.0]],
+      "weights": [True, "2"], "resolution": 0.125, "declared_Q": 1.0,
+      "declared_diam": 1.0}, "weights"),
+    ({"kind": "pointset", "metric": "sup", "points": [[0.0], [True]],
+      "weights": [1.0, 1.0], "resolution": 0.125, "declared_Q": 1.0,
+      "declared_diam": 1.0}, "points"),
 ])
 def test_non_numeric_descriptor_field_exits_2(tmp_path, capsys, desc, field):
     path = write_cfg(tmp_path / "space.json", desc)
     out = tmp_path / "built.json"
     assert hf.cli.main(["space", "build", path, "--out", str(out)]) == 2
     assert "descriptor %s must be" % field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ifs_descriptor_with_a_top_level_lambda_exits_2(tmp_path, capsys):
+    # nothing reads a top-level `declared_lambda`; the subset's lambda does
+    path = write_cfg(tmp_path / "space.json", {
+        "kind": "ifs", "depth": 2, "declared_lambda": 0.1, "maps": [
+            {"ratio": 1 / 3, "offset": [0.0]},
+            {"ratio": 1 / 3, "offset": [2 / 3]}]})
+    out = tmp_path / "built.json"
+    assert hf.cli.main(["space", "build", path, "--out", str(out)]) == 2
+    assert "declared_lambda" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    {"s": [0.5], "p": [2.0], "q": [2.0], "junk": [1]},
+    [{"s": 0.5, "p": 2.0, "q": 2.0, "junk": [1]}],
+], ids=["dict", "list"])
+def test_unknown_grid_key_exits_2(tmp_path, capsys, grid):
+    cfg = write_cfg(tmp_path / "v.json", {
+        "space": {"kind": "cube", "dim": 1, "depth": 8},
+        "subset": {"cantor_depth": 4}, "theorem": "besov",
+        "resolutions": [4, 5], "trials": 1, "grid": grid})
+    out = tmp_path / "r.json"
+    assert hf.cli.main(["verify", "audit_theorem_suite", "--config", cfg,
+                        "--out", str(out)]) == 2
+    assert "unknown keys: ['junk']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -838,6 +876,28 @@ def test_loaded_filling_with_unsorted_edge_levels_exits_2(tmp_path, capsys):
         tmp_path, lambda doc: doc["edges"].insert(0, doc["edges"].pop()))
     assert hf.cli.main(["filling", "audit", "--filling", path]) == 2
     assert "ascend by level" in capsys.readouterr().err
+
+
+def _swap_same_level_edges(doc):
+    """Swap the first two consecutive edges joining vertices of one level:
+    the same edge set, in another order within its level."""
+    levels = [v["level"] for v in doc["vertices"]]
+    edges = doc["edges"]
+    i = next(i for i in range(len(edges) - 1)
+             if levels[edges[i]["tail"]] == levels[edges[i]["head"]]
+             == levels[edges[i + 1]["tail"]] == levels[edges[i + 1]["head"]])
+    edges[i], edges[i + 1] = edges[i + 1], edges[i]
+
+
+def test_loaded_filling_with_its_edges_out_of_build_order_exits_2(
+        tmp_path, capsys):
+    # the edges must be listed as the build lists them, not only as a set
+    path = _edit_filling_file(tmp_path, _swap_same_level_edges)
+    for argv in (["filling", "audit", "--filling", path],
+                 ["calculus", "check-telescoping", "--filling", path,
+                  "--trials", "1"]):
+        assert hf.cli.main(argv) == 2, argv
+        assert "build order" in capsys.readouterr().err
 
 
 # Valid norm configs on a 16-point cube, then up to two fields replaced by

@@ -12,7 +12,8 @@ from scipy.spatial.distance import cdist
 
 import hyperfill as hf
 from hyperfill._jsonio import canonical_dumps
-from hyperfill.filling import (_assemble, filling_from_dict, filling_to_dict,
+from hyperfill.filling import (_assemble, _near_level_pairs, _stack_scans,
+                               filling_from_dict, filling_to_dict,
                                nested_from_dict, nested_to_dict)
 
 from oracles import (brute_force_audit, edge_ball_matrix, pair_distances,
@@ -163,6 +164,31 @@ def test_cut_trace_keeps_the_counts_of_its_meet_test(pair8):
     assert overlap.tolist() == [
         np.intersect1d(balls(t), balls(h)).size
         for t, h in zip(trace.tails, trace.heads)]
+
+
+def _assert_edges_are_the_near_level_pairs_of_t(fil):
+    tails, heads, shared = _near_level_pairs(fil.balls, fil._level_start)
+    assert np.array_equal(fil.tails, tails)
+    assert np.array_equal(fil.heads, heads)
+    assert fil._overlaps().dtype == np.int32
+    assert np.array_equal(fil._overlaps(), shared)
+
+
+def test_edges_and_counts_are_the_near_level_pairs_of_t(any_filling):
+    # built, loaded or cut, every filling takes its edges and overlap
+    # counts from T by the one rule of `_assemble`
+    _assert_edges_are_the_near_level_pairs_of_t(any_filling)
+
+
+@pytest.mark.parametrize("make", [
+    lambda pair6: pair6.trace,
+    lambda pair6: hf.build_nested_filling(
+        *_cube_row(2, "euclidean", 1.0), -1, 3).trace,
+    lambda pair6: hf.build_nested_filling(
+        *_cube_row(2, "sup", 1.0), 0, 3).ambient,
+], ids=["pair6_trace", "square_row_trace", "square_row_ambient"])
+def test_cut_edges_and_counts_are_the_near_level_pairs_of_t(pair6, make):
+    _assert_edges_are_the_near_level_pairs_of_t(make(pair6))
 
 
 def test_trace_filling_frozen_shape(pair8):
@@ -531,6 +557,23 @@ def test_loaded_filling_keeps_the_counts_of_its_edge_rule_check(plain6):
     # one recount serves the load's edge-rule check and the audit
     assert loaded._cache["_overlaps",] is loaded._cache["_edge_overlaps",]
     assert np.array_equal(loaded._overlaps(), plain6._overlaps())
+
+
+def test_loaded_filling_rejects_swapped_same_level_edges(tiny_filling):
+    # the same edge set, two same-level edges of one level swapped: the
+    # audit's set match would pass it, the loader wants build order
+    doc = filling_to_dict(tiny_filling)
+    lv = tiny_filling.vertex_levels
+    same = [i for i, e in enumerate(doc["edges"])
+            if lv[e["tail"]] == lv[e["head"]] == tiny_filling.level_hi]
+    i, j = same[:2]
+    doc["edges"][i], doc["edges"][j] = doc["edges"][j], doc["edges"][i]
+    swapped = _with_edges(tiny_filling,
+                          [e["tail"] for e in doc["edges"]],
+                          [e["head"] for e in doc["edges"]])
+    assert hf.audit_filling(swapped)["ok"] is True
+    with pytest.raises(hf.ConfigError, match="build order"):
+        filling_from_dict(doc)
 
 
 def test_loaded_filling_rejects_extra_disjoint_pair(tiny_filling):
@@ -913,8 +956,8 @@ def _independent_trace(nested):
         ids.extend(vids)
     rows = {n: [sub.ball_row(c, r)[0] for c, r in zip(centers[n], radii[n])]
             for n in amb.levels}
-    trace = _assemble(sub, "trace", amb.level_lo, amb.level_hi, centers,
-                      radii, rows)
+    trace = _assemble(sub, "trace", amb.level_lo, amb.level_hi, *_stack_scans(
+        sub, {n: (centers[n], radii[n], rows[n]) for n in amb.levels}))
     key = {(int(t), int(h)): e
            for e, (t, h) in enumerate(zip(amb.tails, amb.heads))}
     edges = [key[ids[t], ids[h]] for t, h in zip(trace.tails, trace.heads)]

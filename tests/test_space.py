@@ -176,6 +176,24 @@ def test_src_has_one_distance_arithmetic():
     assert tree_calls == [("trace.py", "_cert_pair_plan")]
 
 
+def test_src_makes_every_filling_in_assemble():
+    # one constructor derives every filling's edges from T: the build,
+    # the subset cut and the loader all call `filling._assemble`, and the
+    # row-pair blocks serve only the three edge-ball structures
+    callers = {"Filling": [], "_row_pairs": [], "ball_rows": [],
+               "_edge_overlaps": []}
+    for name, tree in _src_trees():
+        for owner, called in _calls(tree):
+            if called in callers:
+                callers[called].append((name, owner))
+    assert callers["Filling"] == [("filling.py", "_assemble")]
+    assert sorted(callers["_row_pairs"]) == [
+        ("calculus.py", "_cross_blend_matrix"),
+        ("filling.py", "_ball_levels"), ("filling.py", "edge_membership")]
+    for called in ("_row_pairs", "ball_rows", "_edge_overlaps"):
+        assert ("filling.py", "filling_from_dict") not in callers[called]
+
+
 def _private(node) -> bool:
     return (isinstance(node, ast.Attribute) and node.attr.startswith("_")
             and not node.attr.startswith("__"))
@@ -422,6 +440,37 @@ def test_mask_descriptor_explicit_indices(interval8):
     assert mask.subset_weights[3] == pytest.approx(1 / 3)
     with pytest.raises(hf.ConfigError):
         mask_from_descriptor(interval8, {"indices": [999], "lambda": 0.5})
+
+
+_PAIR = {"kind": "pointset", "metric": "sup", "points": [[0.0], [0.5], [1.0]],
+         "weights": [1.0, 1.0, 1.0], "resolution": 0.125, "declared_Q": 1.0,
+         "declared_diam": 1.0}
+
+
+@pytest.mark.parametrize("desc, field", [
+    (dict(_PAIR, points=[[0.0], [True], [1.0]]), "points"),
+    (dict(_PAIR, points=[[0.0], ["0.5"], [1.0]]), "points"),
+    (dict(_PAIR, weights=[1.0, True, "2"]), "weights"),
+    (dict(_PAIR, subset={"indices": [0.5, 1.7, 2.2], "lambda": 0.5}),
+     "indices"),
+    (dict(_PAIR, subset={"indices": [0, True], "lambda": 0.5}), "indices"),
+    (dict(_PAIR, subset={"indices": [0, 1], "lambda": 0.5,
+                         "weights": [True, "2"]}), "weights"),
+])
+def test_descriptor_arrays_refuse_values_they_would_cast(desc, field):
+    # each index must be a JSON integer and each value a JSON number:
+    # 0.5 is not member 0, and neither true nor "2" is a weight
+    with pytest.raises(hf.ConfigError, match="descriptor %s must be" % field):
+        hf.space_from_descriptor(desc)
+
+
+def test_ifs_descriptor_refuses_a_top_level_lambda():
+    # only the subset block's `lambda` sets the subset's dimension
+    maps = [{"ratio": 1 / 3, "offset": [0.0]},
+            {"ratio": 1 / 3, "offset": [2 / 3]}]
+    with pytest.raises(hf.ConfigError, match="unknown keys"):
+        hf.space_from_descriptor({"kind": "ifs", "depth": 2, "maps": maps,
+                                  "declared_lambda": 0.1})
 
 
 def test_descriptor_rejects_unknown_kind():
